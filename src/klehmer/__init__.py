@@ -29,7 +29,7 @@ from .carmichael import (
     pseudoprime_base,
     radical_korselt_test,
 )
-from .cli import ClassificationReport, RunConfig, classification_report, emit_bfile
+from .cli import ClassificationReport, classification_report, emit_bfile
 from .lehmer import (
     K_CAP,
     NOT_IN_LINF,
@@ -67,10 +67,20 @@ from .sieve import (
     count_table,
     enumerate_carmichael,
     enumerate_Lk_composites,
-    read_prime_cache,
     totient_sieve,
     verify_alpha_entry,
-    write_prime_cache,
 )
+
+from . import arith, carmichael, lehmer, sieve
+
+__all__ = [
+    *arith.__all__,
+    *carmichael.__all__,
+    "ClassificationReport",
+    "classification_report",
+    "emit_bfile",
+    *lehmer.__all__,
+    *sieve.__all__,
+]
 
 __version__ = "0.1.0"

@@ -49,7 +49,6 @@ from .sieve import (
 
 __all__ = [
     "ClassificationReport",
-    "RunConfig",
     "classification_report",
     "emit_bfile",
     "main",
@@ -85,31 +84,6 @@ class ClassificationReport:
             out["pseudoprime_base"] = str(self.pseudoprime_base)
         out["base_degenerate"] = self.base_degenerate
         return out
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options of a bulk (sieving) command."""
-
-    limit: int
-    ks: tuple
-    fmt: str
-    segment_size: int | None
-    workers: int
-    allow_large: bool
-    prime_cache: str | None
-
-    def __post_init__(self):
-        if self.fmt not in ("json", "csv", "bfile"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.segment_size is not None and self.segment_size < 1:
-            raise ValueError("segment size must be positive")
-
-    @property
-    def max_limit(self) -> int | None:
-        return LARGE_MAX_LIMIT if self.allow_large else None
 
 
 def classification_report(n) -> ClassificationReport:
@@ -221,13 +195,18 @@ def _add_format(p: argparse.ArgumentParser, choices=("json", "csv")) -> None:
     p.add_argument("--format", choices=choices, default="json")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_bulk_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segment-size", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--allow-large", action="store_true",
                    help="raise the limit ceiling from 1e7 to 1e8")
-    p.add_argument("--prime-cache", default=None,
-                   help="path of an on-disk base-prime cache")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,34 +287,20 @@ def _cmd_classify(args) -> str:
     return _json_text(report.to_dict())
 
 
-def _bulk_config(args, ks=()) -> RunConfig:
-    return RunConfig(
-        limit=_parse_limit(args.limit),
-        ks=ks,
-        fmt=args.format,
+def _cmd_count(args) -> str:
+    table = count_table(
+        _parse_limit(args.limit),
+        _parse_ks(args.k),
         segment_size=args.segment_size,
         workers=args.workers,
-        allow_large=args.allow_large,
-        prime_cache=args.prime_cache,
-    )
-
-
-def _cmd_count(args) -> str:
-    cfg = _bulk_config(args, ks=_parse_ks(args.k))
-    table = count_table(
-        cfg.limit,
-        cfg.ks,
-        segment_size=cfg.segment_size,
-        workers=cfg.workers,
-        max_limit=cfg.max_limit,
-        prime_cache=cfg.prime_cache,
+        max_limit=LARGE_MAX_LIMIT if args.allow_large else None,
     )
     rows = [
         (_fmt_k(k), power, table.count(k, power))
         for k in table.ks
         for power in table.powers
     ]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _csv_text(["k", "X", "count"], rows)
     return _json_text({
         "limit": table.limit,
@@ -354,24 +319,24 @@ def _parse_set(name: str):
 
 
 def _cmd_list(args) -> str:
-    cfg = _bulk_config(args)
+    limit = _parse_limit(args.limit)
     kind, k = _parse_set(args.set_name)
     common = dict(
-        segment_size=cfg.segment_size,
-        workers=cfg.workers,
-        max_limit=cfg.max_limit,
+        segment_size=args.segment_size,
+        workers=args.workers,
+        max_limit=LARGE_MAX_LIMIT if args.allow_large else None,
     )
     if kind == "lk":
-        values = enumerate_Lk_composites(cfg.limit, k, **common)
+        values = enumerate_Lk_composites(limit, k, **common)
     else:
-        values = enumerate_carmichael(cfg.limit, **common)
-    if cfg.fmt == "bfile":
+        values = enumerate_carmichael(limit, **common)
+    if args.format == "bfile":
         return emit_bfile(values)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _csv_text(["n"], [(v,) for v in values])
     return _json_text({
         "set": args.set_name,
-        "limit": cfg.limit,
+        "limit": limit,
         "count": len(values),
         "values": [str(v) for v in values],
     })
@@ -402,15 +367,13 @@ def _alpha_text(record, fmt: str) -> str:
 
 
 def _cmd_alpha(args) -> str:
-    cfg = _bulk_config(args)
     record = alpha_search(
         args.k,
-        cfg.limit,
-        segment_size=cfg.segment_size,
-        workers=cfg.workers,
-        max_limit=cfg.max_limit,
+        _parse_limit(args.limit),
+        segment_size=args.segment_size,
+        max_limit=LARGE_MAX_LIMIT if args.allow_large else None,
     )
-    return _alpha_text(record, cfg.fmt)
+    return _alpha_text(record, args.format)
 
 
 def _cmd_alpha_verify(args) -> str:

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -42,8 +40,6 @@ __all__ = [
     "NotCarmichaelError",
     "LehmerMembershipError",
     "base_primes",
-    "write_prime_cache",
-    "read_prime_cache",
     "totient_sieve",
     "classify_range",
     "count_table",
@@ -68,9 +64,6 @@ _INT64_SAFE_HI = 3_000_000_000
 
 _SIEVE_BYTES_PER_ELEM = 24
 _CLASSIFY_BYTES_PER_ELEM = 48
-
-_CACHE_MAGIC = b"KLPC"
-_CACHE_VERSION = 1
 
 
 class LimitExceededError(Exception):
@@ -110,11 +103,6 @@ class SieveSegment:
     hi: int
     phi: np.ndarray
     spf: np.ndarray | None = None
-
-    def phi_of(self, n: int) -> int:
-        if not self.lo <= n < self.hi:
-            raise IndexError(f"{n} outside [{self.lo}, {self.hi})")
-        return int(self.phi[n - self.lo])
 
 
 @dataclass(frozen=True)
@@ -170,7 +158,9 @@ def _budget_segment_cap(bytes_per_elem: int) -> int:
     return max(1024, _memory_budget_mib() * (1 << 20) // bytes_per_elem)
 
 
-def _prime_sieve_array(limit: int) -> np.ndarray:
+def base_primes(limit: int) -> np.ndarray:
+    """All primes <= limit."""
+    limit = _as_natural(limit, name="limit")
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -181,63 +171,7 @@ def _prime_sieve_array(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-@lru_cache(maxsize=8)
-def _cached_base_primes(limit: int) -> np.ndarray:
-    return _prime_sieve_array(limit)
-
-
-def write_prime_cache(path: str, primes: np.ndarray, limit: int) -> None:
-    """Persist base primes: magic, u32 version, u64 limit, u64 count, u64 LE values."""
-    arr = np.ascontiguousarray(np.asarray(primes, dtype="<u8"))
-    header = _CACHE_MAGIC + struct.pack("<IQQ", _CACHE_VERSION, limit, arr.size)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(arr.tobytes())
-
-
-def read_prime_cache(path: str) -> tuple[int, np.ndarray]:
-    """Load a base-prime cache, returning (covered limit, primes)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head = len(_CACHE_MAGIC) + struct.calcsize("<IQQ")
-    if len(blob) < head or blob[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        raise ValueError(f"{path} is not a prime cache file")
-    version, limit, count = struct.unpack("<IQQ", blob[len(_CACHE_MAGIC) : head])
-    if version != _CACHE_VERSION:
-        raise ValueError(f"unsupported prime cache version {version}")
-    data = blob[head:]
-    if len(data) != 8 * count:
-        raise ValueError(f"{path} is truncated")
-    primes = np.frombuffer(data, dtype="<u8").astype(np.int64)
-    return int(limit), primes
-
-
-def base_primes(limit: int, cache_path: str | None = None) -> np.ndarray:
-    """All primes <= limit, optionally round-tripped through a cache file."""
-    limit = _as_natural(limit, name="limit")
-    if cache_path and os.path.exists(cache_path):
-        covered, primes = read_prime_cache(cache_path)
-        if covered >= limit:
-            return primes[primes <= limit]
-    primes = _prime_sieve_array(limit)
-    if cache_path:
-        write_prime_cache(cache_path, primes, limit)
-    return primes
-
-
-def _segment_base_primes(hi: int, primes: np.ndarray | None) -> np.ndarray:
-    need = math.isqrt(hi - 1)
-    if primes is not None and primes.size and int(primes[-1]) >= need:
-        return primes[primes <= need]
-    return _cached_base_primes(max(need, 2))
-
-
-def totient_sieve(
-    lo: int,
-    hi: int,
-    with_spf: bool = False,
-    base: np.ndarray | None = None,
-) -> SieveSegment:
+def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
     """Exact totients for [lo, hi) by a segmented sieve.
 
     For every prime power p^e below hi the multiples of p^e pick up one
@@ -260,7 +194,7 @@ def totient_sieve(
     rem = np.arange(lo, hi, dtype=np.int64)
     spf = np.zeros(length, dtype=np.int64) if with_spf else None
 
-    for p in _segment_base_primes(hi, base).tolist():
+    for p in base_primes(math.isqrt(hi - 1)).tolist():
         start = -(-lo // p) * p
         if start < hi:
             s = slice(start - lo, length, p)
@@ -286,15 +220,13 @@ def totient_sieve(
     return SieveSegment(lo, hi, phi, spf)
 
 
-def _classify_arrays(
-    lo: int, hi: int, kmax: int = K_CAP, base: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Per-n totients and Lehmer indexes for [lo, hi); index 0 = not in L_inf.
 
     Even n above 2 are settled immediately (phi even, n-1 odd); odd n run
     the modular iteration against their per-n cutoff bitlength(phi) - 1.
     """
-    phi = totient_sieve(lo, hi, base=base).phi
+    phi = totient_sieve(lo, hi).phi
     length = hi - lo
     index = np.zeros(length, dtype=np.uint8)
     for v in (1, 2):
@@ -362,9 +294,12 @@ def _auto_segment_size(segment_size: int | None) -> int:
 
 
 def _map_segments(func, args_list, workers: int):
-    if workers <= 1:
+    # A fork-based pool starts all of its workers up front, so never ask
+    # for more than there are segments or cores.
+    size = min(workers, len(args_list), os.cpu_count() or 1)
+    if size <= 1:
         return [func(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(func, args_list))
 
 
@@ -434,7 +369,6 @@ def count_table(
     segment_size: int | None = None,
     workers: int = 1,
     max_limit: int | None = None,
-    prime_cache: str | None = None,
 ) -> CountTable:
     """Exact counts C_k(10^j) for every power of ten up to ``limit``.
 
@@ -449,9 +383,6 @@ def count_table(
         raise ValueError(f"limit must be a power of 10 >= 10, got {limit}")
     requested = _normalize_ks(ks)
     powers = tuple(10**i for i in range(1, j + 1))
-
-    if prime_cache:
-        base_primes(math.isqrt(limit) + 1, prime_cache)
 
     size = _auto_segment_size(segment_size)
     bounds = _segment_bounds(1, limit + 1, size, cuts=tuple(p + 1 for p in powers))
@@ -522,7 +453,7 @@ def _segment_carmichael(bounds: tuple[int, int]) -> np.ndarray:
     rem = n.copy()
     omega = np.zeros(length, dtype=np.uint8)
 
-    for p in _segment_base_primes(hi, None).tolist():
+    for p in base_primes(math.isqrt(hi - 1)).tolist():
         start = -(-lo // p) * p
         if start < hi:
             s = slice(start - lo, length, p)
@@ -567,14 +498,13 @@ def alpha_search(
     limit,
     *,
     segment_size: int | None = None,
-    workers: int = 1,
     max_limit: int | None = None,
 ) -> AlphaRecord | AlphaNotFound:
     """Smallest Carmichael number <= limit outside L_k, if any.
 
-    Scans Carmichael numbers in ascending order and checks membership by
-    the factorization route, so a returned record is minimal below the
-    bound by construction.
+    Scans Carmichael numbers serially in ascending order and checks
+    membership by the factorization route, so a returned record is
+    minimal below the bound by construction.
     """
     k = _as_natural(k, minimum=1, name="k")
     limit = _check_limit(limit, max_limit)

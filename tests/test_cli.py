@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from klehmer.cli import RunConfig, classification_report, emit_bfile, main
+from klehmer.cli import classification_report, emit_bfile, main
 
 
 def run_cli(capsys, *args):
@@ -98,15 +98,6 @@ class TestCount:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
-    def test_prime_cache_flag(self, capsys, tmp_path):
-        path = str(tmp_path / "cache.bin")
-        rc1, out1, _ = run_cli(capsys, "count", "--limit", "1e4", "--k", "2",
-                               "--prime-cache", path, "--format", "csv")
-        assert rc1 == 0 and (tmp_path / "cache.bin").exists()
-        rc2, out2, _ = run_cli(capsys, "count", "--limit", "1e4", "--k", "2",
-                               "--prime-cache", path, "--format", "csv")
-        assert out1 == out2
-
 
 class TestList:
     def test_bfile_golden(self, capsys):
@@ -175,6 +166,13 @@ class TestAlpha:
                              "--format", "csv")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["n"] == "2821" and rows[0]["found"] == "true"
+
+    def test_allow_large_raises_the_ceiling(self, capsys):
+        rc, out, err = run_cli(capsys, "alpha", "--k", "1", "--limit", "2e7")
+        assert rc == 2 and out == "" and "exceeds" in err
+        rc, out, _ = run_cli(capsys, "alpha", "--k", "1", "--limit", "2e7",
+                             "--allow-large")
+        assert rc == 0 and json.loads(out)["n"] == "561"
 
 
 class TestChernick:
@@ -257,11 +255,20 @@ class TestUsage:
     def test_bfile_not_available_for_classify(self, capsys):
         rc, _, _ = run_cli(capsys, "classify", "15", "--format", "bfile")
         assert rc == 1
+        rc, out, _ = run_cli(capsys, "count", "--limit", "100", "--format", "yaml")
+        assert rc == 1 and out == ""
 
     def test_bad_workers_is_usage_error(self, capsys):
-        rc, _, _ = run_cli(capsys, "count", "--limit", "100", "--k", "2",
-                           "--workers", "0")
-        assert rc == 1
+        commands = (
+            ("count", "--limit", "100", "--k", "2"),
+            ("list", "--set", "carmichael", "--limit", "100"),
+            ("alpha", "--k", "1", "--limit", "100"),
+        )
+        for command in commands:
+            for workers in ("0", "-1"):
+                rc, out, err = run_cli(capsys, *command, "--workers", workers)
+                assert (rc, out) == (1, ""), (command, workers)
+                assert "--workers" in err
 
 
 class TestEmitBfile:
@@ -284,19 +291,6 @@ class TestEmitBfile:
             emit_bfile([5, 5])
         with pytest.raises(ValueError):
             emit_bfile([7, 5])
-
-
-class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(limit=10, ks=(), fmt="yaml", segment_size=None,
-                      workers=1, allow_large=False, prime_cache=None)
-        with pytest.raises(ValueError):
-            RunConfig(limit=10, ks=(), fmt="json", segment_size=None,
-                      workers=0, allow_large=False, prime_cache=None)
-        cfg = RunConfig(limit=10, ks=(2,), fmt="json", segment_size=None,
-                        workers=1, allow_large=True, prime_cache=None)
-        assert cfg.max_limit == 10**8
 
 
 class TestReportConsistency:

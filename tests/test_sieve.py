@@ -20,13 +20,11 @@ from klehmer.sieve import (
     count_table,
     enumerate_carmichael,
     enumerate_Lk_composites,
-    read_prime_cache,
     totient_sieve,
     verify_alpha_entry,
-    write_prime_cache,
 )
 
-from conftest import sieve_phi, sieve_spf
+from conftest import sieve_phi, sieve_prime_mask, sieve_spf
 
 
 A173703_BELOW_50000 = [
@@ -41,11 +39,13 @@ class TestTotientSieve:
         assert seg.phi.tolist() == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
 
     def test_cross_checks_against_arith(self):
-        assert totient_sieve(90, 92).phi_of(91) == 72
-        assert totient_sieve(561, 562).phi_of(561) == 320
+        seg = totient_sieve(90, 92)
+        assert seg.phi[91 - seg.lo] == 72
+        seg = totient_sieve(561, 562)
+        assert seg.phi[561 - seg.lo] == 320
         seg = totient_sieve(99_990, 100_010)
         for n in range(seg.lo, seg.hi):
-            assert seg.phi_of(n) == euler_phi(factorize(n)), n
+            assert seg.phi[n - seg.lo] == euler_phi(factorize(n)), n
 
     def test_agrees_with_oracle_sieve(self):
         phi = sieve_phi(50_000)
@@ -58,11 +58,6 @@ class TestTotientSieve:
         spf = sieve_spf(10_000)
         seg = totient_sieve(2, 10_001, with_spf=True)
         assert np.array_equal(seg.spf, spf[2:])
-
-    def test_phi_of_range_check(self):
-        seg = totient_sieve(10, 20)
-        with pytest.raises(IndexError):
-            seg.phi_of(20)
 
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setenv(MEMORY_ENV_VAR, "1")
@@ -256,41 +251,55 @@ class TestVerifyAlpha:
             verify_alpha_entry(0, 561)
 
 
-class TestPrimeCache:
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "primes.bin")
-        first = base_primes(10_000, path)
-        assert os.path.exists(path)
-        limit, cached = read_prime_cache(path)
-        assert limit == 10_000
-        assert np.array_equal(first, cached)
-        # a smaller request is served from the cache by filtering
-        smaller = base_primes(100, path)
-        assert smaller.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
-                                    41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83,
-                                    89, 97]
-
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a cache at all")
+class TestBasePrimes:
+    def test_agrees_with_oracle_mask(self):
+        assert base_primes(100).tolist() == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+            61, 67, 71, 73, 79, 83, 89, 97,
+        ]
+        assert np.array_equal(base_primes(10_000), np.flatnonzero(sieve_prime_mask(10_000)))
+        assert base_primes(1).size == 0
         with pytest.raises(ValueError):
-            read_prime_cache(str(path))
+            base_primes(-1)
 
-    def test_rejects_wrong_version(self, tmp_path):
-        import struct
 
-        path = tmp_path / "v9.bin"
-        path.write_bytes(b"KLPC" + struct.pack("<IQQ", 9, 10, 0))
-        with pytest.raises(ValueError):
-            read_prime_cache(str(path))
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by one that records its size and maps in process."""
+    sizes = []
 
-    def test_rejects_truncation(self, tmp_path):
-        path = str(tmp_path / "trunc.bin")
-        write_prime_cache(path, np.array([2, 3, 5], dtype=np.int64), 5)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-4])
-        with pytest.raises(ValueError):
-            read_prime_cache(path)
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, iterable):
+            return map(func, iterable)
+
+    monkeypatch.setattr("klehmer.sieve.ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+class TestWorkerPool:
+    SEGMENTS_TO_1E4 = 4  # count_table splits at 10, 100 and 1000
+
+    def test_pool_capped_by_cores_and_segments(self, pool_sizes):
+        table = count_table(10**4, workers=64)
+        assert table.counts == count_table(10**4).counts
+        for size in pool_sizes:
+            assert size <= (os.cpu_count() or 1)
+            assert size <= self.SEGMENTS_TO_1E4
+
+    @pytest.mark.parametrize("cores, expected", [(1, []), (3, [3]), (64, [SEGMENTS_TO_1E4])])
+    def test_pool_size_for_core_count(self, pool_sizes, monkeypatch, cores, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        count_table(10**4, workers=64)
+        assert pool_sizes == expected
 
 
 @pytest.mark.slow

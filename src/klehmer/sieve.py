@@ -8,7 +8,10 @@ The bulk route never factors anything: a segmented totient sieve supplies
 phi(n), and the Lehmer index of every n in a segment is found by iterated
 modular multiplication acc <- acc * (n-1) mod phi(n), stopping at the
 first zero or after bitlength(phi) - 1 steps (every prime exponent in
-phi(n) is below that, so no finite index can hide past it).  Segments are
+phi(n) is below that, so no finite index can hide past it).  Before that
+iteration, j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j at
+least every cutoff; a nonzero result certifies n is outside L_inf, so
+only the ~12% of odd n that survive run the iteration.  Segments are
 independent work units; with a worker pool they are merged in ascending
 order, so results are identical for any worker count or segment size.
 """
@@ -62,8 +65,10 @@ _DEFAULT_SEGMENT = 1_000_000
 # acc * (n-1) must stay inside int64: hi^2 < 2^63 caps hi at ~3.03e9.
 _INT64_SAFE_HI = 3_000_000_000
 
-_SIEVE_BYTES_PER_ELEM = 24
-_CLASSIFY_BYTES_PER_ELEM = 48
+# Peak bytes per value of a segment (tracemalloc, checked by the tests):
+# totient_sieve reaches ~29 (~37 with spf), a bulk segment ~49.
+_SIEVE_BYTES_PER_ELEM = 32
+_CLASSIFY_BYTES_PER_ELEM = 56
 
 
 class LimitExceededError(Exception):
@@ -223,8 +228,12 @@ def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
 def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Per-n totients and Lehmer indexes for [lo, hi); index 0 = not in L_inf.
 
-    Even n above 2 are settled immediately (phi even, n-1 odd); odd n run
-    the modular iteration against their per-n cutoff bitlength(phi) - 1.
+    Even n above 2 are settled immediately (phi even, n-1 odd).  Odd n
+    first take j squarings of n-1 mod phi, with 2^j >= the largest per-n
+    cutoff min(bitlength(phi) - 1, kmax).  phi | (n-1)^k for some
+    k <= cutoff implies phi | (n-1)^(2^j), so a nonzero result certifies
+    index 0.  The survivors run the modular iteration against their
+    cutoff, which gives the exact index.
     """
     phi = totient_sieve(lo, hi).phi
     length = hi - lo
@@ -244,6 +253,14 @@ def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, n
     base_val = (pos + (lo - 1)) % ph
     cut = np.frexp(ph.astype(np.float64))[1].astype(np.int64) - 1
     np.minimum(cut, kmax, out=cut)
+
+    # sq < phi < hi <= _INT64_SAFE_HI keeps sq * sq inside int64.
+    sq = base_val.copy()
+    for _ in range((int(cut.max()) - 1).bit_length()):
+        sq *= sq
+        sq %= ph
+    keep = sq == 0
+    pos, base_val, ph, cut = pos[keep], base_val[keep], ph[keep], cut[keep]
 
     acc = base_val.copy()
     k = 1

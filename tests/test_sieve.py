@@ -1,19 +1,27 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from klehmer.arith import euler_phi, factorize, is_prime
 from klehmer.carmichael import korselt_test
 from klehmer.lehmer import NOT_IN_LINF, LehmerIndex, in_Lk, lehmer_index
 from klehmer.sieve import (
+    _CLASSIFY_BYTES_PER_ELEM,
+    _INT64_SAFE_HI,
+    _SIEVE_BYTES_PER_ELEM,
     AlphaNotFound,
     LehmerMembershipError,
     LimitExceededError,
     MemoryBudgetError,
     MEMORY_ENV_VAR,
     NotCarmichaelError,
+    _classify_arrays,
+    _segment_carmichael,
+    _segment_lk_members,
     alpha_search,
     base_primes,
     classify_range,
@@ -108,6 +116,41 @@ class TestClassifyRange:
         with pytest.raises(ValueError):
             next(classify_range(1, 10, kmax=1000))
 
+    @settings(max_examples=8, deadline=None)
+    @given(lo=st.integers(1, _INT64_SAFE_HI - 2000), w=st.integers(1, 2000))
+    @example(lo=_INT64_SAFE_HI - 2000, w=2000)
+    def test_agrees_with_lehmer_index_anywhere(self, lo, w):
+        for n, idx in classify_range(lo, lo + w):
+            assert idx == lehmer_index(n), n
+
+
+def linear_index(lo: int, hi: int, kmax: int, phi: np.ndarray) -> np.ndarray:
+    """Indexes by the plain iteration acc <- acc * (n-1) mod phi alone,
+    over every n, each stopped at its cutoff min(bitlength(phi) - 1, kmax)."""
+    n = np.arange(lo, hi, dtype=np.int64)
+    cut = np.minimum(np.frexp(phi.astype(np.float64))[1] - 1, kmax)
+    base = (n - 1) % phi
+    acc = base.copy()
+    index = np.zeros(hi - lo, dtype=np.uint8)
+    for k in range(1, int(cut.max()) + 1):
+        index[(acc == 0) & (index == 0) & (k <= cut)] = k
+        acc = acc * base % phi
+    index[n <= 2] = 1
+    return index
+
+
+class TestSquaringCertificate:
+    """The squaring pre-filter must leave every index exactly as the
+    linear iteration alone computes it, for every cutoff kmax imposes."""
+
+    @pytest.mark.parametrize("lo", [1, 10**7 - 10**4, 10**8 - 10**6, _INT64_SAFE_HI - 20_000])
+    @pytest.mark.parametrize("kmax", [1, 2, 5, 127])
+    def test_matches_linear_iteration(self, lo, kmax):
+        hi = lo + 20_000
+        phi, index = _classify_arrays(lo, hi, kmax)
+        expected = linear_index(lo, hi, kmax, phi)
+        assert np.array_equal(index, expected)
+
 
 class TestCountTable:
     def test_reference_columns_to_1e2(self):
@@ -153,6 +196,12 @@ class TestCountTable:
         for seg in (7_777, 33_333):
             assert count_table(100_000, (2, 5), segment_size=seg).counts == reference.counts
         assert count_table(100_000, (2, 5), workers=2).counts == reference.counts
+
+    @settings(max_examples=8, deadline=None)
+    @given(segment_size=st.integers(1, 20_000))
+    def test_segment_size_invariant(self, segment_size):
+        reference = count_table(10**4)
+        assert count_table(10**4, segment_size=segment_size).counts == reference.counts
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):
@@ -261,6 +310,28 @@ class TestBasePrimes:
         assert base_primes(1).size == 0
         with pytest.raises(ValueError):
             base_primes(-1)
+
+
+class TestSegmentMemory:
+    """Measured peaks stay under the per-value sizes the budget assumes."""
+
+    LO, HI = 10**7, 10**7 + 200_000
+
+    @pytest.mark.parametrize("run, per_value", [
+        (lambda lo, hi: totient_sieve(lo, hi), _SIEVE_BYTES_PER_ELEM),
+        (lambda lo, hi: totient_sieve(lo, hi, with_spf=True), _SIEVE_BYTES_PER_ELEM + 8),
+        (lambda lo, hi: _classify_arrays(lo, hi), _CLASSIFY_BYTES_PER_ELEM),
+        (lambda lo, hi: _segment_lk_members((lo, hi, 3)), _CLASSIFY_BYTES_PER_ELEM),
+        (lambda lo, hi: _segment_carmichael((lo, hi)), _CLASSIFY_BYTES_PER_ELEM),
+    ], ids=["totient_sieve", "totient_sieve_spf", "classify_arrays", "lk_members", "carmichael"])
+    def test_peak_within_budget(self, run, per_value):
+        tracemalloc.start()
+        try:
+            run(self.LO, self.HI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_value * (self.HI - self.LO)
 
 
 @pytest.fixture

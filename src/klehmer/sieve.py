@@ -4,10 +4,12 @@ Reproduces the counting table C_k(10^j) = #{n <= 10^j : phi(n) | (n-1)^k},
 enumerates L_k composites and Carmichael numbers, and searches/verifies
 the alpha sequence (smallest Carmichael number outside L_k).
 
-The bulk route never factors anything: a segmented totient sieve supplies
-phi(n), and the Lehmer index of every n in a segment is found by iterated
-modular multiplication acc <- acc * (n-1) mod phi(n), stopping at the
-first zero or after bitlength(phi) - 1 steps (every prime exponent in
+The bulk route never factors anything and sieves odd n only (even n > 2
+lie outside every L_k, and no even n is a Carmichael number): a segmented
+totient sieve supplies phi(n), and the Lehmer index of every odd n in a
+segment is found by iterated modular multiplication
+acc <- acc * (n-1) mod phi(n), stopping at the first zero or after
+bitlength(phi) - 1 steps (every prime exponent in
 phi(n) is below that, so no finite index can hide past it).  Before that
 iteration, j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j at
 least every cutoff; a nonzero result certifies n is outside L_inf, so
@@ -66,7 +68,8 @@ _DEFAULT_SEGMENT = 1_000_000
 _INT64_SAFE_HI = 3_000_000_000
 
 # Peak bytes per value of a segment (tracemalloc, checked by the tests):
-# totient_sieve reaches ~29 (~37 with spf), a bulk segment ~49.
+# totient_sieve reaches ~29 (~37 with spf) over every n and ~15 over odd
+# n only; a bulk segment, which sieves odd n only, ~24.
 _SIEVE_BYTES_PER_ELEM = 32
 _CLASSIFY_BYTES_PER_ELEM = 56
 
@@ -102,12 +105,21 @@ class LehmerMembershipError(VerificationFailure):
 
 @dataclass
 class SieveSegment:
-    """Totients (and optionally smallest prime factors) for [lo, hi)."""
+    """Totients (and optionally smallest prime factors) for [lo, hi).
+
+    Entry i belongs to n = first + step * i: step 1 covers every n,
+    step 2 the odd n only.
+    """
 
     lo: int
     hi: int
     phi: np.ndarray
     spf: np.ndarray | None = None
+    step: int = 1
+
+    @property
+    def first(self) -> int:
+        return self.lo | 1 if self.step == 2 else self.lo
 
 
 @dataclass(frozen=True)
@@ -176,12 +188,41 @@ def base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
+def _prime_power_walk(first: int, hi: int, step: int) -> Iterator[tuple[int, int, slice]]:
+    """Yield (p, e, s) for every prime power p^e < hi, where s selects the
+    multiples of p^e among the progression first, first + step, ... < hi.
+
+    ``step`` is 1 (every n) or 2 (odd n, ``first`` odd).  Consecutive
+    multiples of p^e in the progression are step * p^e apart, so the
+    stride in index space is p^e either way; with step 2 the first hit is
+    the first odd multiple, and p = 2 has none.
+    """
+    length = len(range(first, hi, step))
+    for p in base_primes(math.isqrt(hi - 1)).tolist():
+        if p == 2 and step == 2:
+            continue
+        pe, e = p, 1
+        while pe < hi:
+            m = -(-first // pe) * pe
+            if (m - first) % step:
+                m += pe
+            if m >= hi:
+                break
+            yield p, e, slice((m - first) // step, length, pe)
+            pe *= p
+            e += 1
+
+
+def totient_sieve(
+    lo: int, hi: int, with_spf: bool = False, *, odd: bool = False
+) -> SieveSegment:
     """Exact totients for [lo, hi) by a segmented sieve.
 
     For every prime power p^e below hi the multiples of p^e pick up one
     factor of p (of p-1 at the first level); whatever remains after all
     base primes is a single prime above sqrt(hi), contributing rem - 1.
+    With ``odd=True`` only the odd n in [lo, hi) are sieved:
+    ``phi[i]`` is phi(first + 2i), first being the first odd n >= lo.
     Raises MemoryBudgetError when the segment cannot fit the configured
     budget, with a workable segment size in the message.
     """
@@ -189,83 +230,73 @@ def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
     if hi > _INT64_SAFE_HI:
         raise LimitExceededError(f"hi must stay below {_INT64_SAFE_HI}")
-    length = hi - lo
     bytes_per = _SIEVE_BYTES_PER_ELEM + (8 if with_spf else 0)
     cap = _budget_segment_cap(bytes_per)
-    if length > cap:
-        raise MemoryBudgetError(length, _memory_budget_mib(), cap)
+    if hi - lo > cap:
+        raise MemoryBudgetError(hi - lo, _memory_budget_mib(), cap)
 
-    phi = np.ones(length, dtype=np.int64)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    spf = np.zeros(length, dtype=np.int64) if with_spf else None
+    step = 2 if odd else 1
+    first = lo | 1 if odd else lo
+    rem = np.arange(first, hi, step, dtype=np.int64)
+    phi = np.ones(rem.size, dtype=np.int64)
+    spf = np.zeros(rem.size, dtype=np.int64) if with_spf else None
 
-    for p in base_primes(math.isqrt(hi - 1)).tolist():
-        start = -(-lo // p) * p
-        if start < hi:
-            s = slice(start - lo, length, p)
-            phi[s] *= p - 1
-            rem[s] //= p
-            if spf is not None:
-                view = spf[s]
-                view[view == 0] = p
-        pe = p * p
-        while pe < hi:
-            start = -(-lo // pe) * pe
-            if start < hi:
-                s = slice(start - lo, length, pe)
-                phi[s] *= p
-                rem[s] //= p
-            pe *= p
+    for p, e, s in _prime_power_walk(first, hi, step):
+        rem[s] //= p
+        if e > 1:
+            phi[s] *= p
+            continue
+        phi[s] *= p - 1
+        if spf is not None:
+            view = spf[s]
+            view[view == 0] = p
 
     big = rem > 1
     phi[big] *= rem[big] - 1
     if spf is not None:
         missing = (spf == 0) & big
         spf[missing] = rem[missing]
-    return SieveSegment(lo, hi, phi, spf)
+    return SieveSegment(lo, hi, phi, spf, step)
 
 
 def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """Per-n totients and Lehmer indexes for [lo, hi); index 0 = not in L_inf.
+    """Odd-n totients and per-n Lehmer indexes for [lo, hi); index 0 = not in L_inf.
 
-    Even n above 2 are settled immediately (phi even, n-1 odd).  Odd n
-    first take j squarings of n-1 mod phi, with 2^j >= the largest per-n
-    cutoff min(bitlength(phi) - 1, kmax).  phi | (n-1)^k for some
-    k <= cutoff implies phi | (n-1)^(2^j), so a nonzero result certifies
-    index 0.  The survivors run the modular iteration against their
-    cutoff, which gives the exact index.
+    The totients cover the odd n only (``totient_sieve(odd=True)``): even
+    n above 2 are settled without them (phi even, n-1 odd), and 2 has
+    index 1.  Odd n first take j squarings of n-1 mod phi, with 2^j >=
+    the largest per-n cutoff min(bitlength(phi) - 1, kmax).
+    phi | (n-1)^k for some k <= cutoff implies phi | (n-1)^(2^j), so a
+    nonzero result certifies index 0.  The survivors run the modular
+    iteration against their cutoff, which gives the exact index.
     """
-    phi = totient_sieve(lo, hi).phi
-    length = hi - lo
-    index = np.zeros(length, dtype=np.uint8)
-    for v in (1, 2):
-        if lo <= v < hi:
-            index[v - lo] = 1
-
-    start_odd = max(lo, 3)
-    if start_odd % 2 == 0:
-        start_odd += 1
-    pos = np.arange(start_odd - lo, length, 2, dtype=np.int64)
-    if pos.size == 0:
+    seg = totient_sieve(lo, hi, odd=True)
+    phi = seg.phi
+    index = np.zeros(hi - lo, dtype=np.uint8)
+    if lo <= 2 < hi:
+        index[2 - lo] = 1
+    if phi.size == 0:
         return phi, index
+    # A view: writing odd_index[i] sets the index of first + 2i.
+    odd_index = index[seg.first - lo :: 2]
 
-    ph = phi[pos]
-    base_val = (pos + (lo - 1)) % ph
-    cut = np.frexp(ph.astype(np.float64))[1].astype(np.int64) - 1
+    base_val = np.arange(seg.first - 1, hi - 1, 2, dtype=np.int64)
+    base_val %= phi
+    cut = np.frexp(phi.astype(np.float64))[1].astype(np.int64) - 1
     np.minimum(cut, kmax, out=cut)
 
     # sq < phi < hi <= _INT64_SAFE_HI keeps sq * sq inside int64.
     sq = base_val.copy()
     for _ in range((int(cut.max()) - 1).bit_length()):
         sq *= sq
-        sq %= ph
-    keep = sq == 0
-    pos, base_val, ph, cut = pos[keep], base_val[keep], ph[keep], cut[keep]
+        sq %= phi
+    pos = np.flatnonzero(sq == 0)
+    base_val, ph, cut = base_val[pos], phi[pos], cut[pos]
 
     acc = base_val.copy()
     k = 1
     zero = acc == 0
-    index[pos[zero]] = 1
+    odd_index[pos[zero]] = 1
     alive = ~zero & (cut > 1)
     while True:
         pos = pos[alive]
@@ -279,7 +310,7 @@ def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, n
         acc *= base_val
         acc %= ph
         zero = acc == 0
-        index[pos[zero]] = k
+        odd_index[pos[zero]] = k
         alive = ~zero & (cut > k)
     return phi, index
 
@@ -427,9 +458,13 @@ def count_table(
 
 
 def _segment_lk_members(args: tuple[int, int, int]) -> np.ndarray:
+    # Even n are never composite members: 2 is prime, and even n > 2
+    # lie outside L_inf.
     lo, hi, k = args
     phi, index = _classify_arrays(lo, hi)
-    n = np.arange(lo, hi, dtype=np.int64)
+    first = lo | 1
+    n = np.arange(first, hi, 2, dtype=np.int64)
+    index = index[first - lo :: 2]
     composite = (n > 1) & (phi != n - 1)
     member = (index >= 1) & (index <= min(k, K_CAP))
     return n[composite & member]
@@ -458,31 +493,28 @@ def enumerate_Lk_composites(
 def _segment_carmichael(bounds: tuple[int, int]) -> np.ndarray:
     """Carmichael numbers in [lo, hi) by sieve-driven Korselt checks.
 
-    Every base prime p marks its multiples with the p-1 | n-1 condition
-    and its square kills non-squarefree n; the cofactor left after all
-    base primes is either 1 or a single prime above sqrt(hi).
+    Only odd n are sieved: an even n with an odd prime factor p would
+    need the even p-1 to divide the odd n-1, and powers of 2 are not
+    Carmichael.  Every odd base prime p marks its multiples with the
+    p-1 | n-1 condition and its square kills non-squarefree n; the
+    cofactor left after all base primes is either 1 or a single prime
+    above sqrt(hi).
     """
     lo, hi = bounds
-    length = hi - lo
-    n = np.arange(lo, hi, dtype=np.int64)
+    first = lo | 1
+    n = np.arange(first, hi, 2, dtype=np.int64)
     nm1 = n - 1
-    ok = np.ones(length, dtype=bool)
+    ok = np.ones(n.size, dtype=bool)
     rem = n.copy()
-    omega = np.zeros(length, dtype=np.uint8)
+    omega = np.zeros(n.size, dtype=np.uint8)
 
-    for p in base_primes(math.isqrt(hi - 1)).tolist():
-        start = -(-lo // p) * p
-        if start < hi:
-            s = slice(start - lo, length, p)
-            if p > 2:
-                ok[s] &= nm1[s] % (p - 1) == 0
+    for p, e, s in _prime_power_walk(first, hi, 2):
+        if e == 1:
+            ok[s] &= nm1[s] % (p - 1) == 0
             omega[s] += 1
             rem[s] //= p
-        p2 = p * p
-        if p2 < hi:
-            start = -(-lo // p2) * p2
-            if start < hi:
-                ok[slice(start - lo, length, p2)] = False
+        elif e == 2:
+            ok[s] = False
 
     big = rem > 1
     ok[big] &= nm1[big] % (rem[big] - 1) == 0

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import klehmer
 from klehmer.cli import classification_report, emit_bfile, main
 
 
@@ -269,6 +274,28 @@ class TestUsage:
                 rc, out, err = run_cli(capsys, *command, "--workers", workers)
                 assert (rc, out) == (1, ""), (command, workers)
                 assert "--workers" in err
+
+
+class TestModuleEntryPoints:
+    """`python -m klehmer.cli` and `python -m klehmer` behave like main()."""
+
+    @staticmethod
+    def run_module(module, *args):
+        src = str(Path(klehmer.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    @pytest.mark.parametrize("module", ["klehmer.cli", "klehmer"])
+    def test_stdout_and_exit_code(self, module):
+        done = self.run_module(module, "count", "--limit", "1e2", "--k", "2", "--format", "csv")
+        assert (done.returncode, done.stdout) == (0, "k,X,count\n2,10,5\n2,100,26\n")
+        done = self.run_module(module, "count", "--limit", "1e8", "--k", "2")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "exceeds" in done.stderr
 
 
 class TestEmitBfile:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from klehmer.arith import is_prime
+from klehmer.arith import MAX_NATURAL, is_prime
 from klehmer.lehmer import (
     K_CAP,
     NOT_IN_LINF,
@@ -14,6 +15,7 @@ from klehmer.lehmer import (
     in_Linf,
     in_Lk,
     in_Lk_modular,
+    in_Lk_valuation,
     is_cyclic,
     lehmer_index,
     semiprime_decompose,
@@ -112,6 +114,62 @@ class TestMembership:
             phi = int(phi_100k[n])
             cutoff = max(1, math.ceil(math.log2(phi))) if phi > 1 else 1
             assert in_Linf(n) == in_Lk(n, cutoff), n
+
+
+# Primes whose p - 1 is smooth, so that products of them often land in
+# some L_k: Fermat primes 2^r + 1, primes 3 * 2^r + 1 and two Mersenne
+# primes.  At most one factor above 2^20 keeps every factorization fast.
+_FAMILY = [3 * 2**r + 1 for r in (1, 2, 5, 6, 8, 12, 18, 30, 36, 41, 66)]
+_SMOOTH = [3, 5, 17, 257, 65537] + [p for p in _FAMILY if p < 2**20]
+_SMALL = sorted(set(_SMOOTH + odd_primes_below(200)) | {2})
+_LARGE = [p for p in _FAMILY if p > 2**20] + [2**31 - 1, 2**61 - 1]
+
+
+def _products(pool, max_exp):
+    def build(small, large):
+        n = 1
+        for p, e in small + large:
+            n *= p**e
+        return n
+
+    return st.builds(
+        build,
+        st.lists(st.tuples(st.sampled_from(pool), st.integers(1, max_exp)),
+                 min_size=2, max_size=6, unique_by=lambda t: t[0]),
+        st.lists(st.tuples(st.sampled_from(_LARGE), st.just(1)), max_size=1),
+    )
+
+
+# Squarefree products of smooth primes are often in L_k; the mixed ones
+# with repeated factors mostly are not.
+products = st.one_of(_products(_SMOOTH, 1), _products(_SMALL, 3))
+
+
+def _assert_routes_agree(n):
+    assume(n <= MAX_NATURAL)
+    for k in range(1, 9):
+        assert in_Lk_modular(n, k) == in_Lk_valuation(n, k), (n, k)
+
+
+class TestMembershipRoutes:
+    """The factorization-free and the valuation route agree on products of
+    known primes anywhere in the 127-bit domain."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=products)
+    @example(n=561)
+    @example(n=41471521)
+    @example(n=330019822807208371201)
+    @example(n=(3 * 2**30 + 1) * (3 * 2**36 + 1))
+    @example(n=3 * 5 * 17 * 257 * 65537 * (2**61 - 1))
+    def test_modular_equals_valuation(self, n):
+        _assert_routes_agree(n)
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(n=products)
+    def test_modular_equals_valuation_long(self, n):
+        _assert_routes_agree(n)
 
 
 class TestCyclicNumbers:

@@ -32,7 +32,7 @@ from klehmer.sieve import (
     verify_alpha_entry,
 )
 
-from conftest import sieve_phi, sieve_prime_mask, sieve_spf
+from conftest import sieve_phi, sieve_prime_mask, sieve_spf, trial_factorize
 
 
 A173703_BELOW_50000 = [
@@ -86,6 +86,30 @@ class TestTotientSieve:
             totient_sieve(5, 5)
         with pytest.raises(ValueError):
             totient_sieve(0, 10)
+
+
+class TestOddTotientSieve:
+    """totient_sieve(odd=True) equals the odd entries of the full sieve."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1000, 3000), (1001, 3000), (1000, 3001), (1001, 3001),
+        (2, 3), (3, 4), (8, 9),
+        (1, 20_000), (2, 20_000),
+        (_INT64_SAFE_HI - 10_000, _INT64_SAFE_HI),
+    ])
+    def test_matches_full_sieve(self, lo, hi):
+        full = totient_sieve(lo, hi, with_spf=True)
+        odd = totient_sieve(lo, hi, with_spf=True, odd=True)
+        first = lo | 1
+        assert (odd.lo, odd.hi, odd.step, odd.first) == (lo, hi, 2, first)
+        assert np.array_equal(odd.phi, full.phi[first - lo :: 2])
+        assert np.array_equal(odd.spf, full.spf[first - lo :: 2])
+        assert np.array_equal(totient_sieve(lo, hi, odd=True).phi, odd.phi)
+
+    def test_agrees_with_oracle_sieve(self):
+        phi = sieve_phi(50_000)
+        assert np.array_equal(totient_sieve(1, 50_001, odd=True).phi, phi[1::2])
+        assert np.array_equal(totient_sieve(30_000, 40_000, odd=True).phi, phi[30_001:40_000:2])
 
 
 class TestClassifyRange:
@@ -147,8 +171,8 @@ class TestSquaringCertificate:
     @pytest.mark.parametrize("kmax", [1, 2, 5, 127])
     def test_matches_linear_iteration(self, lo, kmax):
         hi = lo + 20_000
-        phi, index = _classify_arrays(lo, hi, kmax)
-        expected = linear_index(lo, hi, kmax, phi)
+        _, index = _classify_arrays(lo, hi, kmax)
+        expected = linear_index(lo, hi, kmax, totient_sieve(lo, hi).phi)
         assert np.array_equal(index, expected)
 
 
@@ -251,6 +275,34 @@ class TestEnumerate:
         assert a == b == enumerate_carmichael(50_000)
 
 
+def korselt_by_trial_division(lo: int, hi: int) -> list[int]:
+    out = []
+    for n in range(max(lo, 2), hi):
+        f = trial_factorize(n)
+        if (sum(f.values()) >= 2 and all(e == 1 for e in f.values())
+                and all((n - 1) % (p - 1) == 0 for p in f)):
+            out.append(n)
+    return out
+
+
+class TestOddKorseltSieve:
+    """The odd-only Korselt sieve against trial factorization."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (2, 4), (561, 562), (560, 562), (560, 10_000), (561, 10_001),
+        (41_470_000, 41_473_000),  # holds alpha(4) = 41471521
+    ])
+    def test_matches_trial_division(self, lo, hi):
+        got = _segment_carmichael((lo, hi)).tolist()
+        assert got == korselt_by_trial_division(lo, hi)
+
+    @settings(max_examples=6, deadline=None)
+    @given(segment_size=st.integers(100, 100_000))
+    def test_segment_size_invariant(self, segment_size):
+        reference = enumerate_carmichael(10**5)
+        assert enumerate_carmichael(10**5, segment_size=segment_size) == reference
+
+
 class TestAlphaSearch:
     def test_examples(self):
         r = alpha_search(1, 10_000)
@@ -320,10 +372,11 @@ class TestSegmentMemory:
     @pytest.mark.parametrize("run, per_value", [
         (lambda lo, hi: totient_sieve(lo, hi), _SIEVE_BYTES_PER_ELEM),
         (lambda lo, hi: totient_sieve(lo, hi, with_spf=True), _SIEVE_BYTES_PER_ELEM + 8),
+        (lambda lo, hi: totient_sieve(lo, hi, odd=True), _SIEVE_BYTES_PER_ELEM),
         (lambda lo, hi: _classify_arrays(lo, hi), _CLASSIFY_BYTES_PER_ELEM),
         (lambda lo, hi: _segment_lk_members((lo, hi, 3)), _CLASSIFY_BYTES_PER_ELEM),
         (lambda lo, hi: _segment_carmichael((lo, hi)), _CLASSIFY_BYTES_PER_ELEM),
-    ], ids=["totient_sieve", "totient_sieve_spf", "classify_arrays", "lk_members", "carmichael"])
+    ], ids=["totient_sieve", "totient_sieve_spf", "totient_sieve_odd", "classify_arrays", "lk_members", "carmichael"])
     def test_peak_within_budget(self, run, per_value):
         tracemalloc.start()
         try:

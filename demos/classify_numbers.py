@@ -3,7 +3,8 @@
 
 For each n we show the factorization, phi(n), lambda(n), rad(phi(n)),
 the Lehmer index (least k with phi(n) | (n-1)^k, if any), and whether
-n is a Carmichael number.
+n is a Carmichael number.  Every function below takes n or its
+factorization, so each n is factored once and the result passed on.
 """
 
 from klehmer import (
@@ -31,17 +32,17 @@ INTERESTING = [
 def describe(n: int) -> None:
     f = factorize(n)
     phi = euler_phi(f)
-    idx = lehmer_index(n)
+    idx = lehmer_index(f)
     pretty = " * ".join(
         f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors
     ) or "1"
     print(f"n = {n} = {pretty}")
     print(f"  phi = {phi}, lambda = {carmichael_lambda(f)}, "
-          f"rad(phi) = {radical(factorize(phi))}")
+          f"rad(phi) = {radical(phi)}")
     print(f"  Lehmer index: {idx}")
-    print(f"  Carmichael:   {korselt_test(n)}")
+    print(f"  Carmichael:   {korselt_test(f)}")
     if f.is_composite and idx.is_finite:
-        b = pseudoprime_base(n)
+        b = pseudoprime_base(f)
         tag = " (degenerate)" if b in (1, n - 1) else ""
         print(f"  Fermat-pseudoprime base: {b}{tag}")
     print()

@@ -88,6 +88,7 @@ class FactoredInteger:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _as_natural(self.value, minimum=1, name="value")
         prod = 1
         last = 1
         for p, e in self.factors:

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 from .arith import (
     MAX_NATURAL,
+    FactoredInteger,
     _as_natural,
+    _coerce_factored,
     carmichael_lambda,
     euler_phi,
-    factorize,
     is_prime,
     mod_pow,
     radical,
@@ -79,18 +80,16 @@ class ChernickCandidate:
 
 def korselt_test(n) -> bool:
     """Korselt's criterion: n composite, squarefree, p-1 | n-1 for p | n."""
-    n = _as_natural(n, minimum=1)
-    f = factorize(n)
+    f = _coerce_factored(n)
     if not f.is_composite or not f.is_squarefree:
         return False
-    return all((n - 1) % (p - 1) == 0 for p in f.primes())
+    return all((f.value - 1) % (p - 1) == 0 for p in f.primes())
 
 
 def lambda_test(n) -> bool:
     """Carmichael's criterion: n composite and lambda(n) | n-1."""
-    n = _as_natural(n, minimum=1)
-    f = factorize(n)
-    return f.is_composite and (n - 1) % carmichael_lambda(f) == 0
+    f = _coerce_factored(n)
+    return f.is_composite and (f.value - 1) % carmichael_lambda(f) == 0
 
 
 def radical_korselt_test(n) -> bool:
@@ -99,19 +98,19 @@ def radical_korselt_test(n) -> bool:
     No explicit squarefree check: rad(phi(n)) | n-1 already forces
     gcd(n, phi(n)) = 1 and with it squarefreeness.
     """
-    n = _as_natural(n, minimum=1)
-    f = factorize(n)
+    f = _coerce_factored(n)
     if not f.is_composite:
         return False
-    if (n - 1) % radical(factorize(euler_phi(f))) != 0:
+    nm1 = f.value - 1
+    if nm1 % radical(euler_phi(f)) != 0:
         return False
-    return all((n - 1) % (p - 1) == 0 for p in f.primes())
+    return all(nm1 % (p - 1) == 0 for p in f.primes())
 
 
 def carmichael_verdict(n) -> CarmichaelVerdict:
-    n = _as_natural(n, minimum=1)
+    f = _coerce_factored(n)
     return CarmichaelVerdict(
-        n, korselt_test(n), lambda_test(n), radical_korselt_test(n)
+        f.value, korselt_test(f), lambda_test(f), radical_korselt_test(f)
     )
 
 
@@ -135,6 +134,8 @@ def chernick(k: int, m: int) -> ChernickCandidate:
         if value > MAX_NATURAL:
             raise OverflowError(f"U_{k}({m}) exceeds 2**127 - 1")
     all_prime = all(is_prime(f) for f in factors)
+    # The factors increase with their coefficients 6, 12, 18, 36, ...
+    n = FactoredInteger(value, tuple((f, 1) for f in factors)) if all_prime else value
     divisibility_ok = k <= 4 or m % (1 << (k - 4)) == 0
     power_of_two = m & (m - 1) == 0
     return ChernickCandidate(
@@ -144,9 +145,9 @@ def chernick(k: int, m: int) -> ChernickCandidate:
         value=value,
         all_prime=all_prime,
         divisibility_ok=divisibility_ok,
-        is_carmichael=korselt_test(value),
+        is_carmichael=korselt_test(n),
         guaranteed_index_k=all_prime and divisibility_ok and not power_of_two,
-        observed_index=lehmer_index(value) if all_prime else None,
+        observed_index=lehmer_index(n) if all_prime else None,
     )
 
 
@@ -157,12 +158,12 @@ def pseudoprime_base(n) -> int:
     some n the construction degenerates to b = 1 (e.g. n = 15); the value
     is returned verbatim, callers may flag b in {1, n-1} themselves.
     """
-    n = _as_natural(n, minimum=1)
-    f = factorize(n)
+    f = _coerce_factored(n)
+    n = f.value
     if not f.is_composite:
         raise ValueError(f"n = {n} must be composite")
     phi = euler_phi(f)
-    r = radical(factorize(phi))
+    r = radical(phi)
     if (n - 1) % r != 0:
         raise ValueError(f"n = {n} is not in L_inf")
     return mod_pow(2, phi // r, n)

@@ -87,23 +87,23 @@ class ClassificationReport:
 
 
 def classification_report(n) -> ClassificationReport:
-    n = _as_natural(n, minimum=1)
     f = factorize(n)
+    n = f.value
     phi = euler_phi(f)
-    idx = lehmer_index(n)
+    idx = lehmer_index(f)
     base = None
     degenerate = False
     if f.is_composite and idx.is_finite:
-        base = pseudoprime_base(n)
+        base = pseudoprime_base(f)
         degenerate = base in (1, n - 1)
     return ClassificationReport(
         n=n,
         factorization=f.factors,
         phi=phi,
         lam=carmichael_lambda(f),
-        rad_phi=radical(factorize(phi)),
+        rad_phi=radical(phi),
         lehmer_index=idx,
-        is_carmichael=korselt_test(n),
+        is_carmichael=korselt_test(f),
         pseudoprime_base=base,
         base_degenerate=degenerate,
     )

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import _as_natural, _vp, euler_phi, factorize, is_prime, radical
+from .arith import (FactoredInteger, _as_natural, _coerce_factored, _vp, euler_phi,
+                    factorize, is_prime, radical)
 
 __all__ = [
     "K_CAP",
@@ -112,9 +113,9 @@ def lehmer_index(n) -> LehmerIndex:
     the index is max over primes p | phi(n) of ceil(v_p(phi) / v_p(n-1)).
     n = 1 lands in L_1 because every power divides n - 1 = 0.
     """
-    n = _as_natural(n, minimum=1)
-    phi = euler_phi(factorize(n))
-    nm1 = n - 1
+    f = _coerce_factored(n)
+    phi = euler_phi(f)
+    nm1 = f.value - 1
     k = 1
     for p, e in factorize(phi).factors:
         v = _vp(nm1, p)
@@ -127,11 +128,11 @@ def lehmer_index(n) -> LehmerIndex:
 
 def in_Lk_valuation(n, k: int) -> bool:
     """Membership n in L_k decided from the Lehmer index."""
-    n = _as_natural(n, minimum=1)
+    f = _coerce_factored(n)
     k = _as_natural(k, minimum=1, name="k")
     if k > K_CAP:
-        return in_Linf(n)
-    idx = lehmer_index(n)
+        return in_Linf(f)
+    idx = lehmer_index(f)
     return idx.is_finite and idx.k <= k
 
 
@@ -142,11 +143,11 @@ def in_Lk_modular(n, k: int) -> bool:
     to 0; factorization-free, hence an independent check on the
     valuation route.
     """
-    n = _as_natural(n, minimum=1)
+    f = _coerce_factored(n)
     k = _as_natural(k, minimum=1, name="k")
     k = min(k, K_CAP)
-    phi = euler_phi(factorize(n))
-    base = (n - 1) % phi
+    phi = euler_phi(f)
+    base = (f.value - 1) % phi
     acc = base
     if acc == 0:
         return True
@@ -164,15 +165,14 @@ def in_Lk(n, k: int) -> bool:
 
 def in_Linf(n) -> bool:
     """True iff rad(phi(n)) divides n - 1."""
-    n = _as_natural(n, minimum=1)
-    r = radical(factorize(euler_phi(factorize(n))))
-    return (n - 1) % r == 0
+    f = _coerce_factored(n)
+    return (f.value - 1) % radical(euler_phi(f)) == 0
 
 
 def is_cyclic(n) -> bool:
     """True iff gcd(n, phi(n)) = 1 (such n are squarefree)."""
-    n = _as_natural(n, minimum=1)
-    return math.gcd(n, euler_phi(factorize(n))) == 1
+    f = _coerce_factored(n)
+    return math.gcd(f.value, euler_phi(f)) == 1
 
 
 def semiprime_decompose(p, q) -> SemiprimeDecomposition:
@@ -244,7 +244,7 @@ def fermat_family_pair(N: int, M: int) -> FamilyPairResult:
         raise FamilyParityError(f"M - N = {M - N} must be odd")
     n = _as_natural(pN * pM, name="pN*pM")
     K = 1 + -(-M // N)
-    observed = lehmer_index(n)
+    observed = lehmer_index(FactoredInteger(n, ((pN, 1), (pM, 1))))
     if observed != LehmerIndex.finite(K):
         raise ArithmeticError(
             f"index of {n} is {observed}, expected L_{K}"

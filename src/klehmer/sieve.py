@@ -29,6 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import _as_natural, factorize
+from .carmichael import korselt_test
 from .lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, lehmer_index
 
 __all__ = [
@@ -67,11 +68,11 @@ _DEFAULT_SEGMENT = 1_000_000
 # acc * (n-1) must stay inside int64: hi^2 < 2^63 caps hi at ~3.03e9.
 _INT64_SAFE_HI = 3_000_000_000
 
-# Peak bytes per value of a segment (tracemalloc, checked by the tests):
-# totient_sieve reaches ~29 (~37 with spf) over every n and ~15 over odd
-# n only; a bulk segment, which sieves odd n only, ~24.
+# Peak bytes (tracemalloc, checked by the tests): totient_sieve reaches
+# ~29 per value it sieves (~37 with spf), every n or the odd n only; a
+# bulk segment, which sieves odd n only, ~24 per value of hi - lo.
 _SIEVE_BYTES_PER_ELEM = 32
-_CLASSIFY_BYTES_PER_ELEM = 56
+_CLASSIFY_BYTES_PER_ELEM = 32
 
 
 class LimitExceededError(Exception):
@@ -230,13 +231,13 @@ def totient_sieve(
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
     if hi > _INT64_SAFE_HI:
         raise LimitExceededError(f"hi must stay below {_INT64_SAFE_HI}")
-    bytes_per = _SIEVE_BYTES_PER_ELEM + (8 if with_spf else 0)
-    cap = _budget_segment_cap(bytes_per)
-    if hi - lo > cap:
-        raise MemoryBudgetError(hi - lo, _memory_budget_mib(), cap)
-
     step = 2 if odd else 1
     first = lo | 1 if odd else lo
+    # The budget caps the values sieved: hi - lo = cap * step holds cap of them.
+    cap = _budget_segment_cap(_SIEVE_BYTES_PER_ELEM + (8 if with_spf else 0))
+    if len(range(first, hi, step)) > cap:
+        raise MemoryBudgetError(hi - lo, _memory_budget_mib(), cap * step)
+
     rem = np.arange(first, hi, step, dtype=np.int64)
     phi = np.ones(rem.size, dtype=np.int64)
     spf = np.zeros(rem.size, dtype=np.int64) if with_spf else None
@@ -561,12 +562,13 @@ def alpha_search(
     bounds = _segment_bounds(2, limit + 1, size) if limit >= 4 else []
     for lo, hi in bounds:
         for n in _segment_carmichael((lo, hi)).tolist():
-            idx = lehmer_index(n)
+            f = factorize(n)
+            idx = lehmer_index(f)
             if not idx <= k:
                 return AlphaRecord(
                     k=k,
                     n=n,
-                    omega=factorize(n).omega(),
+                    omega=f.omega(),
                     in_next=idx <= k + 1,
                     bound=limit,
                 )
@@ -582,13 +584,11 @@ def verify_alpha_entry(k: int, n) -> AlphaRecord:
     Failures raise NotCarmichaelError / LehmerMembershipError.
     """
     k = _as_natural(k, minimum=1, name="k")
-    n = _as_natural(n, minimum=1, name="n")
     f = factorize(n)
-    if not (f.is_composite and f.is_squarefree):
-        raise NotCarmichaelError(f"{n} is not squarefree composite")
-    if any((n - 1) % (p - 1) != 0 for p in f.primes()):
-        raise NotCarmichaelError(f"{n} fails the Korselt divisibility check")
-    idx = lehmer_index(n)
+    n = f.value
+    if not korselt_test(f):
+        raise NotCarmichaelError(f"{n} fails Korselt's criterion")
+    idx = lehmer_index(f)
     if idx <= k:
         raise LehmerMembershipError(f"{n} lies in L_{k}")
     return AlphaRecord(k=k, n=n, omega=f.omega(), in_next=idx <= k + 1, bound=0)

@@ -3,12 +3,14 @@
 Everything here deliberately avoids the library's own code paths: totients
 come from the classic in-place divisor sieve, primality from a boolean
 sieve, factorizations from plain trial division.  Library results are
-always compared against these, never against themselves.
+always compared against these, never against themselves.  The one
+exception, ``factorize_calls``, records the library's own factorize calls.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -87,3 +89,25 @@ def prime_mask_200k() -> np.ndarray:
 @pytest.fixture(scope="session")
 def spf_200k() -> np.ndarray:
     return sieve_spf(200_000)
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch) -> list[int]:
+    """The argument of every factorize call, in order, wherever it is bound.
+
+    Like the benchmark's tracer, this swaps the name in every loaded
+    klehmer module, so calls routed through arith's helpers count too.
+    """
+    from klehmer import arith
+
+    original = arith.factorize
+    calls: list[int] = []
+
+    def recording(n):
+        calls.append(int(n))
+        return original(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "klehmer" and module.__dict__.get("factorize") is original:
+            monkeypatch.setattr(module, "factorize", recording)
+    return calls

@@ -137,6 +137,15 @@ class TestFactoredIntegerInvariants:
         one = FactoredInteger(1, ())
         assert one.omega() == 0 and one.is_squarefree and not one.is_composite
 
+    def test_value_inside_domain(self):
+        # A hand-built instance must not carry a value that factorize rejects.
+        with pytest.raises(ValueError, match="2\\*\\*127 - 1"):
+            FactoredInteger(2**127, ((2, 127),))
+        with pytest.raises(ValueError):
+            FactoredInteger(0, ())
+        top = FactoredInteger(2**127 - 1, ((2**127 - 1, 1),))
+        assert top.is_prime and euler_phi(top) == 2**127 - 2
+
 
 class TestEulerPhi:
     def test_examples(self):

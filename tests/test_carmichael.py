@@ -93,6 +93,13 @@ class TestChernick:
         assert not c.guaranteed_index_k
         assert c.observed_index == LehmerIndex.finite(3)
 
+    @pytest.mark.parametrize("k, m, index", [(3, 1, 2), (4, 1, 3), (3, 1073742435, 3)])
+    def test_all_prime_product_never_factored(self, factorize_calls, k, m, index):
+        c = chernick(k, m)
+        assert c.all_prime and c.is_carmichael
+        assert c.observed_index == LehmerIndex.finite(index)
+        assert c.value not in factorize_calls
+
     def test_observed_index_absent_when_factor_composite(self):
         c = chernick(5, 2)  # 25 = 5^2 in the factor list
         assert not c.all_prime and c.observed_index is None

@@ -55,6 +55,13 @@ class TestClassify:
         assert payload["is_carmichael"] is True
         assert payload["lehmer_index"] == 10
 
+    @pytest.mark.parametrize("n", [2, 9, 15, 97, 561, 2**127 - 1, 330019822807208371201])
+    def test_factors_n_once(self, factorize_calls, n):
+        report = classification_report(n)
+        assert factorize_calls.count(n) == 1
+        # the rest of the calls factor phi(n)
+        assert set(factorize_calls) - {n} <= {report.phi}
+
     def test_zero_is_usage_error(self, capsys):
         rc, out, err = run_cli(capsys, "classify", "0")
         assert rc == 1 and out == "" and "error" in err

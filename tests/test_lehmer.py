@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from klehmer.arith import MAX_NATURAL, is_prime
+from klehmer.arith import MAX_NATURAL, FactoredInteger, factorize, is_prime
+from klehmer.carmichael import (
+    carmichael_verdict,
+    korselt_test,
+    lambda_test,
+    pseudoprime_base,
+    radical_korselt_test,
+)
 from klehmer.lehmer import (
     K_CAP,
     NOT_IN_LINF,
@@ -125,24 +132,28 @@ _SMALL = sorted(set(_SMOOTH + odd_primes_below(200)) | {2})
 _LARGE = [p for p in _FAMILY if p > 2**20] + [2**31 - 1, 2**61 - 1]
 
 
-def _products(pool, max_exp):
-    def build(small, large):
-        n = 1
-        for p, e in small + large:
-            n *= p**e
-        return n
-
+def _factor_lists(pool, max_exp):
+    # Every pool prime is below 2^20 and every _LARGE prime above, so the
+    # sorted list has strictly increasing primes.
     return st.builds(
-        build,
+        lambda small, large: sorted(small + large),
         st.lists(st.tuples(st.sampled_from(pool), st.integers(1, max_exp)),
                  min_size=2, max_size=6, unique_by=lambda t: t[0]),
         st.lists(st.tuples(st.sampled_from(_LARGE), st.just(1)), max_size=1),
     )
 
 
+def _value(factors):
+    n = 1
+    for p, e in factors:
+        n *= p**e
+    return n
+
+
 # Squarefree products of smooth primes are often in L_k; the mixed ones
 # with repeated factors mostly are not.
-products = st.one_of(_products(_SMOOTH, 1), _products(_SMALL, 3))
+factor_lists = st.one_of(_factor_lists(_SMOOTH, 1), _factor_lists(_SMALL, 3))
+products = factor_lists.map(_value)
 
 
 def _assert_routes_agree(n):
@@ -170,6 +181,54 @@ class TestMembershipRoutes:
     @given(n=products)
     def test_modular_equals_valuation_long(self, n):
         _assert_routes_agree(n)
+
+
+# Every per-number function that takes n or its FactoredInteger; the ks
+# cover the valuation and modular routes and the L_inf fallback above K_CAP.
+_PER_NUMBER = (lehmer_index, in_Linf, is_cyclic, korselt_test, lambda_test,
+               radical_korselt_test, carmichael_verdict, pseudoprime_base)
+_PER_NUMBER_K = (in_Lk, in_Lk_valuation, in_Lk_modular)
+_ALL_KS = (1, 2, 3, 5, K_CAP + 1)
+
+
+def _outcomes(n, ks=_ALL_KS):
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as exc:  # pseudoprime_base outside L_inf
+            return str(exc)
+
+    return ([outcome(fn, n) for fn in _PER_NUMBER]
+            + [outcome(fn, n, k) for fn in _PER_NUMBER_K for k in ks])
+
+
+class TestFactoredInput:
+    """Passing n or its FactoredInteger gives the same answer, whether the
+    factorization comes from factorize or is built by hand."""
+
+    def test_factorize_of_n_to_1e4(self):
+        for n in range(1, 10**4 + 1):
+            assert _outcomes(n, (2, K_CAP + 1)) == _outcomes(factorize(n), (2, K_CAP + 1)), n
+
+    @pytest.mark.slow
+    def test_factorize_of_n_to_1e4_every_k(self):
+        for n in range(1, 10**4 + 1):
+            assert _outcomes(n) == _outcomes(factorize(n)), n
+
+    @settings(max_examples=30, deadline=None)
+    @given(factors=factor_lists.filter(lambda f: _value(f) < 2**64))
+    @example(factors=[(3, 1), (11, 1), (17, 1)])
+    @example(factors=[(3 * 2**12 + 1, 1), (3 * 2**41 + 1, 1)])  # in L_5
+    def test_hand_built(self, factors):
+        n = _value(factors)
+        assert _outcomes(n) == _outcomes(FactoredInteger(n, tuple(factors)))
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(factors=factor_lists.filter(lambda f: _value(f) < 2**64))
+    def test_hand_built_long(self, factors):
+        n = _value(factors)
+        assert _outcomes(n) == _outcomes(FactoredInteger(n, tuple(factors)))
 
 
 class TestCyclicNumbers:
@@ -266,6 +325,11 @@ class TestFermatFamily:
             fermat_family_pair(1, 5)  # both prime but the gap is even
         with pytest.raises(ValueError):
             fermat_family_pair(4, 4)
+
+    def test_product_never_factored(self, factorize_calls):
+        r = fermat_family_pair(36, 41)
+        assert (r.pN, r.pM, r.K) == (3 * 2**36 + 1, 3 * 2**41 + 1, 3)
+        assert r.n not in factorize_calls
 
     def test_normalization_is_symmetric(self):
         assert fermat_family_pair(2, 1) == fermat_family_pair(1, 2)

@@ -76,6 +76,21 @@ class TestTotientSieve:
         # the suggestion actually works
         totient_sieve(1, err.value.suggested)
 
+    def test_odd_sieve_charged_per_odd_value(self, monkeypatch):
+        monkeypatch.setenv(MEMORY_ENV_VAR, "1")
+        full_cap = (1 << 20) // _SIEVE_BYTES_PER_ELEM
+        with pytest.raises(MemoryBudgetError):
+            totient_sieve(10**6, 10**6 + full_cap + 2)
+        # Twice the full-range cap holds as many odd values as the cap.
+        for lo in (10**6, 10**6 + 1):
+            seg = totient_sieve(lo, lo + 2 * full_cap, odd=True)
+            assert seg.phi.size == full_cap
+        with pytest.raises(MemoryBudgetError) as err:
+            totient_sieve(1, 10**7, odd=True)
+        assert err.value.suggested == 2 * full_cap
+        for lo in (2, 3):
+            totient_sieve(lo, lo + err.value.suggested, odd=True)
+
     def test_bad_budget_rejected(self, monkeypatch):
         monkeypatch.setenv(MEMORY_ENV_VAR, "zero")
         with pytest.raises(ValueError):
@@ -337,6 +352,11 @@ class TestVerifyAlpha:
         rec = verify_alpha_entry(9, 330019822807208371201)
         assert (rec.omega, rec.in_next) == (10, True)
 
+    def test_factors_n_once(self, factorize_calls):
+        n = 330019822807208371201
+        verify_alpha_entry(9, n)
+        assert factorize_calls.count(n) == 1
+
     def test_conjectural_flags_for_k3(self):
         rec = verify_alpha_entry(3, 838201)
         assert rec.in_next  # 838201 lies in L_4
@@ -369,22 +389,24 @@ class TestSegmentMemory:
 
     LO, HI = 10**7, 10**7 + 200_000
 
-    @pytest.mark.parametrize("run, per_value", [
-        (lambda lo, hi: totient_sieve(lo, hi), _SIEVE_BYTES_PER_ELEM),
-        (lambda lo, hi: totient_sieve(lo, hi, with_spf=True), _SIEVE_BYTES_PER_ELEM + 8),
-        (lambda lo, hi: totient_sieve(lo, hi, odd=True), _SIEVE_BYTES_PER_ELEM),
-        (lambda lo, hi: _classify_arrays(lo, hi), _CLASSIFY_BYTES_PER_ELEM),
-        (lambda lo, hi: _segment_lk_members((lo, hi, 3)), _CLASSIFY_BYTES_PER_ELEM),
-        (lambda lo, hi: _segment_carmichael((lo, hi)), _CLASSIFY_BYTES_PER_ELEM),
+    # (run, bytes per value, values charged): the odd sieve is charged per
+    # odd value it sieves, everything else per value of the range.
+    @pytest.mark.parametrize("run, per_value, step", [
+        (lambda lo, hi: totient_sieve(lo, hi), _SIEVE_BYTES_PER_ELEM, 1),
+        (lambda lo, hi: totient_sieve(lo, hi, with_spf=True), _SIEVE_BYTES_PER_ELEM + 8, 1),
+        (lambda lo, hi: totient_sieve(lo, hi, odd=True), _SIEVE_BYTES_PER_ELEM, 2),
+        (lambda lo, hi: _classify_arrays(lo, hi), _CLASSIFY_BYTES_PER_ELEM, 1),
+        (lambda lo, hi: _segment_lk_members((lo, hi, 3)), _CLASSIFY_BYTES_PER_ELEM, 1),
+        (lambda lo, hi: _segment_carmichael((lo, hi)), _CLASSIFY_BYTES_PER_ELEM, 1),
     ], ids=["totient_sieve", "totient_sieve_spf", "totient_sieve_odd", "classify_arrays", "lk_members", "carmichael"])
-    def test_peak_within_budget(self, run, per_value):
+    def test_peak_within_budget(self, run, per_value, step):
         tracemalloc.start()
         try:
             run(self.LO, self.HI)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= per_value * (self.HI - self.LO)
+        assert peak <= per_value * len(range(self.LO, self.HI, step))
 
 
 @pytest.fixture

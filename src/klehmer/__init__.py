@@ -29,7 +29,6 @@ from .carmichael import (
     pseudoprime_base,
     radical_korselt_test,
 )
-from .cli import ClassificationReport, classification_report, emit_bfile
 from .lehmer import (
     K_CAP,
     NOT_IN_LINF,
@@ -73,14 +72,22 @@ from .sieve import (
 
 from . import arith, carmichael, lehmer, sieve
 
+_CLI_NAMES = ("ClassificationReport", "classification_report", "emit_bfile")
+
 __all__ = [
     *arith.__all__,
     *carmichael.__all__,
-    "ClassificationReport",
-    "classification_report",
-    "emit_bfile",
+    *_CLI_NAMES,
     *lehmer.__all__,
     *sieve.__all__,
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Loaded on first use: `python -m klehmer.cli` warns if it is imported.
+    if name not in _CLI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cli
+    return getattr(cli, name)

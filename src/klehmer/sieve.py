@@ -68,9 +68,9 @@ _DEFAULT_SEGMENT = 1_000_000
 # acc * (n-1) must stay inside int64: hi^2 < 2^63 caps hi at ~3.03e9.
 _INT64_SAFE_HI = 3_000_000_000
 
-# Peak bytes (tracemalloc, checked by the tests): totient_sieve reaches
-# ~29 per value it sieves (~37 with spf), every n or the odd n only; a
-# bulk segment, which sieves odd n only, ~24 per value of hi - lo.
+# Peak bytes (tracemalloc, checked by the tests): totient_sieve ~29 per
+# value it sieves (~37 with spf); a bulk segment ~19 (_classify_arrays)
+# or ~8.5 (_segment_carmichael) per value of hi - lo.
 _SIEVE_BYTES_PER_ELEM = 32
 _CLASSIFY_BYTES_PER_ELEM = 32
 
@@ -191,7 +191,7 @@ def base_primes(limit: int) -> np.ndarray:
 
 def _prime_power_walk(first: int, hi: int, step: int) -> Iterator[tuple[int, int, slice]]:
     """Yield (p, e, s) for every prime power p^e < hi, where s selects the
-    multiples of p^e among the progression first, first + step, ... < hi.
+    multiples of p^e among first, first + step, ... < hi (totient_sieve).
 
     ``step`` is 1 (every n) or 2 (odd n, ``first`` odd).  Consecutive
     multiples of p^e in the progression are step * p^e apart, so the
@@ -492,35 +492,26 @@ def enumerate_Lk_composites(
 
 
 def _segment_carmichael(bounds: tuple[int, int]) -> np.ndarray:
-    """Carmichael numbers in [lo, hi) by sieve-driven Korselt checks.
+    """Carmichael numbers in [lo, hi) by Korselt's criterion in residue form.
 
-    Only odd n are sieved: an even n with an odd prime factor p would
-    need the even p-1 to divide the odd n-1, and powers of 2 are not
-    Carmichael.  Every odd base prime p marks its multiples with the
-    p-1 | n-1 condition and its square kills non-squarefree n; the
-    cofactor left after all base primes is either 1 or a single prime
-    above sqrt(hi).
+    Only odd n are sieved: an odd prime p of an even n needs the even p-1
+    to divide the odd n-1, and 2^e is not a squarefree composite.  For odd
+    p, "p | n and p-1 | n-1" holds exactly when n = p (mod p(p-1)), and
+    each prime p of a Carmichael n = p*m is below sqrt(n) (p-1 | m-1 gives
+    m >= p, and m = p is not squarefree).  So every odd p <= sqrt(hi-1)
+    multiplies prod by p at those n, p itself excepted: prod == n exactly
+    when n is a product of two or more distinct primes that all pass.
     """
     lo, hi = bounds
-    first = lo | 1
+    first = max(lo, 2) | 1  # prod starts at 1, so n = 1 would pass
     n = np.arange(first, hi, 2, dtype=np.int64)
-    nm1 = n - 1
-    ok = np.ones(n.size, dtype=bool)
-    rem = n.copy()
-    omega = np.zeros(n.size, dtype=np.uint8)
-
-    for p, e, s in _prime_power_walk(first, hi, 2):
-        if e == 1:
-            ok[s] &= nm1[s] % (p - 1) == 0
-            omega[s] += 1
-            rem[s] //= p
-        elif e == 2:
-            ok[s] = False
-
-    big = rem > 1
-    ok[big] &= nm1[big] % (rem[big] - 1) == 0
-    ok &= (omega + big) >= 2
-    return n[ok]
+    prod = np.ones(n.size, dtype=np.int64)
+    for p in base_primes(math.isqrt(hi - 1))[1:].tolist():
+        period = p * (p - 1)
+        start = max(first, p + 2)  # n = p itself is prime
+        start += (p - start) % period
+        prod[(start - first) // 2 :: period // 2] *= p
+    return n[prod == n]
 
 
 def enumerate_carmichael(

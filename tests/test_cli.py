@@ -299,7 +299,9 @@ class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["klehmer.cli", "klehmer"])
     def test_stdout_and_exit_code(self, module):
         done = self.run_module(module, "count", "--limit", "1e2", "--k", "2", "--format", "csv")
-        assert (done.returncode, done.stdout) == (0, "k,X,count\n2,10,5\n2,100,26\n")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "k,X,count\n2,10,5\n2,100,26\n", "",
+        )
         done = self.run_module(module, "count", "--limit", "1e8", "--k", "2")
         assert (done.returncode, done.stdout) == (2, "")
         assert "exceeds" in done.stderr

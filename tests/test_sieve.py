@@ -300,22 +300,48 @@ def korselt_by_trial_division(lo: int, hi: int) -> list[int]:
     return out
 
 
+def assert_sieve_matches_korselt_test(lo: int, hi: int):
+    got = _segment_carmichael((lo, hi)).tolist()
+    assert got == [n for n in range(lo, hi) if korselt_test(n)]
+
+
 class TestOddKorseltSieve:
-    """The odd-only Korselt sieve against trial factorization."""
+    """The odd-only Korselt sieve against trial factorization and korselt_test."""
 
     @pytest.mark.parametrize("lo, hi", [
         (2, 4), (561, 562), (560, 562), (560, 10_000), (561, 10_001),
+        (1, 10),  # 1 is not a Carmichael number
+        (2, 10_000),  # holds the base primes 3..97 themselves
         (41_470_000, 41_473_000),  # holds alpha(4) = 41471521
     ])
     def test_matches_trial_division(self, lo, hi):
         got = _segment_carmichael((lo, hi)).tolist()
         assert got == korselt_by_trial_division(lo, hi)
 
+    def test_window_ending_at_int64_ceiling(self):
+        assert_sieve_matches_korselt_test(_INT64_SAFE_HI - 2000, _INT64_SAFE_HI)
+
+    @settings(max_examples=8, deadline=None)
+    @given(lo=st.integers(1, _INT64_SAFE_HI - 500), w=st.integers(1, 500))
+    @example(lo=2_998_467_901 - 250, w=500)  # the last Carmichael number below 3e9
+    def test_agrees_with_korselt_test_anywhere(self, lo, w):
+        assert_sieve_matches_korselt_test(lo, lo + w)
+
+    @pytest.mark.slow
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.integers(1, _INT64_SAFE_HI - 5000), w=st.integers(1, 5000))
+    def test_agrees_with_korselt_test_anywhere_long(self, lo, w):
+        assert_sieve_matches_korselt_test(lo, lo + w)
+
     @settings(max_examples=6, deadline=None)
     @given(segment_size=st.integers(100, 100_000))
     def test_segment_size_invariant(self, segment_size):
         reference = enumerate_carmichael(10**5)
         assert enumerate_carmichael(10**5, segment_size=segment_size) == reference
+
+    @pytest.mark.slow
+    def test_count_to_1e8(self):
+        assert len(enumerate_carmichael(10**8, max_limit=10**8)) == 255
 
 
 class TestAlphaSearch:
@@ -446,6 +472,36 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         count_table(10**4, workers=64)
         assert pool_sizes == expected
+
+
+@pytest.mark.slow
+class TestWorkerCount:
+    """One worker and a real two-process pool give identical results.
+
+    Limits of at least 2*10^5 over segments of at most 10^5 values give
+    every run two segments or more, so the pool is really used.
+    """
+
+    @settings(max_examples=4, deadline=None)
+    @given(limit=st.sampled_from([10**5, 10**6]), segment_size=st.integers(5_000, 100_000))
+    def test_count_table(self, limit, segment_size):
+        one, two = (count_table(limit, segment_size=segment_size, workers=w) for w in (1, 2))
+        assert one == two
+
+    @settings(max_examples=4, deadline=None)
+    @given(limit=st.integers(2 * 10**5, 10**6), k=st.integers(1, 6),
+           segment_size=st.integers(5_000, 100_000))
+    def test_enumerate_Lk_composites(self, limit, k, segment_size):
+        one, two = (enumerate_Lk_composites(limit, k, segment_size=segment_size, workers=w)
+                    for w in (1, 2))
+        assert one == two
+
+    @settings(max_examples=4, deadline=None)
+    @given(limit=st.integers(2 * 10**5, 10**6), segment_size=st.integers(5_000, 100_000))
+    def test_enumerate_carmichael(self, limit, segment_size):
+        one, two = (enumerate_carmichael(limit, segment_size=segment_size, workers=w)
+                    for w in (1, 2))
+        assert one == two
 
 
 @pytest.mark.slow

@@ -127,6 +127,12 @@ def chernick(k: int, m: int) -> ChernickCandidate:
 
     Raises OverflowError when the product leaves the 127-bit domain.
     """
+    k = _as_natural(k, minimum=3, name="k")
+    m = _as_natural(m, minimum=1, name="m")
+    # Every factor is at least 7 and 7^46 > 2^127, so a larger k overflows;
+    # raising first spares building its factor list, quadratic in k.
+    if k > 45:
+        raise OverflowError(f"U_{k}({m}) exceeds 2**127 - 1")
     factors = chernick_factors(k, m)
     value = 1
     for f in factors:

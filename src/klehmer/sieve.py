@@ -68,9 +68,10 @@ _DEFAULT_SEGMENT = 1_000_000
 # acc * (n-1) must stay inside int64: hi^2 < 2^63 caps hi at ~3.03e9.
 _INT64_SAFE_HI = 3_000_000_000
 
-# Peak bytes (tracemalloc, checked by the tests): totient_sieve ~29 per
-# value it sieves (~37 with spf); a bulk segment ~19 (_classify_arrays)
-# or ~8.5 (_segment_carmichael) per value of hi - lo.
+# Peak bytes (tracemalloc on 10^6 segments at 9e6 and 99e6, checked by
+# the tests): totient_sieve ~16 per value it sieves (~26 with spf); a bulk
+# segment ~14.5 (_classify_arrays, _segment_lk_members) or ~8.5
+# (_segment_carmichael) per value of hi - lo.
 _SIEVE_BYTES_PER_ELEM = 32
 _CLASSIFY_BYTES_PER_ELEM = 32
 
@@ -252,11 +253,14 @@ def totient_sieve(
             view = spf[s]
             view[view == 0] = p
 
-    big = rem > 1
-    phi[big] *= rem[big] - 1
     if spf is not None:
-        missing = (spf == 0) & big
+        missing = (spf == 0) & (rem > 1)
         spf[missing] = rem[missing]
+    # rem is 1 or the one prime above sqrt(hi), so rem - 1 clamped at 1
+    # is exactly that prime's factor of phi.
+    rem -= 1
+    np.maximum(rem, 1, out=rem)
+    phi *= rem
     return SieveSegment(lo, hi, phi, spf, step)
 
 
@@ -281,18 +285,21 @@ def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, n
     # A view: writing odd_index[i] sets the index of first + 2i.
     odd_index = index[seg.first - lo :: 2]
 
+    # Every operand is >= 0 and phi >= 1, so the truncating fmod equals %.
     base_val = np.arange(seg.first - 1, hi - 1, 2, dtype=np.int64)
-    base_val %= phi
-    cut = np.frexp(phi.astype(np.float64))[1].astype(np.int64) - 1
-    np.minimum(cut, kmax, out=cut)
+    np.fmod(base_val, phi, out=base_val)
 
+    # The cutoff grows with phi, so the largest is that of phi.max().
+    top_cut = min(int(phi.max()).bit_length() - 1, kmax)
     # sq < phi < hi <= _INT64_SAFE_HI keeps sq * sq inside int64.
     sq = base_val.copy()
-    for _ in range((int(cut.max()) - 1).bit_length()):
+    for _ in range((top_cut - 1).bit_length()):
         sq *= sq
-        sq %= phi
+        np.fmod(sq, phi, out=sq)
     pos = np.flatnonzero(sq == 0)
-    base_val, ph, cut = base_val[pos], phi[pos], cut[pos]
+    base_val, ph = base_val[pos], phi[pos]
+    cut = np.frexp(ph.astype(np.float64))[1].astype(np.int64) - 1
+    np.minimum(cut, kmax, out=cut)
 
     acc = base_val.copy()
     k = 1
@@ -309,7 +316,7 @@ def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, n
         cut = cut[alive]
         k += 1
         acc *= base_val
-        acc %= ph
+        np.fmod(acc, ph, out=acc)
         zero = acc == 0
         odd_index[pos[zero]] = k
         alive = ~zero & (cut > k)
@@ -464,11 +471,10 @@ def _segment_lk_members(args: tuple[int, int, int]) -> np.ndarray:
     lo, hi, k = args
     phi, index = _classify_arrays(lo, hi)
     first = lo | 1
-    n = np.arange(first, hi, 2, dtype=np.int64)
     index = index[first - lo :: 2]
-    composite = (n > 1) & (phi != n - 1)
-    member = (index >= 1) & (index <= min(k, K_CAP))
-    return n[composite & member]
+    pos = np.flatnonzero((index >= 1) & (index <= min(k, K_CAP)))
+    n = first + 2 * pos
+    return n[(n > 1) & (phi[pos] != n - 1)]
 
 
 def enumerate_Lk_composites(

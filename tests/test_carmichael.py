@@ -100,6 +100,12 @@ class TestChernick:
         assert c.observed_index == LehmerIndex.finite(index)
         assert c.value not in factorize_calls
 
+    @pytest.mark.parametrize("k", [45, 46, 100_000, 10**20])
+    def test_overflowing_k_raises_before_building_factors(self, k):
+        # 7^46 > 2^127; a factor list for k = 10^20 would not fit in memory.
+        with pytest.raises(OverflowError, match="exceeds 2"):
+            chernick(k, 1)
+
     def test_observed_index_absent_when_factor_composite(self):
         c = chernick(5, 2)  # 25 = 5^2 in the factor list
         assert not c.all_prime and c.observed_index is None

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import klehmer
 from klehmer.cli import classification_report, emit_bfile, main
@@ -281,6 +283,94 @@ class TestUsage:
                 rc, out, err = run_cli(capsys, *command, "--workers", workers)
                 assert (rc, out) == (1, ""), (command, workers)
                 assert "--workers" in err
+
+
+# Tokens for fuzzed command lines: values of each kind an argument takes,
+# edges included, and junk that any argument may get instead.  Bulk limits
+# and chernick scans stay at or below 10^4, so every line runs in moments.
+_BIG = "99999999999999999999"  # inside the 127-bit domain, past int64
+_JUNK = ["", "x", "nan", "inf", "-inf", "1e400", "1.5", "0x10", "-1", "0", _BIG,
+         str(10**40)]
+_TOKENS = {
+    "n": ["1", "2", "9", "15", "97", "561", "41471521", "330019822807208371201",
+          str(2**61 - 1), str(2**127 - 1), str(2**127)],
+    "prime": ["2", "3", "5", "7", "13", "9", "15", str(2**61 - 1), str(2**89 - 1),
+              str(2**127 - 1)],
+    "limit": ["1", "10", "1e2", "1e3", "1e4", "10000", "5000", "-1e4", "1e9", "3e9", "1e18"],
+    "k": ["1", "2", "3", "4", "9", "44", "45", "46", "127", "128", "100000"],
+    "ks": ["2,3,4,5,inf", "inf", "1", ",", "2,,inf", "inf,inf,2", "1e3", "0,2", "3, 2",
+           "200"],
+    "set": ["carmichael", "l2-composites", "lk-composites:3", "lk-composites:",
+            "lk-composites:0", "lk-composites:-1", "lk-composites:" + _BIG,
+            "lk-composites:x", "l3-composites"],
+    "m": ["1", "6", "1073742435", "1e18", "1e30", str(2**127)],
+    "m_max": ["1", "6", "1e3", "1e4"],
+    "segment": ["1", "97", "7777", "100000"],
+    "workers": ["1", "2", "64"],
+    "format": ["json", "csv", "bfile", "yaml"],
+}
+_BULK = {"--format": "format", "--segment-size": "segment", "--workers": "workers",
+         "--allow-large": None}
+# command: (positional kinds, required options, other options)
+_COMMANDS = {
+    "classify": (["n"], {}, {"--format": "format"}),
+    "count": ([], {"--limit": "limit"}, {**_BULK, "--k": "ks"}),
+    "list": ([], {"--set": "set", "--limit": "limit"}, _BULK),
+    "alpha": ([], {"--k": "k", "--limit": "limit"}, _BULK),
+    "alpha-verify": ([], {"--k": "k", "--n": "n"}, {"--format": "format"}),
+    "chernick": ([], {"--k": "k"}, {"--m": "m", "--m-max": "m_max", "--format": "format"}),
+    "semiprime": (["prime", "prime"], {}, {"--k": "k", "--format": "format"}),
+    "pseudo-base": (["n"], {}, {"--format": "format"}),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command with its arguments: required ones mostly present, the
+    rest half the time; a quarter of the values are junk."""
+
+    def value(kind):
+        pool = _TOKENS[kind] if draw(st.integers(0, 3)) else _JUNK
+        return draw(st.sampled_from(pool))
+
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positionals, required, optional = _COMMANDS[command]
+    argv = [command] + [value(kind) for kind in positionals if draw(st.integers(0, 7))]
+    options = {**required, **optional}
+    for flag in draw(st.permutations(sorted(options))):
+        if draw(st.integers(0, 7)) if flag in required else draw(st.booleans()):
+            argv += [flag] if options[flag] is None else [flag, value(options[flag])]
+    return argv
+
+
+def check_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if rc:
+        assert out.getvalue() == "" and err.getvalue(), argv
+
+
+class TestFuzzedCommandLines:
+    """Every command line exits 0, 1, 2 or 3; a failure writes an error
+    message and no stdout, and no exception escapes main()."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=command_lines())
+    @example(argv=["chernick", "--k", "100000", "--m", "1"])
+    @example(argv=["chernick", "--k", _BIG, "--m-max", "1e4"])
+    @example(argv=["count", "--limit", "1e4", "--k", ","])
+    @example(argv=["semiprime", str(2**61 - 1), str(2**89 - 1), "--k", "3"])
+    def test_exit_code_contract(self, argv):
+        check_exit_contract(argv)
+
+    @pytest.mark.slow
+    @settings(max_examples=3000, deadline=None)
+    @given(argv=command_lines())
+    def test_exit_code_contract_long(self, argv):
+        check_exit_contract(argv)
 
 
 class TestModuleEntryPoints:

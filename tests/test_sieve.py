@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from klehmer.arith import euler_phi, factorize, is_prime
 from klehmer.carmichael import korselt_test
-from klehmer.lehmer import NOT_IN_LINF, LehmerIndex, in_Lk, lehmer_index
+from klehmer.lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, in_Lk, lehmer_index
 from klehmer.sieve import (
     _CLASSIFY_BYTES_PER_ELEM,
     _INT64_SAFE_HI,
@@ -189,6 +189,17 @@ class TestSquaringCertificate:
         _, index = _classify_arrays(lo, hi, kmax)
         expected = linear_index(lo, hi, kmax, totient_sieve(lo, hi).phi)
         assert np.array_equal(index, expected)
+
+    @pytest.mark.parametrize("n", [1, 15, 255, 65535])
+    def test_index_at_the_squaring_cutoff(self, n):
+        # A singleton window squares up to its own cutoff.  15, 255 and
+        # 65535 are products of Fermat primes: phi(n) = 2^c and the index
+        # is c, the cutoff itself, so one squaring fewer certifies them
+        # outside L_inf.  For n = 1 the window's largest phi is 1.
+        idx = lehmer_index(n)
+        assert idx.k == max(1, euler_phi(n).bit_length() - 1)
+        for kmax in (idx.k, K_CAP):
+            assert list(classify_range(n, n + 1, kmax=kmax)) == [(n, idx)]
 
 
 class TestCountTable:
@@ -513,6 +524,16 @@ class TestLargeRange:
         assert table.count(4, 10**7) == 666390
         assert table.count(5, 10**7) == 667282
         assert table.count(math.inf, 10**7) == 670225
+
+    def test_count_table_1e8(self):
+        table = count_table(10**8, max_limit=10**8)
+        assert table.counts == {
+            2: (5, 26, 170, 1236, 9613, 78535, 664667, 5761621),
+            3: (5, 29, 179, 1266, 9714, 78841, 665538, 5763967),
+            4: (5, 29, 182, 1281, 9784, 79077, 666390, 5766571),
+            5: (5, 30, 184, 1303, 9861, 79346, 667282, 5769413),
+            math.inf: (5, 30, 188, 1333, 10015, 80058, 670225, 5780785),
+        }
 
     def test_alpha4_below_5e7(self):
         r = alpha_search(4, 50_000_000, max_limit=10**8)

@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 
+# chernick --m-max classifies every m up to it and holds every candidate
+# until it prints: 10^5 takes 28 s and 330 MiB for k = 3 on one core.
+_CHERNICK_M_MAX = 10**5
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     """Everything the library knows about a single n."""
@@ -401,6 +406,10 @@ def _cmd_chernick(args) -> str:
     else:
         m_max = _parse_limit(args.m_max)
         _as_natural(m_max, minimum=1, name="m-max")
+        if m_max > _CHERNICK_M_MAX:
+            raise LimitExceededError(
+                f"m-max {m_max} exceeds the maximum {_CHERNICK_M_MAX}"
+            )
         candidates = [chernick(args.k, m) for m in range(1, m_max + 1)]
     payloads = [_candidate_payload(c) for c in candidates]
     if args.format == "csv":

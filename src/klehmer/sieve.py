@@ -70,7 +70,7 @@ _INT64_SAFE_HI = 3_000_000_000
 
 # Peak bytes (tracemalloc on 10^6 segments at 9e6 and 99e6, checked by
 # the tests): totient_sieve ~16 per value it sieves (~26 with spf); a bulk
-# segment ~14.5 (_classify_arrays, _segment_lk_members) or ~8.5
+# segment ~14.5 (_classify_arrays, _segment_lk_members) or ~2.5
 # (_segment_carmichael) per value of hi - lo.
 _SIEVE_BYTES_PER_ELEM = 32
 _CLASSIFY_BYTES_PER_ELEM = 32
@@ -507,17 +507,27 @@ def _segment_carmichael(bounds: tuple[int, int]) -> np.ndarray:
     m >= p, and m = p is not squarefree).  So every odd p <= sqrt(hi-1)
     multiplies prod by p at those n, p itself excepted: prod == n exactly
     when n is a product of two or more distinct primes that all pass.
+    prod is a product of distinct primes of n, so it divides n < hi < 2^32
+    (uint32 cannot overflow) and can equal n only where prod >= first.
     """
     lo, hi = bounds
     first = max(lo, 2) | 1  # prod starts at 1, so n = 1 would pass
-    n = np.arange(first, hi, 2, dtype=np.int64)
-    prod = np.ones(n.size, dtype=np.int64)
-    for p in base_primes(math.isqrt(hi - 1))[1:].tolist():
-        period = p * (p - 1)
-        start = max(first, p + 2)  # n = p itself is prime
-        start += (p - start) % period
-        prod[(start - first) // 2 :: period // 2] *= p
-    return n[prod == n]
+    prod = np.ones(len(range(first, hi, 2)), dtype=np.uint32)
+    p = base_primes(math.isqrt(hi - 1))[1:]
+    period = p * (p - 1)
+    start = np.maximum(first, p + 2)  # n = p itself is prime
+    start += (p - start) % period
+    idx, stride = (start - first) // 2, period // 2
+    # A prime whose stride spans the segment hits at most one n; one
+    # unbuffered scatter applies them all, repeated indexes included.
+    once = stride >= prod.size
+    hit = once & (idx < prod.size)
+    np.multiply.at(prod, idx[hit], p[hit].astype(np.uint32))
+    for i, h, q in zip(idx[~once].tolist(), stride[~once].tolist(), p[~once].tolist()):
+        prod[i::h] *= q
+    pos = np.flatnonzero(prod >= first)
+    n = first + 2 * pos
+    return n[prod[pos] == n]
 
 
 def enumerate_carmichael(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import klehmer
+from klehmer import cli
 from klehmer.cli import classification_report, emit_bfile, main
 
 
@@ -214,6 +215,19 @@ class TestChernick:
         rc, _, _ = run_cli(capsys, "chernick", "--k", "2", "--m", "1")
         assert rc == 1
 
+    @pytest.mark.parametrize("m_max", ["100001", "1e9", str(10**20)])
+    def test_m_max_above_ceiling_is_exit_2(self, capsys, m_max):
+        rc, out, err = run_cli(capsys, "chernick", "--k", "3", "--m-max", m_max)
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and "exceeds the maximum 100000" in err
+
+    def test_m_max_ceiling_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CHERNICK_M_MAX", 6)
+        rc, out, _ = run_cli(capsys, "chernick", "--k", "3", "--m-max", "6")
+        assert rc == 0 and len(json.loads(out)["candidates"]) == 6
+        rc, out, _ = run_cli(capsys, "chernick", "--k", "3", "--m-max", "7")
+        assert (rc, out) == (2, "")
+
 
 class TestSemiprime:
     def test_golden_csv(self, capsys):
@@ -287,7 +301,8 @@ class TestUsage:
 
 # Tokens for fuzzed command lines: values of each kind an argument takes,
 # edges included, and junk that any argument may get instead.  Bulk limits
-# and chernick scans stay at or below 10^4, so every line runs in moments.
+# and chernick scans that pass their ceilings stay at or below 10^4, so
+# every line runs in moments.
 _BIG = "99999999999999999999"  # inside the 127-bit domain, past int64
 _JUNK = ["", "x", "nan", "inf", "-inf", "1e400", "1.5", "0x10", "-1", "0", _BIG,
          str(10**40)]
@@ -304,7 +319,7 @@ _TOKENS = {
             "lk-composites:0", "lk-composites:-1", "lk-composites:" + _BIG,
             "lk-composites:x", "l3-composites"],
     "m": ["1", "6", "1073742435", "1e18", "1e30", str(2**127)],
-    "m_max": ["1", "6", "1e3", "1e4"],
+    "m_max": ["1", "6", "1e3", "1e4", "1e9"],
     "segment": ["1", "97", "7777", "100000"],
     "workers": ["1", "2", "64"],
     "format": ["json", "csv", "bfile", "yaml"],

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import tracemalloc
@@ -353,6 +354,64 @@ class TestOddKorseltSieve:
     @pytest.mark.slow
     def test_count_to_1e8(self):
         assert len(enumerate_carmichael(10**8, max_limit=10**8)) == 255
+
+
+def korselt_residue_product_int64(lo: int, hi: int) -> list[int]:
+    """The int64 residue product with one strided pass per odd base prime:
+    the reference for _segment_carmichael's uint32 product and scatter."""
+    first = max(lo, 2) | 1
+    n = np.arange(first, hi, 2, dtype=np.int64)
+    prod = np.ones(n.size, dtype=np.int64)
+    for p in base_primes(math.isqrt(hi - 1))[1:].tolist():
+        period = p * (p - 1)
+        start = max(first, p + 2)
+        start += (p - start) % period
+        prod[(start - first) // 2 :: period // 2] *= p
+    return n[prod == n].tolist()
+
+
+@functools.cache
+def carmichael_multiples_below_1e6(p: int) -> list[int]:
+    return [n for n in korselt_residue_product_int64(2, 10**6) if n % p == 0]
+
+
+class TestKorseltResidueOracle:
+    """_segment_carmichael against the int64 residue product."""
+
+    def test_uint32_product_fits_below_int64_ceiling(self):
+        # prod divides n < _INT64_SAFE_HI, so its uint32 dtype relies on this.
+        assert _INT64_SAFE_HI < 2**32
+
+    @pytest.mark.parametrize("lo, hi", [
+        (2, 10**6 + 2),
+        (9 * 10**6, 10**7),
+        (_INT64_SAFE_HI - 2000, _INT64_SAFE_HI),
+        pytest.param(4 * 10**7, 4 * 10**7 + 10**6, marks=pytest.mark.slow),
+        pytest.param(99 * 10**6, 10**8, marks=pytest.mark.slow),
+        # holds 2998467901, the last Carmichael number below 3e9
+        pytest.param(2_998_000_000, 2_999_000_000, marks=pytest.mark.slow),
+    ])
+    def test_matches_reference(self, lo, hi):
+        assert _segment_carmichael((lo, hi)).tolist() == korselt_residue_product_int64(lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([5, 7, 11, 13, 97]), d=st.integers(-2, 2),
+           i=st.integers(0, 30), offset=st.integers(0, 5000),
+           lo_even=st.booleans(), hi_even=st.booleans())
+    @example(p=5, d=1, i=0, offset=5000, lo_even=False, hi_even=False)
+    @example(p=97, d=1, i=1, offset=5000, lo_even=True, hi_even=True)
+    def test_windows_around_each_stride(self, p, d, i, offset, lo_even, hi_even):
+        # A window of `size` odd values holding a Carmichael multiple c of p:
+        # p is scattered once when its stride p(p-1)/2 >= size, looped
+        # otherwise.  With d = 1 and c last, p also hits the first value.
+        size = p * (p - 1) // 2 + d
+        multiples = carmichael_multiples_below_1e6(p)
+        c = multiples[i % len(multiples)]
+        first = c - 2 * min(offset, size - 1)
+        lo, hi = first - lo_even, first + 2 * size - hi_even
+        got = _segment_carmichael((lo, hi)).tolist()
+        assert c in got
+        assert got == korselt_residue_product_int64(lo, hi)
 
 
 class TestAlphaSearch:

@@ -38,7 +38,7 @@ def describe(n: int) -> None:
     ) or "1"
     print(f"n = {n} = {pretty}")
     print(f"  phi = {phi}, lambda = {carmichael_lambda(f)}, "
-          f"rad(phi) = {radical(phi)}")
+          f"rad(phi) = {radical(f.totient)}")
     print(f"  Lehmer index: {idx}")
     print(f"  Carmichael:   {korselt_test(f)}")
     if f.is_composite and idx.is_finite:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "MAX_NATURAL",
@@ -121,6 +122,18 @@ class FactoredInteger:
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
+
+    @cached_property
+    def totient(self) -> "FactoredInteger":
+        """phi(n) factored, merged from p^(e-1) and the primes of p - 1
+        over p^e || n, so phi(n) itself never reaches factorize."""
+        counts: dict[int, int] = {}
+        for p, e in self.factors:
+            if e > 1:
+                counts[p] = counts.get(p, 0) + e - 1
+            for q, d in factorize(p - 1).factors:
+                counts[q] = counts.get(q, 0) + d
+        return FactoredInteger(euler_phi(self), tuple(sorted(counts.items())))
 
     def __iter__(self):
         return iter(self.factors)

@@ -22,7 +22,6 @@ from .arith import (
     _as_natural,
     _coerce_factored,
     carmichael_lambda,
-    euler_phi,
     is_prime,
     mod_pow,
     radical,
@@ -102,7 +101,7 @@ def radical_korselt_test(n) -> bool:
     if not f.is_composite:
         return False
     nm1 = f.value - 1
-    if nm1 % radical(euler_phi(f)) != 0:
+    if nm1 % radical(f.totient) != 0:
         return False
     return all(nm1 % (p - 1) == 0 for p in f.primes())
 
@@ -168,11 +167,10 @@ def pseudoprime_base(n) -> int:
     n = f.value
     if not f.is_composite:
         raise ValueError(f"n = {n} must be composite")
-    phi = euler_phi(f)
-    r = radical(phi)
+    r = radical(f.totient)
     if (n - 1) % r != 0:
         raise ValueError(f"n = {n} is not in L_inf")
-    return mod_pow(2, phi // r, n)
+    return mod_pow(2, f.totient.value // r, n)
 
 
 def fermat_test(n, b) -> bool:

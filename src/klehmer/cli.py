@@ -21,9 +21,9 @@ import sys
 from dataclasses import dataclass
 
 from .arith import (
+    FactoredInteger,
     _as_natural,
     carmichael_lambda,
-    euler_phi,
     factorize,
     radical,
 )
@@ -94,7 +94,6 @@ class ClassificationReport:
 def classification_report(n) -> ClassificationReport:
     f = factorize(n)
     n = f.value
-    phi = euler_phi(f)
     idx = lehmer_index(f)
     base = None
     degenerate = False
@@ -104,9 +103,9 @@ def classification_report(n) -> ClassificationReport:
     return ClassificationReport(
         n=n,
         factorization=f.factors,
-        phi=phi,
+        phi=f.totient.value,
         lam=carmichael_lambda(f),
-        rad_phi=radical(phi),
+        rad_phi=radical(f.totient),
         lehmer_index=idx,
         is_carmichael=korselt_test(f),
         pseudoprime_base=base,
@@ -410,7 +409,9 @@ def _cmd_chernick(args) -> str:
             raise LimitExceededError(
                 f"m-max {m_max} exceeds the maximum {_CHERNICK_M_MAX}"
             )
-        candidates = [chernick(args.k, m) for m in range(1, m_max + 1)]
+        # U_k(m) grows with m: classifying the largest m first raises an
+        # overflow before the scan spends its time on the ones that fit.
+        candidates = [chernick(args.k, m) for m in range(m_max, 0, -1)][::-1]
     payloads = [_candidate_payload(c) for c in candidates]
     if args.format == "csv":
         header = ["k", "m", "value", "factors", "all_prime", "divisibility_ok",
@@ -441,7 +442,8 @@ def _cmd_semiprime(args) -> str:
     if args.k is not None:
         payload["k"] = args.k
         payload["criterion"] = semiprime_in_Lk(dec, args.k)
-        payload["direct"] = in_Lk(dec.p * dec.q, args.k)
+        p, q = sorted((dec.p, dec.q))
+        payload["direct"] = in_Lk(FactoredInteger(p * q, ((p, 1), (q, 1))), args.k)
     if args.format == "csv":
         header = list(payload.keys())
         return _csv_text(header, [[payload[h] for h in header]])

@@ -114,10 +114,9 @@ def lehmer_index(n) -> LehmerIndex:
     n = 1 lands in L_1 because every power divides n - 1 = 0.
     """
     f = _coerce_factored(n)
-    phi = euler_phi(f)
     nm1 = f.value - 1
     k = 1
-    for p, e in factorize(phi).factors:
+    for p, e in f.totient.factors:
         v = _vp(nm1, p)
         if v == 0:
             return NOT_IN_LINF
@@ -166,7 +165,7 @@ def in_Lk(n, k: int) -> bool:
 def in_Linf(n) -> bool:
     """True iff rad(phi(n)) divides n - 1."""
     f = _coerce_factored(n)
-    return (f.value - 1) % radical(euler_phi(f)) == 0
+    return (f.value - 1) % radical(f.totient) == 0
 
 
 def is_cyclic(n) -> bool:
@@ -206,17 +205,16 @@ def semiprime_in_Lk(dec: SemiprimeDecomposition, k: int) -> bool:
     """Criterion for pq in L_k (k >= 2): a+b <= k*a and alpha*beta | d^(k-2).
 
     The divisibility is checked prime-by-prime on valuations, never by
-    expanding d^(k-2).
+    expanding d^(k-2).  The coprime alpha and beta are factored apart:
+    their product can be a balanced semiprime even when each is prime.
     """
     k = _as_natural(k, minimum=2, name="k")
     if dec.a + dec.b > k * dec.a:
         return False
-    ab = dec.alpha * dec.beta
-    if ab == 1:
-        return True
-    for r, e in factorize(ab).factors:
-        if e > (k - 2) * _vp(dec.d, r):
-            return False
+    for part in (dec.alpha, dec.beta):
+        for r, e in factorize(part).factors:
+            if e > (k - 2) * _vp(dec.d, r):
+                return False
     return True
 
 

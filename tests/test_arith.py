@@ -15,7 +15,7 @@ from klehmer.arith import (
     valuation,
 )
 
-from conftest import factors_from_spf, sieve_prime_mask, sieve_spf
+from conftest import factors_from_spf, sieve_prime_mask, sieve_spf, trial_factorize
 
 
 class TestIsPrime:
@@ -146,6 +146,13 @@ class TestFactoredIntegerInvariants:
         top = FactoredInteger(2**127 - 1, ((2**127 - 1, 1),))
         assert top.is_prime and euler_phi(top) == 2**127 - 2
 
+    def test_totient_is_cached_and_not_a_field(self):
+        f = factorize(561)
+        before = (repr(f), hash(f))
+        assert f.totient is f.totient
+        assert f.totient == FactoredInteger(320, ((2, 6), (5, 1)))
+        assert (repr(f), hash(f)) == before and f == FactoredInteger(561, f.factors)
+
 
 class TestEulerPhi:
     def test_examples(self):
@@ -160,6 +167,7 @@ class TestEulerPhi:
         for n in range(1, 10_001):
             expected = int(np.count_nonzero(np.gcd(np.arange(1, n + 1), n) == 1))
             assert euler_phi(n) == expected, n
+            assert dict(factorize(n).totient.factors) == trial_factorize(expected), n
 
 
 class TestCarmichaelLambda:

@@ -58,12 +58,15 @@ class TestClassify:
         assert payload["is_carmichael"] is True
         assert payload["lehmer_index"] == 10
 
-    @pytest.mark.parametrize("n", [2, 9, 15, 97, 561, 2**127 - 1, 330019822807208371201])
+    # 12358409426137806301 is a product of two 32-bit safe primes: its phi
+    # is 4 * p'q', a balanced semiprime that only n's primes give away.
+    @pytest.mark.parametrize("n", [2, 9, 15, 97, 561, 2**127 - 1, 330019822807208371201,
+                                   12358409426137806301])
     def test_factors_n_once(self, factorize_calls, n):
         report = classification_report(n)
-        assert factorize_calls.count(n) == 1
-        # the rest of the calls factor phi(n)
-        assert set(factorize_calls) - {n} <= {report.phi}
+        # phi(n) is derived from n's primes: factorize sees n and each p - 1
+        expected = [n] + [p - 1 for p, _ in report.factorization]
+        assert sorted(factorize_calls) == sorted(expected)
 
     def test_zero_is_usage_error(self, capsys):
         rc, out, err = run_cli(capsys, "classify", "0")
@@ -221,6 +224,10 @@ class TestChernick:
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and "exceeds the maximum 100000" in err
 
+    def test_scan_overflow_is_exit_2_from_the_largest_m(self, capsys):
+        rc, out, err = run_cli(capsys, "chernick", "--k", "6", "--m-max", "1e5")
+        assert (rc, out, err) == (2, "", "error: U_6(100000) exceeds 2**127 - 1\n")
+
     def test_m_max_ceiling_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_CHERNICK_M_MAX", 6)
         rc, out, _ = run_cli(capsys, "chernick", "--k", "3", "--m-max", "6")
@@ -244,6 +251,22 @@ class TestSemiprime:
     def test_composite_input_is_usage_error(self, capsys):
         rc, _, err = run_cli(capsys, "semiprime", "9", "13")
         assert rc == 1
+
+    # Balanced pairs: for the second, two safe primes, alpha * beta = p'q'
+    # is again a balanced semiprime.  Neither product may reach factorize.
+    @pytest.mark.parametrize("p, q", [(36028797018976327, 72057594038026711),
+                                      (33042149106911783, 19762248964260059)])
+    def test_balanced_products_never_reach_factorize(self, capsys, factorize_calls, p, q):
+        rc, out, _ = run_cli(capsys, "semiprime", str(p), str(q), "--k", "3")
+        payload = json.loads(out)
+        assert rc == 0 and payload["criterion"] is payload["direct"] is False
+        alpha_beta = int(payload["alpha"]) * int(payload["beta"])
+        assert factorize_calls and not {p * q, alpha_beta} & set(factorize_calls)
+
+    def test_product_past_domain_is_usage_error(self, capsys):
+        rc, out, err = run_cli(capsys, "semiprime", str(2**61 - 1), str(2**89 - 1),
+                               "--k", "3")
+        assert (rc, out) == (1, "") and "2**127 - 1" in err
 
 
 class TestPseudoBase:
@@ -378,6 +401,7 @@ class TestFuzzedCommandLines:
     @example(argv=["chernick", "--k", _BIG, "--m-max", "1e4"])
     @example(argv=["count", "--limit", "1e4", "--k", ","])
     @example(argv=["semiprime", str(2**61 - 1), str(2**89 - 1), "--k", "3"])
+    @example(argv=["semiprime", "33042149106911783", "19762248964260059", "--k", "3"])
     def test_exit_code_contract(self, argv):
         check_exit_contract(argv)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from klehmer.arith import MAX_NATURAL, FactoredInteger, factorize, is_prime
+from klehmer.arith import MAX_NATURAL, FactoredInteger, euler_phi, factorize, is_prime
 from klehmer.carmichael import (
     carmichael_verdict,
     korselt_test,
@@ -181,6 +181,25 @@ class TestMembershipRoutes:
     @given(n=products)
     def test_modular_equals_valuation_long(self, n):
         _assert_routes_agree(n)
+
+
+class TestDerivedTotient:
+    """phi(n) merged from n's primes equals phi(n) factored directly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=products.filter(lambda n: n < 2**64))
+    @example(n=2**127 - 1)
+    @example(n=561)
+    @example(n=2821)
+    @example(n=838201)
+    @example(n=41471521)
+    @example(n=45496270561)
+    @example(n=776388344641)
+    @example(n=344361421401361)
+    @example(n=375097930710820681)
+    @example(n=330019822807208371201)
+    def test_matches_factorized_phi(self, n):
+        assert factorize(n).totient == factorize(euler_phi(n))
 
 
 # Every per-number function that takes n or its FactoredInteger; the ks

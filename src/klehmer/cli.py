@@ -6,7 +6,8 @@ bfile for list).  Value fields that can exceed 64 bits are emitted as
 decimal strings so downstream JSON consumers cannot lose precision;
 small structural fields (k, exponents, counts, indexes) stay numeric.
 
-Exit codes: 0 success, 1 usage error, 2 bound or memory budget exceeded,
+Exit codes: 0 success, 1 usage error, 2 bound or memory budget exceeded
+(or an arithmetic failure such as an overflow or an unsplit factor),
 3 verification failure.
 """
 
@@ -327,12 +328,12 @@ def _cmd_list(args) -> str:
     kind, k = _parse_set(args.set_name)
     common = dict(
         segment_size=args.segment_size,
-        workers=args.workers,
         max_limit=LARGE_MAX_LIMIT if args.allow_large else None,
     )
     if kind == "lk":
-        values = enumerate_Lk_composites(limit, k, **common)
+        values = enumerate_Lk_composites(limit, k, workers=args.workers, **common)
     else:
+        # The Korselt sieve runs in process, so --workers has no effect here.
         values = enumerate_carmichael(limit, **common)
     if args.format == "bfile":
         return emit_bfile(values)
@@ -473,7 +474,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         text = args.handler(args)
-    except (LimitExceededError, OverflowError) as exc:
+    except (LimitExceededError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationFailure as exc:

@@ -6,14 +6,16 @@ the alpha sequence (smallest Carmichael number outside L_k).
 
 The bulk route never factors anything and sieves odd n only (even n > 2
 lie outside every L_k, and no even n is a Carmichael number): a segmented
-totient sieve supplies phi(n), and the Lehmer index of every odd n in a
-segment is found by iterated modular multiplication
+uint32 totient sieve supplies phi(n), and the Lehmer index of every odd n
+in a segment is found by iterated modular multiplication
 acc <- acc * (n-1) mod phi(n), stopping at the first zero or after
 bitlength(phi) - 1 steps (every prime exponent in
-phi(n) is below that, so no finite index can hide past it).  Before that
-iteration, j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j at
-least every cutoff; a nonzero result certifies n is outside L_inf, so
-only the ~12% of odd n that survive run the iteration.  Segments are
+phi(n) is below that, so no finite index can hide past it).  First, an
+exclusion filter drops the odd n with q | phi(n) but q not dividing n-1
+for some q in {3, 5, 7} (~72% of them near 10^7); only the rest go to
+int64, where j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j at
+least every cutoff.  A nonzero result certifies n is outside L_inf, so
+only the ~12% of odd n that survive both run the iteration.  Segments are
 independent work units; with a worker pool they are merged in ascending
 order, so results are identical for any worker count or segment size.
 """
@@ -69,8 +71,8 @@ _DEFAULT_SEGMENT = 1_000_000
 _INT64_SAFE_HI = 3_000_000_000
 
 # Peak bytes (tracemalloc on 10^6 segments at 9e6 and 99e6, checked by
-# the tests): totient_sieve ~16 per value it sieves (~26 with spf); a bulk
-# segment ~14.5 (_classify_arrays, _segment_lk_members) or ~2.5
+# the tests): totient_sieve ~8 per value it sieves (~18 with spf); a bulk
+# segment ~9.4 (_classify_arrays, _segment_lk_members) or ~2.5
 # (_segment_carmichael) per value of hi - lo.
 _SIEVE_BYTES_PER_ELEM = 32
 _CLASSIFY_BYTES_PER_ELEM = 32
@@ -110,7 +112,8 @@ class SieveSegment:
     """Totients (and optionally smallest prime factors) for [lo, hi).
 
     Entry i belongs to n = first + step * i: step 1 covers every n,
-    step 2 the odd n only.
+    step 2 the odd n only.  ``phi`` is uint32 (every n is below
+    _INT64_SAFE_HI < 2^32); ``spf`` is int64.
     """
 
     lo: int
@@ -239,8 +242,10 @@ def totient_sieve(
     if len(range(first, hi, step)) > cap:
         raise MemoryBudgetError(hi - lo, _memory_budget_mib(), cap * step)
 
-    rem = np.arange(first, hi, step, dtype=np.int64)
-    phi = np.ones(rem.size, dtype=np.int64)
+    # n < hi <= _INT64_SAFE_HI < 2^32, and every partial product of phi
+    # divides phi(n) < n, so uint32 cannot overflow.
+    rem = np.arange(first, hi, step, dtype=np.uint32)
+    phi = np.ones(rem.size, dtype=np.uint32)
     spf = np.zeros(rem.size, dtype=np.int64) if with_spf else None
 
     for p, e, s in _prime_power_walk(first, hi, step):
@@ -264,13 +269,37 @@ def totient_sieve(
     return SieveSegment(lo, hi, phi, spf, step)
 
 
+# q | phi(n) with q not dividing n - 1 puts n outside L_inf: q never
+# divides (n-1)^k.  This settles ~72% of odd n near 10^7 before any int64
+# work; on count_table(10^7), dropping 7 was slower and adding 11 or 13
+# gained nothing measurable.
+_EXCLUSION_PRIMES = (3, 5, 7)
+
+
+def _may_be_in_linf(phi: np.ndarray, first: int) -> np.ndarray:
+    """Mask over the odd n = first + 2i: False where some q in
+    _EXCLUSION_PRIMES divides phi(n) (uint32) but not n - 1."""
+    keep = np.ones(phi.size, dtype=bool)
+    prod = np.empty_like(phi)
+    ok = np.empty(phi.size, dtype=bool)
+    for q in _EXCLUSION_PRIMES:
+        # For odd q, phi * q^-1 mod 2^32 <= (2^32 - 1) // q iff q | phi.
+        np.multiply(phi, np.uint32(pow(q, -1, 1 << 32)), out=prod)
+        np.greater(prod, np.uint32(0xFFFFFFFF // q), out=ok)
+        # The n = 1 (mod q) are every q-th entry, from i = (1 - first) / 2 mod q.
+        ok[(1 - first) * pow(2, -1, q) % q :: q] = True
+        keep &= ok
+    return keep
+
+
 def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Odd-n totients and per-n Lehmer indexes for [lo, hi); index 0 = not in L_inf.
 
     The totients cover the odd n only (``totient_sieve(odd=True)``): even
     n above 2 are settled without them (phi even, n-1 odd), and 2 has
-    index 1.  Odd n first take j squarings of n-1 mod phi, with 2^j >=
-    the largest per-n cutoff min(bitlength(phi) - 1, kmax).
+    index 1.  The odd n that _may_be_in_linf excludes have index 0; the
+    rest take j squarings of n-1 mod phi in int64, with 2^j >= the
+    largest per-n cutoff min(bitlength(phi) - 1, kmax).
     phi | (n-1)^k for some k <= cutoff implies phi | (n-1)^(2^j), so a
     nonzero result certifies index 0.  The survivors run the modular
     iteration against their cutoff, which gives the exact index.
@@ -285,9 +314,12 @@ def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, n
     # A view: writing odd_index[i] sets the index of first + 2i.
     odd_index = index[seg.first - lo :: 2]
 
+    pos = np.flatnonzero(_may_be_in_linf(phi, seg.first))
+    ph = phi[pos].astype(np.int64)
     # Every operand is >= 0 and phi >= 1, so the truncating fmod equals %.
-    base_val = np.arange(seg.first - 1, hi - 1, 2, dtype=np.int64)
-    np.fmod(base_val, phi, out=base_val)
+    base_val = 2 * pos
+    base_val += seg.first - 1
+    np.fmod(base_val, ph, out=base_val)
 
     # The cutoff grows with phi, so the largest is that of phi.max().
     top_cut = min(int(phi.max()).bit_length() - 1, kmax)
@@ -295,9 +327,9 @@ def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, n
     sq = base_val.copy()
     for _ in range((top_cut - 1).bit_length()):
         sq *= sq
-        np.fmod(sq, phi, out=sq)
-    pos = np.flatnonzero(sq == 0)
-    base_val, ph = base_val[pos], phi[pos]
+        np.fmod(sq, ph, out=sq)
+    keep = np.flatnonzero(sq == 0)
+    pos, base_val, ph = pos[keep], base_val[keep], ph[keep]
     cut = np.frexp(ph.astype(np.float64))[1].astype(np.int64) - 1
     np.minimum(cut, kmax, out=cut)
 
@@ -401,7 +433,12 @@ def classify_range(
 def _segment_histogram(bounds: tuple[int, int]) -> np.ndarray:
     lo, hi = bounds
     _, index = _classify_arrays(lo, hi)
-    return np.bincount(index, minlength=K_CAP + 1).astype(np.int64)
+    # bincount widens its input to int64; the members of L_inf are few, so
+    # widening only them spares a transient 8 bytes per value of hi - lo.
+    members = index[index != 0]
+    hist = np.bincount(members, minlength=K_CAP + 1).astype(np.int64)
+    hist[0] = index.size - members.size
+    return hist
 
 
 def _normalize_ks(ks) -> tuple:
@@ -534,19 +571,20 @@ def enumerate_carmichael(
     limit,
     *,
     segment_size: int | None = None,
-    workers: int = 1,
     max_limit: int | None = None,
 ) -> list[int]:
-    """All Carmichael numbers <= limit, ascending."""
+    """All Carmichael numbers <= limit, ascending.
+
+    Segments are sieved in process: a Korselt segment costs less than
+    starting a worker pool does.
+    """
     limit = _check_limit(limit, max_limit)
     if limit < 4:
         return []
     size = _auto_segment_size(segment_size)
-    bounds = _segment_bounds(2, limit + 1, size)
-    chunks = _map_segments(_segment_carmichael, bounds, workers)
     out: list[int] = []
-    for chunk in chunks:
-        out.extend(chunk.tolist())
+    for bounds in _segment_bounds(2, limit + 1, size):
+        out.extend(_segment_carmichael(bounds).tolist())
     return out
 
 

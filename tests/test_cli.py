@@ -72,6 +72,15 @@ class TestClassify:
         rc, out, err = run_cli(capsys, "classify", "0")
         assert rc == 1 and out == "" and "error" in err
 
+    def test_unsplit_factor_is_exit_2(self, capsys, monkeypatch):
+        def fail(n):
+            raise ArithmeticError(f"failed to split {n}")
+
+        monkeypatch.setattr("klehmer.arith._split_composite", fail)
+        n = 1_000_003 * 1_000_033  # no prime factor below 4096, so rho must split it
+        rc, out, err = run_cli(capsys, "classify", str(n))
+        assert (rc, out, err) == (2, "", f"error: failed to split {n}\n")
+
     def test_csv_format(self, capsys):
         rc, out, _ = run_cli(capsys, "classify", "561", "--format", "csv")
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -140,6 +149,13 @@ class TestList:
         rc, out, _ = run_cli(capsys, "list", "--set", "lk-composites:3",
                              "--limit", "100", "--format", "csv")
         assert out == "n\n15\n85\n91\n"
+
+    def test_carmichael_accepts_workers(self, capsys):
+        # The Korselt sieve runs in process; --workers is accepted and changes nothing.
+        argv = ("list", "--set", "carmichael", "--limit", "1e5", "--format", "csv")
+        one = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--workers", "2") == one
+        assert one[0] == 0 and one[1].count("\n") == 17
 
     def test_unknown_set(self, capsys):
         rc, _, err = run_cli(capsys, "list", "--set", "mersenne", "--limit", "10")

@@ -21,7 +21,9 @@ from klehmer.sieve import (
     MEMORY_ENV_VAR,
     NotCarmichaelError,
     _classify_arrays,
+    _prime_power_walk,
     _segment_carmichael,
+    _segment_histogram,
     _segment_lk_members,
     alpha_search,
     base_primes,
@@ -128,6 +130,38 @@ class TestOddTotientSieve:
         assert np.array_equal(totient_sieve(30_000, 40_000, odd=True).phi, phi[30_001:40_000:2])
 
 
+def totient_sieve_int64(lo: int, hi: int, odd: bool) -> np.ndarray:
+    """Totients by the same prime-power walk in int64 arrays: the
+    reference for totient_sieve's uint32 rem and phi."""
+    step = 2 if odd else 1
+    first = lo | 1 if odd else lo
+    rem = np.arange(first, hi, step, dtype=np.int64)
+    phi = np.ones(rem.size, dtype=np.int64)
+    for p, e, s in _prime_power_walk(first, hi, step):
+        rem[s] //= p
+        phi[s] *= p if e > 1 else p - 1
+    return phi * np.maximum(rem - 1, 1)
+
+
+class TestUint32TotientSieve:
+    """totient_sieve's uint32 arrays against the int64 reference."""
+
+    def test_uint32_fits_below_int64_ceiling(self):
+        # Every n sieved is below _INT64_SAFE_HI, so uint32 holds n and phi(n).
+        assert _INT64_SAFE_HI < 2**32
+        assert totient_sieve(1, 10).phi.dtype == np.uint32
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("lo, hi", [
+        (1, 20_001),
+        (2**31 - 10_000, 2**31 + 10_000),
+        (_INT64_SAFE_HI - 20_000, _INT64_SAFE_HI),
+    ])
+    def test_matches_int64_reference(self, lo, hi, odd):
+        phi = totient_sieve(lo, hi, odd=odd).phi
+        assert np.array_equal(phi, totient_sieve_int64(lo, hi, odd))
+
+
 class TestClassifyRange:
     def test_singletons(self):
         assert list(classify_range(1, 2)) == [(1, LehmerIndex.finite(1))]
@@ -203,6 +237,41 @@ class TestSquaringCertificate:
             assert list(classify_range(n, n + 1, kmax=kmax)) == [(n, idx)]
 
 
+def assert_window_matches_linear(q: int, r: int, kmax: int, lo: int, w: int, lo_even: bool):
+    # Move the window so that its first odd n is r (mod q).
+    first = lo | 1
+    first += 2 * ((r - first) * pow(2, -1, q) % q)
+    lo = max(1, first - lo_even)
+    hi = first + w
+    _, index = _classify_arrays(lo, hi, kmax)
+    assert (lo | 1) % q == r
+    assert np.array_equal(index, linear_index(lo, hi, kmax, totient_sieve(lo, hi).phi))
+
+
+class TestExclusionFilter:
+    """The 3·5·7 exclusion filter leaves every index as the linear iteration
+    alone computes it, whatever residue the window's first odd n has mod q."""
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @settings(max_examples=4, deadline=None)
+    @given(kmax=st.sampled_from([1, 2, 127]), lo=st.integers(1, _INT64_SAFE_HI - 3000),
+           w=st.integers(1, 2000), lo_even=st.booleans())
+    @example(kmax=1, lo=1, w=2000, lo_even=False)
+    @example(kmax=2, lo=10**7, w=2000, lo_even=True)
+    @example(kmax=127, lo=_INT64_SAFE_HI - 2100, w=2000, lo_even=True)
+    def test_matches_linear_iteration(self, q, r, kmax, lo, w, lo_even):
+        assert_window_matches_linear(q, r, kmax, lo, w, lo_even)
+
+    @pytest.mark.slow
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.sampled_from([3, 5, 7]), r=st.integers(0, 2),
+           kmax=st.sampled_from([1, 2, 127]), lo=st.integers(1, _INT64_SAFE_HI - 12_000),
+           w=st.integers(1, 10_000), lo_even=st.booleans())
+    def test_matches_linear_iteration_long(self, q, r, kmax, lo, w, lo_even):
+        assert_window_matches_linear(q, r, kmax, lo, w, lo_even)
+
+
 class TestCountTable:
     def test_reference_columns_to_1e2(self):
         table = count_table(100, (2,))
@@ -237,6 +306,12 @@ class TestCountTable:
                 1 for n in range(1, power + 1) if indexes[n].is_finite
             )
             assert table.count(math.inf, power) == expected_inf
+
+    @pytest.mark.parametrize("lo, hi", [(1, 10_001), (10**7 - 10**4, 10**7)])
+    def test_segment_histogram_counts_every_value(self, lo, hi):
+        _, index = _classify_arrays(lo, hi)
+        expected = np.bincount(index, minlength=K_CAP + 1)
+        assert np.array_equal(_segment_histogram((lo, hi)), expected)
 
     def test_huge_k_counts_as_inf(self):
         table = count_table(1000, (500,))
@@ -298,8 +373,7 @@ class TestEnumerate:
 
     def test_deterministic(self):
         a = enumerate_carmichael(50_000, segment_size=9_999)
-        b = enumerate_carmichael(50_000, workers=2)
-        assert a == b == enumerate_carmichael(50_000)
+        assert a == enumerate_carmichael(50_000)
 
 
 def korselt_by_trial_division(lo: int, hi: int) -> list[int]:
@@ -543,6 +617,12 @@ class TestWorkerPool:
         count_table(10**4, workers=64)
         assert pool_sizes == expected
 
+    def test_korselt_sieve_starts_no_pool(self, pool_sizes):
+        assert enumerate_carmichael(10**5, segment_size=9_999) == enumerate_carmichael(10**5)
+        with pytest.raises(TypeError):
+            enumerate_carmichael(10**5, workers=2)
+        assert pool_sizes == []
+
 
 @pytest.mark.slow
 class TestWorkerCount:
@@ -563,13 +643,6 @@ class TestWorkerCount:
            segment_size=st.integers(5_000, 100_000))
     def test_enumerate_Lk_composites(self, limit, k, segment_size):
         one, two = (enumerate_Lk_composites(limit, k, segment_size=segment_size, workers=w)
-                    for w in (1, 2))
-        assert one == two
-
-    @settings(max_examples=4, deadline=None)
-    @given(limit=st.integers(2 * 10**5, 10**6), segment_size=st.integers(5_000, 100_000))
-    def test_enumerate_carmichael(self, limit, segment_size):
-        one, two = (enumerate_carmichael(limit, segment_size=segment_size, workers=w)
                     for w in (1, 2))
         assert one == two
 

@@ -40,7 +40,6 @@ from .lehmer import (
     fermat_family_pair,
     in_Linf,
     in_Lk,
-    in_Lk_modular,
     in_Lk_valuation,
     is_cyclic,
     lehmer_index,

@@ -58,7 +58,7 @@ __all__ = [
 
 
 # chernick --m-max classifies every m up to it and holds every candidate
-# until it prints: 10^5 takes 28 s and 330 MiB for k = 3 on one core.
+# until it prints: 10^5 takes 29 s and 330 MiB for k = 3 on one core.
 _CHERNICK_M_MAX = 10**5
 
 

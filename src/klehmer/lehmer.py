@@ -5,10 +5,11 @@ numbers; for k >= 2 the sets have plenty of composite members (561 is the
 first in L_2).  L_inf = union of all L_k consists exactly of the n with
 rad(phi(n)) | n-1, and the least qualifying k is the Lehmer index.
 
-Two independent membership routes are exposed: a valuation comparison on
-the factorizations (`in_Lk_valuation`) and iterated modular multiplication
-(`in_Lk_modular`).  They are cross-checked in the test suite and `in_Lk`
-answers via the valuation route.
+The index is computed one way, as the bulk sieve does: from phi(n) alone,
+which needs only n's primes, by a power certificate and then iterated
+multiplication (n-1)^k mod phi(n).  `lehmer_index`, `in_Lk` and `in_Linf`
+all answer through it.  `in_Lk_valuation` keeps the valuation formula on
+the factorization of phi(n) as an independent oracle for the test suite.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import (FactoredInteger, _as_natural, _coerce_factored, _vp, euler_phi,
-                    factorize, is_prime, radical)
+                    factorize, is_prime)
 
 __all__ = [
     "K_CAP",
@@ -30,7 +31,6 @@ __all__ = [
     "lehmer_index",
     "in_Lk",
     "in_Lk_valuation",
-    "in_Lk_modular",
     "in_Linf",
     "is_cyclic",
     "semiprime_decompose",
@@ -38,8 +38,8 @@ __all__ = [
     "fermat_family_pair",
 ]
 
-# A finite index never exceeds log2(phi(n)) < 127 on this domain, so any
-# request with k above the cap is answered as an L_inf question.
+# A finite index never exceeds log2(phi(n)) < 127 on this domain, so
+# membership in L_k for any k above the cap is membership in L_inf.
 K_CAP = 127
 
 
@@ -107,65 +107,56 @@ class FamilyPairResult:
 
 
 def lehmer_index(n) -> LehmerIndex:
-    """Least k with phi(n) | (n-1)^k via per-prime valuations.
+    """Least k with phi(n) | (n-1)^k, from phi(n) alone.
 
-    NOT_IN_LINF exactly when some prime of phi(n) misses n-1; otherwise
-    the index is max over primes p | phi(n) of ceil(v_p(phi) / v_p(n-1)).
-    n = 1 lands in L_1 because every power divides n - 1 = 0.
+    Every prime exponent of phi(n) is at most cut = bitlength(phi) - 1,
+    and so is a finite index: (n-1)^cut mod phi(n) is nonzero exactly when
+    n lies outside L_inf.  Otherwise the index is the first k at which
+    (n-1)^k mod phi(n), one multiplication at a time, reaches 0.
+    phi = 1 (n = 1, 2) divides everything, so those n land in L_1.
     """
     f = _coerce_factored(n)
-    nm1 = f.value - 1
-    k = 1
-    for p, e in f.totient.factors:
-        v = _vp(nm1, p)
-        if v == 0:
-            return NOT_IN_LINF
-        if v is not math.inf:
-            k = max(k, -(-e // v))
+    phi = euler_phi(f)
+    base = (f.value - 1) % phi
+    if pow(base, max(phi.bit_length() - 1, 1), phi):
+        return NOT_IN_LINF
+    acc, k = base, 1
+    while acc:
+        acc = acc * base % phi
+        k += 1
     return LehmerIndex.finite(k)
 
 
 def in_Lk_valuation(n, k: int) -> bool:
-    """Membership n in L_k decided from the Lehmer index."""
-    f = _coerce_factored(n)
-    k = _as_natural(k, minimum=1, name="k")
-    if k > K_CAP:
-        return in_Linf(f)
-    idx = lehmer_index(f)
-    return idx.is_finite and idx.k <= k
+    """Membership n in L_k from the valuations over phi(n)'s factorization.
 
-
-def in_Lk_modular(n, k: int) -> bool:
-    """Membership n in L_k by k-fold modular multiplication.
-
-    Computes (n-1)^k mod phi(n) one multiplication at a time and compares
-    to 0; factorization-free, hence an independent check on the
-    valuation route.
+    The index is the max over primes p | phi(n) of ceil(v_p(phi) / v_p(n-1)),
+    or none when some such p misses n - 1; n = 1 lands in L_1 through
+    v_p(0) = +inf.  This factors every p - 1 (``f.totient``), and is kept
+    as the oracle that the tests compare lehmer_index against.
     """
     f = _coerce_factored(n)
     k = _as_natural(k, minimum=1, name="k")
-    k = min(k, K_CAP)
-    phi = euler_phi(f)
-    base = (f.value - 1) % phi
-    acc = base
-    if acc == 0:
-        return True
-    for _ in range(k - 1):
-        acc = acc * base % phi
-        if acc == 0:
-            return True
-    return False
+    nm1 = f.value - 1
+    index = 1
+    for p, e in f.totient.factors:
+        v = _vp(nm1, p)
+        if v == 0:
+            return False
+        if v is not math.inf:
+            index = max(index, -(-e // v))
+    return index <= k
 
 
 def in_Lk(n, k: int) -> bool:
-    """True iff phi(n) divides (n-1)^k (k above 127 asks about L_inf)."""
-    return in_Lk_valuation(n, k)
+    """True iff phi(n) divides (n-1)^k, decided by lehmer_index."""
+    k = _as_natural(k, minimum=1, name="k")
+    return lehmer_index(n) <= k
 
 
 def in_Linf(n) -> bool:
-    """True iff rad(phi(n)) divides n - 1."""
-    f = _coerce_factored(n)
-    return (f.value - 1) % radical(f.totient) == 0
+    """True iff phi(n) divides some (n-1)^k, i.e. rad(phi(n)) | n - 1."""
+    return lehmer_index(n).is_finite
 
 
 def is_cyclic(n) -> bool:
@@ -224,7 +215,7 @@ def fermat_family_pair(N: int, M: int) -> FamilyPairResult:
     After normalizing N < M the exponent gap must be odd and both family
     members prime; then n = pN * pM has Lehmer index exactly
     K = min{k : k*N >= M + N} = 1 + ceil(M / N), which is re-verified
-    against the valuation route before returning.
+    by lehmer_index on the known factorization before returning.
     """
     N = _as_natural(N, minimum=1, name="N")
     M = _as_natural(M, minimum=1, name="M")

@@ -70,12 +70,14 @@ _DEFAULT_SEGMENT = 1_000_000
 # acc * (n-1) must stay inside int64: hi^2 < 2^63 caps hi at ~3.03e9.
 _INT64_SAFE_HI = 3_000_000_000
 
-# Peak bytes (tracemalloc on 10^6 segments at 9e6 and 99e6, checked by
-# the tests): totient_sieve ~8 per value it sieves (~18 with spf); a bulk
-# segment ~9.4 (_classify_arrays, _segment_lk_members) or ~2.5
-# (_segment_carmichael) per value of hi - lo.
-_SIEVE_BYTES_PER_ELEM = 32
-_CLASSIFY_BYTES_PER_ELEM = 32
+# Peak bytes (tracemalloc on 10^6 segments at 10^7, 9.9e7 and just below
+# _INT64_SAFE_HI, checked by the tests): totient_sieve at most 8.5 per
+# value it sieves (18.0 with spf, charged 12 + 8); a bulk segment at most
+# 9.4 (_classify_arrays, _segment_lk_members) or 2.7 (_segment_carmichael)
+# per value of hi - lo.  12 is at least 28% above each of these peaks,
+# and 12 + 8 is 11% above the spf sieve's.
+_SIEVE_BYTES_PER_ELEM = 12
+_CLASSIFY_BYTES_PER_ELEM = 12
 
 
 class LimitExceededError(Exception):
@@ -412,7 +414,8 @@ def classify_range(
 ) -> Iterator[tuple[int, LehmerIndex]]:
     """Yield (n, LehmerIndex) for every n in [lo, hi), factorization-free.
 
-    Agrees with lehmer_index everywhere as long as kmax (default 127, the
+    The same algorithm as lehmer_index, on sieved totients in bulk: it
+    agrees with lehmer_index everywhere as long as kmax (default 127, the
     global cap) is not pushed below a value's natural cutoff; indexes past
     kmax are reported as NOT_IN_LINF.
     """
@@ -597,9 +600,9 @@ def alpha_search(
 ) -> AlphaRecord | AlphaNotFound:
     """Smallest Carmichael number <= limit outside L_k, if any.
 
-    Scans Carmichael numbers serially in ascending order and checks
-    membership by the factorization route, so a returned record is
-    minimal below the bound by construction.
+    Scans Carmichael numbers serially in ascending order, factors each
+    one and takes its index from phi(n) (lehmer_index), so a returned
+    record is minimal below the bound by construction.
     """
     k = _as_natural(k, minimum=1, name="k")
     limit = _check_limit(limit, max_limit)
@@ -623,8 +626,8 @@ def alpha_search(
 def verify_alpha_entry(k: int, n) -> AlphaRecord:
     """Check a claimed alpha(k) value directly, with no search.
 
-    Confirms (by full factorization) that n is a Carmichael number and
-    not in L_k, and reports its distinct-prime count and whether it lands
+    Confirms (from n's factorization, the only one it needs) that n is a
+    Carmichael number and not in L_k, and reports its distinct-prime count and whether it lands
     in L_{k+1}.  Minimality is NOT established; ``bound`` is 0 to say so.
     Failures raise NotCarmichaelError / LehmerMembershipError.
     """

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: totients
 come from the classic in-place divisor sieve, primality from a boolean
 sieve, factorizations from plain trial division.  Library results are
-always compared against these, never against themselves.  The one
-exception, ``factorize_calls``, records the library's own factorize calls.
+always compared against these, never against themselves.  The
+exceptions, ``swap_factorize`` and the ``factorize_calls`` fixture built
+on it, watch the library's own factorize calls.
 """
 
 from __future__ import annotations
@@ -42,6 +43,20 @@ def sieve_spf(limit: int) -> np.ndarray:
             view = spf[p::p]
             view[view == 0] = p
     return spf
+
+
+# Alpha-table rows (k, alpha(k), omega), up to the 128-bit alpha(9).
+ALPHA_ROWS = (
+    (1, 561, 3),
+    (2, 2821, 3),
+    (3, 838201, 4),
+    (4, 41471521, 5),
+    (5, 45496270561, 6),
+    (6, 776388344641, 7),
+    (7, 344361421401361, 8),
+    (8, 375097930710820681, 9),
+    (9, 330019822807208371201, 10),
+)
 
 
 def trial_factorize(n: int) -> dict[int, int]:
@@ -91,9 +106,9 @@ def spf_200k() -> np.ndarray:
     return sieve_spf(200_000)
 
 
-@pytest.fixture
-def factorize_calls(monkeypatch) -> list[int]:
-    """The argument of every factorize call, in order, wherever it is bound.
+def swap_factorize(monkeypatch, wrapper) -> None:
+    """Route every factorize call through ``wrapper(original, n)``,
+    wherever factorize is bound.
 
     Like the benchmark's tracer, this swaps the name in every loaded
     klehmer module, so calls routed through arith's helpers count too.
@@ -101,13 +116,19 @@ def factorize_calls(monkeypatch) -> list[int]:
     from klehmer import arith
 
     original = arith.factorize
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "klehmer" and module.__dict__.get("factorize") is original:
+            monkeypatch.setattr(module, "factorize", lambda n: wrapper(original, n))
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch) -> list[int]:
+    """The argument of every factorize call, in order."""
     calls: list[int] = []
 
-    def recording(n):
+    def recording(original, n):
         calls.append(int(n))
         return original(n)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "klehmer" and module.__dict__.get("factorize") is original:
-            monkeypatch.setattr(module, "factorize", recording)
+    swap_factorize(monkeypatch, recording)
     return calls

@@ -23,7 +23,7 @@ from klehmer.cli import main
 from klehmer.lehmer import (
     fermat_family_pair,
     in_Linf,
-    in_Lk_modular,
+    in_Lk_valuation,
     lehmer_index,
     semiprime_decompose,
     semiprime_in_Lk,
@@ -35,7 +35,7 @@ from klehmer.sieve import (
     verify_alpha_entry,
 )
 
-from conftest import sieve_prime_mask
+from conftest import ALPHA_ROWS, sieve_prime_mask
 
 # Reference values C_k(10^j), j = 1..7 (j = 7 is the tagged slow column).
 COUNT_REFERENCE = {
@@ -51,18 +51,6 @@ COUNT_REFERENCE = {
 # is triple-checked in criterion 5(b), so the enumeration must report it.
 A173703_PREFIX = (561, 1105, 1729, 2465, 6601, 8481, 12801, 15841, 16705,
                   19345, 22321, 30889, 41041)
-
-ALPHA_ROWS = (
-    (1, 561, 3),
-    (2, 2821, 3),
-    (3, 838201, 4),
-    (4, 41471521, 5),
-    (5, 45496270561, 6),
-    (6, 776388344641, 7),
-    (7, 344361421401361, 8),
-    (8, 375097930710820681, 9),
-    (9, 330019822807208371201, 10),
-)
 
 
 def _report(cid: str, detail: str) -> None:
@@ -163,14 +151,15 @@ def test_c5a_three_characterizations_agree(prime_mask_200k):
 
 def test_c5b_membership_paths_agree(phi_100k):
     for n in range(1, 100_001):
-        idx = lehmer_index(n)
+        f = factorize(n)
+        idx = lehmer_index(f)
         phi = int(phi_100k[n])
         for k in range(1, 7):
-            by_valuation = idx.k is not None and idx.k <= k
-            by_modular = in_Lk_modular(n, k)
+            by_valuation = in_Lk_valuation(f, k)
+            by_index = idx <= k
             by_big_product = (n - 1) ** k % phi == 0  # fits well in 127 bits
-            assert by_valuation == by_modular == by_big_product, (n, k)
-    _report("C5b", "valuation, modular and big-product paths agree to 1e5")
+            assert by_valuation == by_index == by_big_product, (n, k)
+    _report("C5b", "valuation, index and big-product paths agree to 1e5")
 
 
 def _odd_primes_below_500():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from klehmer.lehmer import (
     fermat_family_pair,
     in_Linf,
     in_Lk,
-    in_Lk_modular,
     in_Lk_valuation,
     is_cyclic,
     lehmer_index,
@@ -30,7 +30,7 @@ from klehmer.lehmer import (
 )
 from klehmer.sieve import classify_range
 
-from conftest import index_oracle, sieve_phi, sieve_prime_mask
+from conftest import ALPHA_ROWS, index_oracle, sieve_phi, sieve_prime_mask, swap_factorize
 
 
 def odd_primes_below(limit):
@@ -68,8 +68,31 @@ class TestLehmerIndex:
             assert lehmer_index(p) == LehmerIndex.finite(1)
 
     def test_n_equals_one(self):
-        # phi(1) = 1 divides 0^1, via the v_p(0) = +inf convention
+        # phi(1) = 1 divides (1 - 1)^1 = 0
         assert lehmer_index(1) == LehmerIndex.finite(1)
+
+    def test_prime_with_hard_n_minus_1(self, monkeypatch):
+        # n = 2mPQ + 1 with two 60-bit primes P and Q: factoring n - 1 means
+        # running rho on the balanced PQ for many minutes, but the index
+        # needs only phi(n) = n - 1.
+        def next_prime(x):
+            while not is_prime(x):
+                x += 1
+            return x
+
+        P, Q = next_prime(2**59 + 2**57), next_prime(2**59 + 3 * 2**57)
+        n = next(2 * m * P * Q + 1 for m in range(1, 64) if is_prime(2 * m * P * Q + 1))
+        assert n <= MAX_NATURAL
+
+        def only_n(original, x):
+            assert x == n, f"factorize({x}) called"
+            return original(x)
+
+        swap_factorize(monkeypatch, only_n)
+        t0 = time.monotonic()
+        assert lehmer_index(n) == LehmerIndex.finite(1)
+        assert in_Lk(n, 1)
+        assert time.monotonic() - t0 < 1.0
 
     def test_big_integer_oracle_to_3000(self):
         phi = sieve_phi(3000)
@@ -89,11 +112,11 @@ class TestMembership:
     def test_paths_agree_to_1e4(self, phi_100k):
         # acceptance covers 1e5; the module check stays snappy at 1e4
         for n in range(1, 10_001):
-            idx = lehmer_index(n)
+            f = factorize(n)
             phi = int(phi_100k[n])
             for k in range(1, 7):
-                val = idx.k is not None and idx.k <= k
-                assert in_Lk_modular(n, k) == val, (n, k)
+                val = in_Lk_valuation(f, k)
+                assert in_Lk(f, k) == val, (n, k)
                 assert (n - 1) ** k % phi == 0 if val else (n - 1) ** k % phi != 0, (n, k)
 
     def test_monotone_in_k(self):
@@ -104,7 +127,7 @@ class TestMembership:
     def test_k_above_cap_answers_Linf(self):
         for n in (9, 15, 51, 561, 97):
             assert in_Lk(n, K_CAP + 50) == in_Linf(n)
-            assert in_Lk_modular(n, K_CAP + 50) == in_Linf(n)
+            assert in_Lk_valuation(n, K_CAP + 50) == in_Linf(n)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -158,19 +181,26 @@ products = factor_lists.map(_value)
 
 def _assert_routes_agree(n):
     assume(n <= MAX_NATURAL)
-    for k in range(1, 9):
-        assert in_Lk_modular(n, k) == in_Lk_valuation(n, k), (n, k)
+    f = factorize(n)
+    idx = lehmer_index(f)
+    for k in range(1, K_CAP + 2):
+        assert (idx <= k) == in_Lk_valuation(f, k), (n, k)
+
+
+def _with_alpha_rows(test):
+    for _, n, _ in ALPHA_ROWS:
+        test = example(n=n)(test)
+    return test
 
 
 class TestMembershipRoutes:
-    """The factorization-free and the valuation route agree on products of
-    known primes anywhere in the 127-bit domain."""
+    """lehmer_index, from phi(n) alone, agrees with the valuation route on
+    products of known primes anywhere in the 127-bit domain, for every k."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=products)
-    @example(n=561)
-    @example(n=41471521)
-    @example(n=330019822807208371201)
+    @_with_alpha_rows
+    @example(n=2**127 - 1)
     @example(n=(3 * 2**30 + 1) * (3 * 2**36 + 1))
     @example(n=3 * 5 * 17 * 257 * 65537 * (2**61 - 1))
     def test_modular_equals_valuation(self, n):
@@ -203,10 +233,10 @@ class TestDerivedTotient:
 
 
 # Every per-number function that takes n or its FactoredInteger; the ks
-# cover the valuation and modular routes and the L_inf fallback above K_CAP.
+# cover the index and valuation routes, and k above K_CAP.
 _PER_NUMBER = (lehmer_index, in_Linf, is_cyclic, korselt_test, lambda_test,
                radical_korselt_test, carmichael_verdict, pseudoprime_base)
-_PER_NUMBER_K = (in_Lk, in_Lk_valuation, in_Lk_modular)
+_PER_NUMBER_K = (in_Lk, in_Lk_valuation)
 _ALL_KS = (1, 2, 3, 5, K_CAP + 1)
 
 

@@ -22,6 +22,7 @@ from .arith import (
     _as_natural,
     _coerce_factored,
     carmichael_lambda,
+    factorize,
     is_prime,
     mod_pow,
     radical,
@@ -139,8 +140,12 @@ def chernick(k: int, m: int) -> ChernickCandidate:
         if value > MAX_NATURAL:
             raise OverflowError(f"U_{k}({m}) exceeds 2**127 - 1")
     all_prime = all(is_prime(f) for f in factors)
-    # The factors increase with their coefficients 6, 12, 18, 36, ...
-    n = FactoredInteger(value, tuple((f, 1) for f in factors)) if all_prime else value
+    # Factor each factor, not the product; two factors can share a prime.
+    counts: dict[int, int] = {}
+    for f in factors:
+        for p, e in ((f, 1),) if all_prime else factorize(f):
+            counts[p] = counts.get(p, 0) + e
+    n = FactoredInteger(value, tuple(sorted(counts.items())))
     divisibility_ok = k <= 4 or m % (1 << (k - 4)) == 0
     power_of_two = m & (m - 1) == 0
     return ChernickCandidate(

@@ -6,8 +6,8 @@ the alpha sequence (smallest Carmichael number outside L_k).
 
 The bulk route never factors anything and sieves odd n only (even n > 2
 lie outside every L_k, and no even n is a Carmichael number): a segmented
-uint32 totient sieve supplies phi(n), and the Lehmer index of every odd n
-in a segment is found by iterated modular multiplication
+uint32 totient sieve over the odd n supplies phi(n), and the Lehmer index
+of every odd n in a segment is found by iterated modular multiplication
 acc <- acc * (n-1) mod phi(n), stopping at the first zero or after
 bitlength(phi) - 1 steps (every prime exponent in
 phi(n) is below that, so no finite index can hide past it).  First, an
@@ -15,9 +15,11 @@ exclusion filter drops the odd n with q | phi(n) but q not dividing n-1
 for some q in {3, 5, 7} (~72% of them near 10^7); only the rest go to
 int64, where j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j at
 least every cutoff.  A nonzero result certifies n is outside L_inf, so
-only the ~12% of odd n that survive both run the iteration.  Segments are
-independent work units; with a worker pool they are merged in ascending
-order, so results are identical for any worker count or segment size.
+only the ~12% of odd n that survive both run the iteration.  Carmichael
+numbers come from one ascending Korselt scan, which enumerate_carmichael
+lists and alpha_search walks.  Segments are independent work units; with
+a worker pool they are merged in ascending order, so results are
+identical for any worker count or segment size.
 """
 
 from __future__ import annotations
@@ -72,12 +74,11 @@ _INT64_SAFE_HI = 3_000_000_000
 
 # Peak bytes (tracemalloc on 10^6 segments at 10^7, 9.9e7 and just below
 # _INT64_SAFE_HI, checked by the tests): totient_sieve at most 8.5 per
-# value it sieves (18.0 with spf, charged 12 + 8); a bulk segment at most
-# 9.4 (_classify_arrays, _segment_lk_members) or 2.7 (_segment_carmichael)
-# per value of hi - lo.  12 is at least 28% above each of these peaks,
-# and 12 + 8 is 11% above the spf sieve's.
-_SIEVE_BYTES_PER_ELEM = 12
-_CLASSIFY_BYTES_PER_ELEM = 12
+# odd value it sieves (18.0 with spf, charged 12 + 8); a bulk segment at
+# most 9.4 (_classify_arrays, _segment_lk_members) or 2.7
+# (_segment_carmichael) per value of hi - lo.  12 is at least 27% above
+# each of these peaks, and 12 + 8 is 11% above the spf sieve's.
+_BYTES_PER_VALUE = 12
 
 
 class LimitExceededError(Exception):
@@ -111,22 +112,21 @@ class LehmerMembershipError(VerificationFailure):
 
 @dataclass
 class SieveSegment:
-    """Totients (and optionally smallest prime factors) for [lo, hi).
+    """Totients (and optionally smallest prime factors) of the odd n in [lo, hi).
 
-    Entry i belongs to n = first + step * i: step 1 covers every n,
-    step 2 the odd n only.  ``phi`` is uint32 (every n is below
-    _INT64_SAFE_HI < 2^32); ``spf`` is int64.
+    Entry i belongs to n = first + 2i, first being the first odd n >= lo.
+    ``phi`` is uint32 (every n is below _INT64_SAFE_HI < 2^32); ``spf``
+    is int64.
     """
 
     lo: int
     hi: int
     phi: np.ndarray
     spf: np.ndarray | None = None
-    step: int = 1
 
     @property
     def first(self) -> int:
-        return self.lo | 1 if self.step == 2 else self.lo
+        return self.lo | 1
 
 
 @dataclass(frozen=True)
@@ -195,41 +195,33 @@ def base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _prime_power_walk(first: int, hi: int, step: int) -> Iterator[tuple[int, int, slice]]:
-    """Yield (p, e, s) for every prime power p^e < hi, where s selects the
-    multiples of p^e among first, first + step, ... < hi (totient_sieve).
+def _prime_power_walk(first: int, hi: int) -> Iterator[tuple[int, int, slice]]:
+    """Yield (p, e, s) for every odd prime power p^e < hi, where s selects
+    the multiples of p^e among the odd n = first + 2i < hi (totient_sieve).
 
-    ``step`` is 1 (every n) or 2 (odd n, ``first`` odd).  Consecutive
-    multiples of p^e in the progression are step * p^e apart, so the
-    stride in index space is p^e either way; with step 2 the first hit is
-    the first odd multiple, and p = 2 has none.
+    Consecutive odd multiples of p^e are 2 p^e apart, so the stride in
+    index space is p^e, from the i with first + 2i = 0 (mod p^e).
     """
-    length = len(range(first, hi, step))
-    for p in base_primes(math.isqrt(hi - 1)).tolist():
-        if p == 2 and step == 2:
-            continue
+    length = len(range(first, hi, 2))
+    for p in base_primes(math.isqrt(hi - 1))[1:].tolist():
         pe, e = p, 1
         while pe < hi:
-            m = -(-first // pe) * pe
-            if (m - first) % step:
-                m += pe
-            if m >= hi:
+            # (pe + 1) // 2 is the inverse of 2 mod the odd pe.
+            i = -first * ((pe + 1) // 2) % pe
+            if i >= length:
                 break
-            yield p, e, slice((m - first) // step, length, pe)
+            yield p, e, slice(i, length, pe)
             pe *= p
             e += 1
 
 
-def totient_sieve(
-    lo: int, hi: int, with_spf: bool = False, *, odd: bool = False
-) -> SieveSegment:
-    """Exact totients for [lo, hi) by a segmented sieve.
+def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
+    """Exact totients of the odd n in [lo, hi) by a segmented sieve.
 
-    For every prime power p^e below hi the multiples of p^e pick up one
-    factor of p (of p-1 at the first level); whatever remains after all
-    base primes is a single prime above sqrt(hi), contributing rem - 1.
-    With ``odd=True`` only the odd n in [lo, hi) are sieved:
     ``phi[i]`` is phi(first + 2i), first being the first odd n >= lo.
+    For every odd prime power p^e below hi the multiples of p^e pick up
+    one factor of p (of p-1 at the first level); whatever remains after
+    all base primes is a single prime above sqrt(hi), contributing rem - 1.
     Raises MemoryBudgetError when the segment cannot fit the configured
     budget, with a workable segment size in the message.
     """
@@ -237,20 +229,19 @@ def totient_sieve(
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
     if hi > _INT64_SAFE_HI:
         raise LimitExceededError(f"hi must stay below {_INT64_SAFE_HI}")
-    step = 2 if odd else 1
-    first = lo | 1 if odd else lo
-    # The budget caps the values sieved: hi - lo = cap * step holds cap of them.
-    cap = _budget_segment_cap(_SIEVE_BYTES_PER_ELEM + (8 if with_spf else 0))
-    if len(range(first, hi, step)) > cap:
-        raise MemoryBudgetError(hi - lo, _memory_budget_mib(), cap * step)
+    first = lo | 1
+    # The budget caps the odd values sieved: hi - lo = 2 * cap holds cap of them.
+    cap = _budget_segment_cap(_BYTES_PER_VALUE + (8 if with_spf else 0))
+    if len(range(first, hi, 2)) > cap:
+        raise MemoryBudgetError(hi - lo, _memory_budget_mib(), 2 * cap)
 
     # n < hi <= _INT64_SAFE_HI < 2^32, and every partial product of phi
     # divides phi(n) < n, so uint32 cannot overflow.
-    rem = np.arange(first, hi, step, dtype=np.uint32)
+    rem = np.arange(first, hi, 2, dtype=np.uint32)
     phi = np.ones(rem.size, dtype=np.uint32)
     spf = np.zeros(rem.size, dtype=np.int64) if with_spf else None
 
-    for p, e, s in _prime_power_walk(first, hi, step):
+    for p, e, s in _prime_power_walk(first, hi):
         rem[s] //= p
         if e > 1:
             phi[s] *= p
@@ -268,7 +259,7 @@ def totient_sieve(
     rem -= 1
     np.maximum(rem, 1, out=rem)
     phi *= rem
-    return SieveSegment(lo, hi, phi, spf, step)
+    return SieveSegment(lo, hi, phi, spf)
 
 
 # q | phi(n) with q not dividing n - 1 puts n outside L_inf: q never
@@ -294,25 +285,23 @@ def _may_be_in_linf(phi: np.ndarray, first: int) -> np.ndarray:
     return keep
 
 
-def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, np.ndarray]:
+def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Odd-n totients and per-n Lehmer indexes for [lo, hi); index 0 = not in L_inf.
 
-    The totients cover the odd n only (``totient_sieve(odd=True)``): even
-    n above 2 are settled without them (phi even, n-1 odd), and 2 has
-    index 1.  The odd n that _may_be_in_linf excludes have index 0; the
-    rest take j squarings of n-1 mod phi in int64, with 2^j >= the
-    largest per-n cutoff min(bitlength(phi) - 1, kmax).
+    The totients cover the odd n only (totient_sieve): even n above 2 are
+    settled without them (phi even, n-1 odd), and 2 has index 1.  The odd
+    n that _may_be_in_linf excludes have index 0; the rest take j
+    squarings of n-1 mod phi in int64, with 2^j >= the largest per-n
+    cutoff bitlength(phi) - 1 (at most 31, as phi < 2^32).
     phi | (n-1)^k for some k <= cutoff implies phi | (n-1)^(2^j), so a
     nonzero result certifies index 0.  The survivors run the modular
     iteration against their cutoff, which gives the exact index.
     """
-    seg = totient_sieve(lo, hi, odd=True)
+    seg = totient_sieve(lo, hi)
     phi = seg.phi
     index = np.zeros(hi - lo, dtype=np.uint8)
     if lo <= 2 < hi:
         index[2 - lo] = 1
-    if phi.size == 0:
-        return phi, index
     # A view: writing odd_index[i] sets the index of first + 2i.
     odd_index = index[seg.first - lo :: 2]
 
@@ -323,8 +312,9 @@ def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, n
     base_val += seg.first - 1
     np.fmod(base_val, ph, out=base_val)
 
-    # The cutoff grows with phi, so the largest is that of phi.max().
-    top_cut = min(int(phi.max()).bit_length() - 1, kmax)
+    # The cutoff grows with phi, so the largest is that of phi.max()
+    # (-1 for a segment without odd n, which has nothing to square).
+    top_cut = int(phi.max(initial=0)).bit_length() - 1
     # sq < phi < hi <= _INT64_SAFE_HI keeps sq * sq inside int64.
     sq = base_val.copy()
     for _ in range((top_cut - 1).bit_length()):
@@ -333,17 +323,15 @@ def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, n
     keep = np.flatnonzero(sq == 0)
     pos, base_val, ph = pos[keep], base_val[keep], ph[keep]
     cut = np.frexp(ph.astype(np.float64))[1].astype(np.int64) - 1
-    np.minimum(cut, kmax, out=cut)
 
     acc = base_val.copy()
     k = 1
-    zero = acc == 0
-    odd_index[pos[zero]] = 1
-    alive = ~zero & (cut > 1)
-    while True:
+    while pos.size:
+        # acc = (n-1)^k mod phi: a zero gives index k, a cutoff of k ends n.
+        zero = acc == 0
+        odd_index[pos[zero]] = k
+        alive = ~zero & (cut > k)
         pos = pos[alive]
-        if pos.size == 0:
-            break
         acc = acc[alive]
         base_val = base_val[alive]
         ph = ph[alive]
@@ -351,9 +339,6 @@ def _classify_arrays(lo: int, hi: int, kmax: int = K_CAP) -> tuple[np.ndarray, n
         k += 1
         acc *= base_val
         np.fmod(acc, ph, out=acc)
-        zero = acc == 0
-        odd_index[pos[zero]] = k
-        alive = ~zero & (cut > k)
     return phi, index
 
 
@@ -376,11 +361,9 @@ def _segment_bounds(
 
 
 def _auto_segment_size(segment_size: int | None) -> int:
-    cap = _budget_segment_cap(_CLASSIFY_BYTES_PER_ELEM)
-    if segment_size is None:
-        return min(_DEFAULT_SEGMENT, cap)
-    segment_size = _as_natural(segment_size, minimum=1, name="segment_size")
-    return min(segment_size, cap)
+    if segment_size is not None:
+        segment_size = _as_natural(segment_size, minimum=1, name="segment_size")
+    return min(segment_size or _DEFAULT_SEGMENT, _budget_segment_cap(_BYTES_PER_VALUE))
 
 
 def _map_segments(func, args_list, workers: int):
@@ -406,29 +389,20 @@ def _check_limit(limit, max_limit: int | None) -> int:
 
 
 def classify_range(
-    lo: int,
-    hi: int,
-    kmax: int = K_CAP,
-    *,
-    segment_size: int | None = None,
+    lo: int, hi: int, *, segment_size: int | None = None
 ) -> Iterator[tuple[int, LehmerIndex]]:
     """Yield (n, LehmerIndex) for every n in [lo, hi), factorization-free.
 
-    The same algorithm as lehmer_index, on sieved totients in bulk: it
-    agrees with lehmer_index everywhere as long as kmax (default 127, the
-    global cap) is not pushed below a value's natural cutoff; indexes past
-    kmax are reported as NOT_IN_LINF.
+    The same algorithm as lehmer_index, on sieved totients in bulk, so it
+    agrees with lehmer_index everywhere.
     """
     lo = _as_natural(lo, minimum=1, name="lo")
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
-    kmax = _as_natural(kmax, minimum=1, name="kmax")
-    if kmax > K_CAP:
-        raise ValueError(f"kmax must be at most {K_CAP}")
     if hi > _INT64_SAFE_HI:
         raise LimitExceededError(f"hi must stay below {_INT64_SAFE_HI}")
     size = _auto_segment_size(segment_size)
     for a, b in _segment_bounds(lo, hi, size):
-        _, index = _classify_arrays(a, b, kmax)
+        _, index = _classify_arrays(a, b)
         for i, ix in enumerate(index.tolist()):
             yield a + i, (LehmerIndex(ix) if ix else NOT_IN_LINF)
 
@@ -570,6 +544,12 @@ def _segment_carmichael(bounds: tuple[int, int]) -> np.ndarray:
     return n[prod[pos] == n]
 
 
+def _carmichael_numbers(limit: int, segment_size: int | None) -> Iterator[int]:
+    """Carmichael numbers <= limit in ascending order, one segment at a time."""
+    for bounds in _segment_bounds(2, limit + 1, _auto_segment_size(segment_size)):
+        yield from _segment_carmichael(bounds).tolist()
+
+
 def enumerate_carmichael(
     limit,
     *,
@@ -581,14 +561,7 @@ def enumerate_carmichael(
     Segments are sieved in process: a Korselt segment costs less than
     starting a worker pool does.
     """
-    limit = _check_limit(limit, max_limit)
-    if limit < 4:
-        return []
-    size = _auto_segment_size(segment_size)
-    out: list[int] = []
-    for bounds in _segment_bounds(2, limit + 1, size):
-        out.extend(_segment_carmichael(bounds).tolist())
-    return out
+    return list(_carmichael_numbers(_check_limit(limit, max_limit), segment_size))
 
 
 def alpha_search(
@@ -606,20 +579,17 @@ def alpha_search(
     """
     k = _as_natural(k, minimum=1, name="k")
     limit = _check_limit(limit, max_limit)
-    size = _auto_segment_size(segment_size)
-    bounds = _segment_bounds(2, limit + 1, size) if limit >= 4 else []
-    for lo, hi in bounds:
-        for n in _segment_carmichael((lo, hi)).tolist():
-            f = factorize(n)
-            idx = lehmer_index(f)
-            if not idx <= k:
-                return AlphaRecord(
-                    k=k,
-                    n=n,
-                    omega=f.omega(),
-                    in_next=idx <= k + 1,
-                    bound=limit,
-                )
+    for n in _carmichael_numbers(limit, segment_size):
+        f = factorize(n)
+        idx = lehmer_index(f)
+        if not idx <= k:
+            return AlphaRecord(
+                k=k,
+                n=n,
+                omega=f.omega(),
+                in_next=idx <= k + 1,
+                bound=limit,
+            )
     return AlphaNotFound(k=k, bound=limit)
 
 

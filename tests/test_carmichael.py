@@ -101,6 +101,16 @@ class TestChernick:
         # neither the product nor any p - 1 of its known primes is factored
         assert not factorize_calls
 
+    @pytest.mark.parametrize("k, m, carmichael", [(3, 3, False), (3, 5, True), (4, 14, False)])
+    def test_composite_factors_factored_apart(self, factorize_calls, k, m, carmichael):
+        # U_3(5) = 31 * 61 * (7 * 13) is a Carmichael number; in U_4(14)
+        # the factors 85 = 5 * 17 and 505 = 5 * 101 share the prime 5.
+        c = chernick(k, m)
+        assert not c.all_prime and c.is_carmichael == carmichael
+        # each factor is factored, the product never
+        assert factorize_calls == list(c.factors)
+        assert korselt_test(c.value) == carmichael
+
     @pytest.mark.parametrize("k", [45, 46, 100_000, 10**20])
     def test_overflowing_k_raises_before_building_factors(self, k):
         # 7^46 > 2^127; a factor list for k = 10^20 would not fit in memory.

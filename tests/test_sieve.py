@@ -11,9 +11,8 @@ from klehmer.arith import euler_phi, factorize, is_prime
 from klehmer.carmichael import korselt_test
 from klehmer.lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, in_Lk, lehmer_index
 from klehmer.sieve import (
-    _CLASSIFY_BYTES_PER_ELEM,
+    _BYTES_PER_VALUE,
     _INT64_SAFE_HI,
-    _SIEVE_BYTES_PER_ELEM,
     AlphaNotFound,
     LehmerMembershipError,
     LimitExceededError,
@@ -47,28 +46,27 @@ A173703_BELOW_50000 = [
 class TestTotientSieve:
     def test_first_ten(self):
         seg = totient_sieve(1, 11)
-        assert seg.phi.tolist() == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+        assert seg.first == 1
+        assert seg.phi.tolist() == [1, 2, 4, 6, 6]  # n = 1, 3, 5, 7, 9
 
     def test_cross_checks_against_arith(self):
         seg = totient_sieve(90, 92)
-        assert seg.phi[91 - seg.lo] == 72
+        assert (seg.first, seg.phi.tolist()) == (91, [72])
         seg = totient_sieve(561, 562)
-        assert seg.phi[561 - seg.lo] == 320
+        assert (seg.first, seg.phi.tolist()) == (561, [320])
         seg = totient_sieve(99_990, 100_010)
-        for n in range(seg.lo, seg.hi):
-            assert seg.phi[n - seg.lo] == euler_phi(factorize(n)), n
+        for i, n in enumerate(range(seg.first, seg.hi, 2)):
+            assert seg.phi[i] == euler_phi(factorize(n)), n
 
     def test_agrees_with_oracle_sieve(self):
         phi = sieve_phi(50_000)
-        seg = totient_sieve(1, 50_001)
-        assert np.array_equal(seg.phi, phi[1:])
-        mid = totient_sieve(30_000, 40_000)
-        assert np.array_equal(mid.phi, phi[30_000:40_000])
+        assert np.array_equal(totient_sieve(1, 50_001).phi, phi[1::2])
+        assert np.array_equal(totient_sieve(30_000, 40_000).phi, phi[30_001:40_000:2])
 
     def test_spf_option(self):
         spf = sieve_spf(10_000)
         seg = totient_sieve(2, 10_001, with_spf=True)
-        assert np.array_equal(seg.spf, spf[2:])
+        assert np.array_equal(seg.spf, spf[3::2])
 
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setenv(MEMORY_ENV_VAR, "1")
@@ -81,18 +79,18 @@ class TestTotientSieve:
 
     def test_odd_sieve_charged_per_odd_value(self, monkeypatch):
         monkeypatch.setenv(MEMORY_ENV_VAR, "1")
-        full_cap = (1 << 20) // _SIEVE_BYTES_PER_ELEM
-        with pytest.raises(MemoryBudgetError):
-            totient_sieve(10**6, 10**6 + full_cap + 2)
-        # Twice the full-range cap holds as many odd values as the cap.
+        cap = (1 << 20) // _BYTES_PER_VALUE
+        # A range of 2 * cap values holds cap odd ones, whatever lo's parity.
         for lo in (10**6, 10**6 + 1):
-            seg = totient_sieve(lo, lo + 2 * full_cap, odd=True)
-            assert seg.phi.size == full_cap
+            seg = totient_sieve(lo, lo + 2 * cap)
+            assert seg.phi.size == cap
+            with pytest.raises(MemoryBudgetError):
+                totient_sieve(lo, lo + 2 * cap + 2)
         with pytest.raises(MemoryBudgetError) as err:
-            totient_sieve(1, 10**7, odd=True)
-        assert err.value.suggested == 2 * full_cap
+            totient_sieve(1, 10**7)
+        assert err.value.suggested == 2 * cap
         for lo in (2, 3):
-            totient_sieve(lo, lo + err.value.suggested, odd=True)
+            totient_sieve(lo, lo + err.value.suggested)
 
     def test_bad_budget_rejected(self, monkeypatch):
         monkeypatch.setenv(MEMORY_ENV_VAR, "zero")
@@ -106,8 +104,16 @@ class TestTotientSieve:
             totient_sieve(0, 10)
 
 
+def factorized_phi_spf(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """phi(n) and the smallest prime factor of every n in [lo, hi), by factorize."""
+    fs = [factorize(n) for n in range(lo, hi)]
+    return (np.array([euler_phi(f) for f in fs], dtype=np.int64),
+            np.array([f.factors[0][0] for f in fs], dtype=np.int64))
+
+
 class TestOddTotientSieve:
-    """totient_sieve(odd=True) equals the odd entries of the full sieve."""
+    """totient_sieve equals the odd entries of full-range oracle totients:
+    the conftest sieves below 10^5, factorization above."""
 
     @pytest.mark.parametrize("lo, hi", [
         (1000, 3000), (1001, 3000), (1000, 3001), (1001, 3001),
@@ -115,57 +121,67 @@ class TestOddTotientSieve:
         (1, 20_000), (2, 20_000),
         (_INT64_SAFE_HI - 10_000, _INT64_SAFE_HI),
     ])
-    def test_matches_full_sieve(self, lo, hi):
-        full = totient_sieve(lo, hi, with_spf=True)
-        odd = totient_sieve(lo, hi, with_spf=True, odd=True)
+    def test_matches_full_sieve(self, lo, hi, phi_100k, spf_200k):
+        if hi <= phi_100k.size:
+            phi, spf = phi_100k[lo:hi], spf_200k[lo:hi]
+        else:
+            phi, spf = factorized_phi_spf(lo, hi)
+        seg = totient_sieve(lo, hi, with_spf=True)
         first = lo | 1
-        assert (odd.lo, odd.hi, odd.step, odd.first) == (lo, hi, 2, first)
-        assert np.array_equal(odd.phi, full.phi[first - lo :: 2])
-        assert np.array_equal(odd.spf, full.spf[first - lo :: 2])
-        assert np.array_equal(totient_sieve(lo, hi, odd=True).phi, odd.phi)
+        assert (seg.lo, seg.hi, seg.first) == (lo, hi, first)
+        assert np.array_equal(seg.phi, phi[first - lo :: 2])
+        assert np.array_equal(seg.spf, spf[first - lo :: 2])
+        assert np.array_equal(totient_sieve(lo, hi).phi, seg.phi)
 
     def test_agrees_with_oracle_sieve(self):
         phi = sieve_phi(50_000)
-        assert np.array_equal(totient_sieve(1, 50_001, odd=True).phi, phi[1::2])
-        assert np.array_equal(totient_sieve(30_000, 40_000, odd=True).phi, phi[30_001:40_000:2])
+        assert np.array_equal(totient_sieve(1, 50_001).phi, phi[1::2])
+        assert np.array_equal(totient_sieve(30_000, 40_000).phi, phi[30_001:40_000:2])
 
 
-def totient_sieve_int64(lo: int, hi: int, odd: bool) -> np.ndarray:
-    """Totients by the same prime-power walk in int64 arrays: the
-    reference for totient_sieve's uint32 rem and phi."""
-    step = 2 if odd else 1
-    first = lo | 1 if odd else lo
-    rem = np.arange(first, hi, step, dtype=np.int64)
+def totient_sieve_int64(lo: int, hi: int) -> np.ndarray:
+    """Totients of the odd n by the same prime-power walk in int64 arrays:
+    the reference for totient_sieve's uint32 rem and phi."""
+    first = lo | 1
+    rem = np.arange(first, hi, 2, dtype=np.int64)
     phi = np.ones(rem.size, dtype=np.int64)
-    for p, e, s in _prime_power_walk(first, hi, step):
+    for p, e, s in _prime_power_walk(first, hi):
         rem[s] //= p
         phi[s] *= p if e > 1 else p - 1
     return phi * np.maximum(rem - 1, 1)
 
 
 class TestUint32TotientSieve:
-    """totient_sieve's uint32 arrays against the int64 reference."""
+    """totient_sieve's uint32 arrays against the int64 reference and
+    against factorization."""
 
     def test_uint32_fits_below_int64_ceiling(self):
         # Every n sieved is below _INT64_SAFE_HI, so uint32 holds n and phi(n).
         assert _INT64_SAFE_HI < 2**32
         assert totient_sieve(1, 10).phi.dtype == np.uint32
 
-    @pytest.mark.parametrize("odd", [False, True])
     @pytest.mark.parametrize("lo, hi", [
         (1, 20_001),
         (2**31 - 10_000, 2**31 + 10_000),
         (_INT64_SAFE_HI - 20_000, _INT64_SAFE_HI),
     ])
-    def test_matches_int64_reference(self, lo, hi, odd):
-        phi = totient_sieve(lo, hi, odd=odd).phi
-        assert np.array_equal(phi, totient_sieve_int64(lo, hi, odd))
+    def test_matches_int64_reference(self, lo, hi):
+        assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
+
+    def test_matches_factorization_across_2_31(self):
+        # TestOddTotientSieve checks the window ending at _INT64_SAFE_HI.
+        lo, hi = 2**31 - 10_000, 2**31 + 10_000
+        phi = totient_sieve(lo, hi).phi
+        assert phi.tolist() == [euler_phi(factorize(n)) for n in range(lo | 1, hi, 2)]
 
 
 class TestClassifyRange:
     def test_singletons(self):
         assert list(classify_range(1, 2)) == [(1, LehmerIndex.finite(1))]
         assert list(classify_range(561, 562)) == [(561, LehmerIndex.finite(2))]
+        # segments without an odd n
+        assert list(classify_range(2, 3)) == [(2, LehmerIndex.finite(1))]
+        assert list(classify_range(4, 5)) == [(4, NOT_IN_LINF)]
 
     def test_composites_below_100(self):
         finite_composites = {}
@@ -178,17 +194,14 @@ class TestClassifyRange:
         for n, idx in classify_range(1, 100_001, segment_size=37_123):
             assert idx == lehmer_index(n), n
 
-    def test_kmax_truncation(self):
-        got = dict(classify_range(1, 100, kmax=2))
-        for n, idx in classify_range(1, 100):
-            expected = idx if idx <= 2 else NOT_IN_LINF
-            assert got[n] == expected, n
-
     def test_validation(self):
+        for lo, hi in ((0, 10), (5, 5)):
+            with pytest.raises(ValueError):
+                next(classify_range(lo, hi))
         with pytest.raises(ValueError):
-            next(classify_range(1, 10, kmax=0))
-        with pytest.raises(ValueError):
-            next(classify_range(1, 10, kmax=1000))
+            next(classify_range(1, 10, segment_size=0))
+        with pytest.raises(LimitExceededError):
+            next(classify_range(1, _INT64_SAFE_HI + 1))
 
     @settings(max_examples=8, deadline=None)
     @given(lo=st.integers(1, _INT64_SAFE_HI - 2000), w=st.integers(1, 2000))
@@ -198,32 +211,37 @@ class TestClassifyRange:
             assert idx == lehmer_index(n), n
 
 
-def linear_index(lo: int, hi: int, kmax: int, phi: np.ndarray) -> np.ndarray:
+def linear_index(lo: int, hi: int, phi: np.ndarray) -> np.ndarray:
     """Indexes by the plain iteration acc <- acc * (n-1) mod phi alone,
-    over every n, each stopped at its cutoff min(bitlength(phi) - 1, kmax)."""
-    n = np.arange(lo, hi, dtype=np.int64)
-    cut = np.minimum(np.frexp(phi.astype(np.float64))[1] - 1, kmax)
+    over the odd n of [lo, hi) with their totients ``phi``, each stopped
+    at its cutoff bitlength(phi) - 1.  Even n get index 0, except 2."""
+    first = lo | 1
+    n = np.arange(first, hi, 2, dtype=np.int64)
+    phi = phi.astype(np.int64)
+    cut = np.frexp(phi.astype(np.float64))[1] - 1
     base = (n - 1) % phi
     acc = base.copy()
-    index = np.zeros(hi - lo, dtype=np.uint8)
+    odd_index = np.zeros(n.size, dtype=np.uint8)
     for k in range(1, int(cut.max()) + 1):
-        index[(acc == 0) & (index == 0) & (k <= cut)] = k
+        odd_index[(acc == 0) & (odd_index == 0) & (k <= cut)] = k
         acc = acc * base % phi
-    index[n <= 2] = 1
+    odd_index[n == 1] = 1
+    index = np.zeros(hi - lo, dtype=np.uint8)
+    index[first - lo :: 2] = odd_index
+    if lo <= 2 < hi:
+        index[2 - lo] = 1
     return index
 
 
 class TestSquaringCertificate:
     """The squaring pre-filter must leave every index exactly as the
-    linear iteration alone computes it, for every cutoff kmax imposes."""
+    linear iteration alone computes it."""
 
     @pytest.mark.parametrize("lo", [1, 10**7 - 10**4, 10**8 - 10**6, _INT64_SAFE_HI - 20_000])
-    @pytest.mark.parametrize("kmax", [1, 2, 5, 127])
-    def test_matches_linear_iteration(self, lo, kmax):
+    def test_matches_linear_iteration(self, lo):
         hi = lo + 20_000
-        _, index = _classify_arrays(lo, hi, kmax)
-        expected = linear_index(lo, hi, kmax, totient_sieve(lo, hi).phi)
-        assert np.array_equal(index, expected)
+        _, index = _classify_arrays(lo, hi)
+        assert np.array_equal(index, linear_index(lo, hi, totient_sieve(lo, hi).phi))
 
     @pytest.mark.parametrize("n", [1, 15, 255, 65535])
     def test_index_at_the_squaring_cutoff(self, n):
@@ -233,19 +251,18 @@ class TestSquaringCertificate:
         # outside L_inf.  For n = 1 the window's largest phi is 1.
         idx = lehmer_index(n)
         assert idx.k == max(1, euler_phi(n).bit_length() - 1)
-        for kmax in (idx.k, K_CAP):
-            assert list(classify_range(n, n + 1, kmax=kmax)) == [(n, idx)]
+        assert list(classify_range(n, n + 1)) == [(n, idx)]
 
 
-def assert_window_matches_linear(q: int, r: int, kmax: int, lo: int, w: int, lo_even: bool):
+def assert_window_matches_linear(q: int, r: int, lo: int, w: int, lo_even: bool):
     # Move the window so that its first odd n is r (mod q).
     first = lo | 1
     first += 2 * ((r - first) * pow(2, -1, q) % q)
     lo = max(1, first - lo_even)
     hi = first + w
-    _, index = _classify_arrays(lo, hi, kmax)
+    _, index = _classify_arrays(lo, hi)
     assert (lo | 1) % q == r
-    assert np.array_equal(index, linear_index(lo, hi, kmax, totient_sieve(lo, hi).phi))
+    assert np.array_equal(index, linear_index(lo, hi, totient_sieve(lo, hi).phi))
 
 
 class TestExclusionFilter:
@@ -255,21 +272,21 @@ class TestExclusionFilter:
     @pytest.mark.parametrize("q", [3, 5, 7])
     @pytest.mark.parametrize("r", [0, 1, 2])
     @settings(max_examples=4, deadline=None)
-    @given(kmax=st.sampled_from([1, 2, 127]), lo=st.integers(1, _INT64_SAFE_HI - 3000),
-           w=st.integers(1, 2000), lo_even=st.booleans())
-    @example(kmax=1, lo=1, w=2000, lo_even=False)
-    @example(kmax=2, lo=10**7, w=2000, lo_even=True)
-    @example(kmax=127, lo=_INT64_SAFE_HI - 2100, w=2000, lo_even=True)
-    def test_matches_linear_iteration(self, q, r, kmax, lo, w, lo_even):
-        assert_window_matches_linear(q, r, kmax, lo, w, lo_even)
+    @given(lo=st.integers(1, _INT64_SAFE_HI - 3000), w=st.integers(1, 2000),
+           lo_even=st.booleans())
+    @example(lo=1, w=2000, lo_even=False)
+    @example(lo=10**7, w=2000, lo_even=True)
+    @example(lo=_INT64_SAFE_HI - 2100, w=2000, lo_even=True)
+    def test_matches_linear_iteration(self, q, r, lo, w, lo_even):
+        assert_window_matches_linear(q, r, lo, w, lo_even)
 
     @pytest.mark.slow
     @settings(max_examples=300, deadline=None)
     @given(q=st.sampled_from([3, 5, 7]), r=st.integers(0, 2),
-           kmax=st.sampled_from([1, 2, 127]), lo=st.integers(1, _INT64_SAFE_HI - 12_000),
-           w=st.integers(1, 10_000), lo_even=st.booleans())
-    def test_matches_linear_iteration_long(self, q, r, kmax, lo, w, lo_even):
-        assert_window_matches_linear(q, r, kmax, lo, w, lo_even)
+           lo=st.integers(1, _INT64_SAFE_HI - 12_000), w=st.integers(1, 10_000),
+           lo_even=st.booleans())
+    def test_matches_linear_iteration_long(self, q, r, lo, w, lo_even):
+        assert_window_matches_linear(q, r, lo, w, lo_even)
 
 
 class TestCountTable:
@@ -560,16 +577,15 @@ class TestSegmentMemory:
 
     LO, HI = 10**7, 10**7 + 200_000
 
-    # (run, bytes per value, values charged): the odd sieve is charged per
-    # odd value it sieves, everything else per value of the range.
+    # (run, bytes per value, values charged): the totient sieve is charged
+    # per odd value it sieves, a bulk segment per value of the range.
     @pytest.mark.parametrize("run, per_value, step", [
-        (lambda lo, hi: totient_sieve(lo, hi), _SIEVE_BYTES_PER_ELEM, 1),
-        (lambda lo, hi: totient_sieve(lo, hi, with_spf=True), _SIEVE_BYTES_PER_ELEM + 8, 1),
-        (lambda lo, hi: totient_sieve(lo, hi, odd=True), _SIEVE_BYTES_PER_ELEM, 2),
-        (lambda lo, hi: _classify_arrays(lo, hi), _CLASSIFY_BYTES_PER_ELEM, 1),
-        (lambda lo, hi: _segment_lk_members((lo, hi, 3)), _CLASSIFY_BYTES_PER_ELEM, 1),
-        (lambda lo, hi: _segment_carmichael((lo, hi)), _CLASSIFY_BYTES_PER_ELEM, 1),
-    ], ids=["totient_sieve", "totient_sieve_spf", "totient_sieve_odd", "classify_arrays", "lk_members", "carmichael"])
+        (lambda lo, hi: totient_sieve(lo, hi), _BYTES_PER_VALUE, 2),
+        (lambda lo, hi: totient_sieve(lo, hi, with_spf=True), _BYTES_PER_VALUE + 8, 2),
+        (lambda lo, hi: _classify_arrays(lo, hi), _BYTES_PER_VALUE, 1),
+        (lambda lo, hi: _segment_lk_members((lo, hi, 3)), _BYTES_PER_VALUE, 1),
+        (lambda lo, hi: _segment_carmichael((lo, hi)), _BYTES_PER_VALUE, 1),
+    ], ids=["totient_sieve", "totient_sieve_spf", "classify_arrays", "lk_members", "carmichael"])
     def test_peak_within_budget(self, run, per_value, step):
         tracemalloc.start()
         try:

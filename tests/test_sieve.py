@@ -579,13 +579,16 @@ class TestSegmentMemory:
 
     # (run, bytes per value, values charged): the totient sieve is charged
     # per odd value it sieves, a bulk segment per value of the range.
+    # totient_sieve_odd starts the window on an odd lo, which holds as many
+    # odd values as the even-started window.
     @pytest.mark.parametrize("run, per_value, step", [
         (lambda lo, hi: totient_sieve(lo, hi), _BYTES_PER_VALUE, 2),
         (lambda lo, hi: totient_sieve(lo, hi, with_spf=True), _BYTES_PER_VALUE + 8, 2),
+        (lambda lo, hi: totient_sieve(lo + 1, hi), _BYTES_PER_VALUE, 2),
         (lambda lo, hi: _classify_arrays(lo, hi), _BYTES_PER_VALUE, 1),
         (lambda lo, hi: _segment_lk_members((lo, hi, 3)), _BYTES_PER_VALUE, 1),
         (lambda lo, hi: _segment_carmichael((lo, hi)), _BYTES_PER_VALUE, 1),
-    ], ids=["totient_sieve", "totient_sieve_spf", "classify_arrays", "lk_members", "carmichael"])
+    ], ids=["totient_sieve", "totient_sieve_spf", "totient_sieve_odd", "classify_arrays", "lk_members", "carmichael"])
     def test_peak_within_budget(self, run, per_value, step):
         tracemalloc.start()
         try:

@@ -17,13 +17,18 @@ int64, where j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j at
 least every cutoff.  A nonzero result certifies n is outside L_inf, so
 only the ~12% of odd n that survive both run the iteration.  Carmichael
 numbers come from one ascending Korselt scan, which enumerate_carmichael
-lists and alpha_search walks.  Segments are independent work units; with
-a worker pool they are merged in ascending order, so results are
-identical for any worker count or segment size.
+lists and alpha_search walks: it plans once (base primes, strides, one
+reused uint32 product buffer), and each segment copies the tiled product
+of 3, 5, 7, 11 and 13, multiplies in the larger primes by strided passes
+or one scatter, and searches for hits block by block.  Count and L_k
+segments are independent work units; with a worker pool they are merged
+in ascending order, so results are identical for any worker count or
+segment size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -75,9 +80,10 @@ _INT64_SAFE_HI = 3_000_000_000
 # Peak bytes (tracemalloc on 10^6 segments at 10^7, 9.9e7 and just below
 # _INT64_SAFE_HI, checked by the tests): totient_sieve at most 8.5 per
 # odd value it sieves (18.0 with spf, charged 12 + 8); a bulk segment at
-# most 9.4 (_classify_arrays, _segment_lk_members) or 2.7
-# (_segment_carmichael) per value of hi - lo.  12 is at least 27% above
-# each of these peaks, and 12 + 8 is 11% above the spf sieve's.
+# most 9.4 (_classify_arrays, _segment_lk_members) or 2.4
+# (_segment_carmichael; 6.7 on the segment from 2, where most blocks of
+# the hit search reach first) per value of hi - lo.  12 is at least 27%
+# above each of these peaks, and 12 + 8 is 11% above the spf sieve's.
 _BYTES_PER_VALUE = 12
 
 
@@ -511,8 +517,64 @@ def enumerate_Lk_composites(
     return out
 
 
-def _segment_carmichael(bounds: tuple[int, int]) -> np.ndarray:
-    """Carmichael numbers in [lo, hi) by Korselt's criterion in residue form.
+# The product that 3, 5, 7, 11 and 13 contribute to the Korselt scan
+# repeats with period lcm(p(p-1)/2) = 30030 in odd-index space, so each
+# segment copies it from one cached pattern (each entry at most 15015 and
+# a divisor of n) instead of taking a strided pass per prime: per 10^6
+# segment near 4e7, 0.08 ms against 0.09 ms for np.ones plus 0.26-0.33 ms
+# for the five passes.  Adding 17 makes the period 2 042 040 (8 MB) and lost.
+_TILED_PRIMES = (3, 5, 7, 11, 13)
+_PATTERN_PERIOD = math.lcm(*(p * (p - 1) // 2 for p in _TILED_PRIMES))
+
+# A base prime whose stride fits more than _LOOP_HITS times into a
+# segment keeps its strided multiply; the others share one np.multiply.at
+# of at most _LOOP_HITS hits each.  Per 10^6 segment near 4e7 both together
+# took 0.13 ms at 8 (65 primes looped), 0.15 ms at 4 and 0.12-0.17 ms at
+# 16-64, against 0.42 ms for one strided pass per prime of stride < 5e5.
+_LOOP_HITS = 8
+_HIT_STEPS = np.arange(_LOOP_HITS)
+
+# prod == n needs prod >= first, so the hit search takes the maximum of
+# each _BLOCK entries and compares prod == n only in the blocks that reach
+# first.  Per 10^6 segment near 4e7: 0.11-0.14 ms for blocks of 1024-4096,
+# 0.20-0.24 ms at 8192, 0.31-0.36 ms at 16384, against 0.18-0.27 ms for a
+# full bool compare and flatnonzero.
+_BLOCK = 4096
+_BLOCK_STEPS = np.arange(0, 2 * _BLOCK, 2, dtype=np.uint32)
+
+
+@functools.cache
+def _tiled_pattern() -> np.ndarray:
+    """The product _TILED_PRIMES contribute at the odd n = 2j + 1, by
+    j mod _PATTERN_PERIOD; n = p itself is included."""
+    pattern = np.ones(_PATTERN_PERIOD, dtype=np.uint32)
+    for p in _TILED_PRIMES:
+        # n = p (mod p(p-1)) for n = 2j + 1 is j = (p-1)/2 (mod p(p-1)/2).
+        pattern[(p - 1) // 2 :: p * (p - 1) // 2] *= p
+    pattern.flags.writeable = False
+    return pattern
+
+
+def _fill_tiled(buf: np.ndarray, j0: int, length: int) -> None:
+    """Set buf[:length] to the tiled pattern from odd index j0 on: one
+    rotated copy of the pattern, then copies that double the filled part."""
+    pattern = _tiled_pattern()
+    r = j0 % _PATTERN_PERIOD
+    head = min(_PATTERN_PERIOD - r, length)
+    buf[:head] = pattern[r : r + head]
+    tail = min(r, length - head)
+    buf[head : head + tail] = pattern[:tail]
+    # From here on the filled length is a multiple of the period.
+    filled = head + tail
+    while filled < length:
+        step = min(filled, length - filled)
+        buf[filled : filled + step] = buf[:step]
+        filled += step
+
+
+def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """Carmichael numbers of each of the ascending segments ``bounds``, by
+    Korselt's criterion in residue form; one uint32 array per segment.
 
     Only odd n are sieved: an odd prime p of an even n needs the even p-1
     to divide the odd n-1, and 2^e is not a squarefree composite.  For odd
@@ -523,31 +585,70 @@ def _segment_carmichael(bounds: tuple[int, int]) -> np.ndarray:
     when n is a product of two or more distinct primes that all pass.
     prod is a product of distinct primes of n, so it divides n < hi < 2^32
     (uint32 cannot overflow) and can equal n only where prod >= first.
+
+    The plan is made once per scan: the base primes up to sqrt of the last
+    hi, their strides and one uint32 buffer that every segment reuses.  A
+    prime p never hits a segment below p^2, since n = p (mod p(p-1)) with
+    n != p forces n >= p + p(p-1) = p^2, so that one prime list is exact
+    for every segment.  In a segment, _TILED_PRIMES come from the tiled
+    pattern (n = p divided out again), the primes with more than
+    _LOOP_HITS hits take one strided multiply each and the rest one
+    np.multiply.at; hits are then searched block by block (_BLOCK).
     """
-    lo, hi = bounds
-    first = max(lo, 2) | 1  # prod starts at 1, so n = 1 would pass
-    prod = np.ones(len(range(first, hi, 2)), dtype=np.uint32)
-    p = base_primes(math.isqrt(hi - 1))[1:]
-    period = p * (p - 1)
-    start = np.maximum(first, p + 2)  # n = p itself is prime
-    start += (p - start) % period
-    idx, stride = (start - first) // 2, period // 2
-    # A prime whose stride spans the segment hits at most one n; one
-    # unbuffered scatter applies them all, repeated indexes included.
-    once = stride >= prod.size
-    hit = once & (idx < prod.size)
-    np.multiply.at(prod, idx[hit], p[hit].astype(np.uint32))
-    for i, h, q in zip(idx[~once].tolist(), stride[~once].tolist(), p[~once].tolist()):
-        prod[i::h] *= q
-    pos = np.flatnonzero(prod >= first)
-    n = first + 2 * pos
-    return n[prod[pos] == n]
+    if not bounds:  # limit 1 leaves no segment
+        return
+    top = bounds[-1][1]
+    p = base_primes(math.isqrt(top - 1))
+    p = p[p > _TILED_PRIMES[-1]]
+    q = p.astype(np.uint32)
+    stride = p * (p - 1) // 2
+    loop_bound = _LOOP_HITS * stride
+    # The odd index of p^2, the first n != p with n = p (mod p(p-1)).
+    first_hit = (p * p - 1) // 2
+    longest = max(len(range(max(lo, 2) | 1, hi, 2)) for lo, hi in bounds)
+    buf = np.empty(-(-longest // _BLOCK) * _BLOCK, dtype=np.uint32)
+
+    for lo, hi in bounds:
+        first = max(lo, 2) | 1  # prod starts at 1, so n = 1 would pass
+        length = len(range(first, hi, 2))
+        j0 = first // 2
+        _fill_tiled(buf, j0, length)
+        for t in _TILED_PRIMES:
+            if first <= t < hi:  # n = t itself is prime
+                buf[(t - first) // 2] //= t
+
+        start = np.maximum(first_hit, j0)
+        start += (first_hit - start) % stride
+        idx = start - j0
+        looped = np.searchsorted(loop_bound, length)
+        for i, h, f in zip(idx[:looped].tolist(), stride[:looped].tolist(),
+                           p[:looped].tolist()):
+            buf[i:length:h] *= f
+        near = idx[looped:] < length
+        where = idx[looped:][near, None] + stride[looped:][near, None] * _HIT_STEPS
+        inside = where < length
+        factor = np.broadcast_to(q[looped:][near, None], where.shape)
+        np.multiply.at(buf, where[inside], factor[inside])
+
+        size = -(-length // _BLOCK) * _BLOCK
+        buf[length:size] = 0
+        blocks = buf[:size].reshape(-1, _BLOCK)
+        rows = np.flatnonzero(blocks.max(axis=1) >= first).astype(np.uint32)
+        # n < hi + 2 * _BLOCK < 2^32 stays inside uint32.
+        n = rows[:, None] * np.uint32(2 * _BLOCK) + (first + _BLOCK_STEPS)
+        yield n[blocks[rows] == n]
+
+
+def _segment_carmichael(bounds: tuple[int, int]) -> np.ndarray:
+    """Carmichael numbers in [lo, hi): a Korselt scan of the one segment."""
+    return next(_korselt_scan([bounds]))
 
 
 def _carmichael_numbers(limit: int, segment_size: int | None) -> Iterator[int]:
     """Carmichael numbers <= limit in ascending order, one segment at a time."""
-    for bounds in _segment_bounds(2, limit + 1, _auto_segment_size(segment_size)):
-        yield from _segment_carmichael(bounds).tolist()
+    bounds = _segment_bounds(2, limit + 1, _auto_segment_size(segment_size))
+    for found in _korselt_scan(bounds):
+        yield from found.tolist()
 
 
 def enumerate_carmichael(
@@ -558,8 +659,9 @@ def enumerate_carmichael(
 ) -> list[int]:
     """All Carmichael numbers <= limit, ascending.
 
-    Segments are sieved in process: a Korselt segment costs less than
-    starting a worker pool does.
+    One Korselt scan (_korselt_scan) in process: its plan and buffer are
+    made once for all segments, and a segment costs less than starting a
+    worker pool does.
     """
     return list(_carmichael_numbers(_check_limit(limit, max_limit), segment_size))
 

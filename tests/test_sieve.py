@@ -13,6 +13,8 @@ from klehmer.lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, in_Lk, lehmer_index
 from klehmer.sieve import (
     _BYTES_PER_VALUE,
     _INT64_SAFE_HI,
+    _LOOP_HITS,
+    _PATTERN_PERIOD,
     AlphaNotFound,
     LehmerMembershipError,
     LimitExceededError,
@@ -20,7 +22,9 @@ from klehmer.sieve import (
     MEMORY_ENV_VAR,
     NotCarmichaelError,
     _classify_arrays,
+    _korselt_scan,
     _prime_power_walk,
+    _segment_bounds,
     _segment_carmichael,
     _segment_histogram,
     _segment_lk_members,
@@ -486,23 +490,62 @@ class TestKorseltResidueOracle:
         assert _segment_carmichael((lo, hi)).tolist() == korselt_residue_product_int64(lo, hi)
 
     @settings(max_examples=60, deadline=None)
-    @given(p=st.sampled_from([5, 7, 11, 13, 97]), d=st.integers(-2, 2),
-           i=st.integers(0, 30), offset=st.integers(0, 5000),
+    @given(p=st.sampled_from([5, 7, 11, 13, 17, 97]), hits=st.sampled_from([1, _LOOP_HITS]),
+           d=st.integers(-2, 2), i=st.integers(0, 30), offset=st.integers(0, 5000),
            lo_even=st.booleans(), hi_even=st.booleans())
-    @example(p=5, d=1, i=0, offset=5000, lo_even=False, hi_even=False)
-    @example(p=97, d=1, i=1, offset=5000, lo_even=True, hi_even=True)
-    def test_windows_around_each_stride(self, p, d, i, offset, lo_even, hi_even):
-        # A window of `size` odd values holding a Carmichael multiple c of p:
-        # p is scattered once when its stride p(p-1)/2 >= size, looped
-        # otherwise.  With d = 1 and c last, p also hits the first value.
-        size = p * (p - 1) // 2 + d
+    @example(p=5, hits=1, d=1, i=0, offset=5000, lo_even=False, hi_even=False)
+    @example(p=97, hits=1, d=1, i=1, offset=5000, lo_even=True, hi_even=True)
+    @example(p=17, hits=_LOOP_HITS, d=0, i=0, offset=0, lo_even=False, hi_even=False)
+    @example(p=17, hits=_LOOP_HITS, d=1, i=0, offset=0, lo_even=False, hi_even=False)
+    def test_windows_around_each_stride(self, p, hits, d, i, offset, lo_even, hi_even):
+        # A window of `size` odd values holding a Carmichael multiple c of p.
+        # 5, 7, 11 and 13 come from the tiled pattern.  Any other p is
+        # looped when its stride p(p-1)/2 fits more than _LOOP_HITS times
+        # into the window (hits = _LOOP_HITS, d >= 1) and scattered, with up
+        # to _LOOP_HITS hits, otherwise.  With d = 1 and c last, p also hits
+        # the first value.  A window that would reach below 3 starts at 3.
+        size = hits * (p * (p - 1) // 2) + d
         multiples = carmichael_multiples_below_1e6(p)
         c = multiples[i % len(multiples)]
-        first = c - 2 * min(offset, size - 1)
+        first = max(c - 2 * min(offset, size - 1), 3)
         lo, hi = first - lo_even, first + 2 * size - hi_even
         got = _segment_carmichael((lo, hi)).tolist()
         assert c in got
         assert got == korselt_residue_product_int64(lo, hi)
+
+    @pytest.mark.parametrize("m", [0, 1, 33])
+    @pytest.mark.parametrize("r", [0, 1, _PATTERN_PERIOD - 1])
+    def test_windows_on_the_pattern_seam(self, m, r):
+        # The first odd index (n - 1) / 2 of the window is r mod the
+        # pattern's period: a short window against trial division, and one
+        # of four periods, which the scan fills by doubling copies, against
+        # the int64 product.
+        first = 2 * (m * _PATTERN_PERIOD + r) + 1
+        short, long = first + 3000, first + 2 * (4 * _PATTERN_PERIOD + 100)
+        assert _segment_carmichael((first, short)).tolist() == korselt_by_trial_division(first, short)
+        assert _segment_carmichael((first, long)).tolist() == korselt_residue_product_int64(first, long)
+
+    def test_small_segments_around_the_tiled_primes(self):
+        # The n = 3, 5, 7, 11, 13 that the tiled pattern must skip fall in
+        # different segments of each scan from lo with segments of 1..40.
+        hi = 600  # holds 561 = 3 * 11 * 17
+        reference = korselt_by_trial_division(2, hi)
+        assert reference == korselt_residue_product_int64(2, hi) == [561]
+        for lo in range(2, 16):
+            for size in range(1, 41):
+                got = np.concatenate(list(_korselt_scan(_segment_bounds(lo, hi, size))))
+                assert got.tolist() == reference, (lo, size)
+
+    def test_scan_without_segments(self):
+        assert enumerate_carmichael(1) == []
+        assert alpha_search(1, 1) == AlphaNotFound(k=1, bound=1)
+
+    def test_short_last_segment(self):
+        # The scan's buffer is sized for segments of 10 000 values and the
+        # last one holds 1039; the Carmichael number 41041 lies just past it.
+        assert _segment_bounds(2, 41_041, 10_000)[-1] == (40_002, 41_041)
+        got = enumerate_carmichael(41_040, segment_size=10_000)
+        assert got == korselt_residue_product_int64(2, 41_041) == korselt_by_trial_division(2, 41_041)
 
 
 class TestAlphaSearch:
@@ -597,6 +640,20 @@ class TestSegmentMemory:
         finally:
             tracemalloc.stop()
         assert peak <= per_value * len(range(self.LO, self.HI, step))
+
+    def test_korselt_scan_charged_once(self):
+        # A scan of 50 segments holds one plan and one buffer, sized by the
+        # segment and not by the range: a tile of all 5 * 10^6 odd n below
+        # 10^7 would take 20 MB.
+        size = 200_000
+        tracemalloc.start()
+        try:
+            found = enumerate_carmichael(10**7, segment_size=size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 105
+        assert peak <= _BYTES_PER_VALUE * size
 
 
 @pytest.fixture

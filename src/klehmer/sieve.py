@@ -529,16 +529,19 @@ _PATTERN_PERIOD = math.lcm(*(p * (p - 1) // 2 for p in _TILED_PRIMES))
 # A base prime whose stride fits more than _LOOP_HITS times into a
 # segment keeps its strided multiply; the others share one np.multiply.at
 # of at most _LOOP_HITS hits each.  Per 10^6 segment near 4e7 both together
-# took 0.13 ms at 8 (65 primes looped), 0.15 ms at 4 and 0.12-0.17 ms at
-# 16-64, against 0.42 ms for one strided pass per prime of stride < 5e5.
+# took 0.13-0.18 ms at 8 (65 primes looped), 0.15-0.23 ms at 4 and
+# 0.12-0.17 ms at 16-64, against 0.42 ms for one strided pass per prime of
+# stride < 5e5.  Whole scans to 5e7 did not settle 8 against 16 or 32 (32
+# faster in 6 of 8 rounds, median -9%, inside the round-to-round spread).
 _LOOP_HITS = 8
 _HIT_STEPS = np.arange(_LOOP_HITS)
 
 # prod == n needs prod >= first, so the hit search takes the maximum of
 # each _BLOCK entries and compares prod == n only in the blocks that reach
-# first.  Per 10^6 segment near 4e7: 0.11-0.14 ms for blocks of 1024-4096,
-# 0.20-0.24 ms at 8192, 0.31-0.36 ms at 16384, against 0.18-0.27 ms for a
-# full bool compare and flatnonzero.
+# first.  Per 10^6 segment near 4e7: 0.14-0.18 ms at 4096, 0.11-0.14 ms at
+# 1024-2048, 0.20-0.24 ms at 8192 and 0.31-0.36 ms at 16384, against
+# 0.18-0.27 ms for a full bool compare and flatnonzero; whole scans to 5e7
+# did not tell 1024, 2048 and 4096 apart.
 _BLOCK = 4096
 _BLOCK_STEPS = np.arange(0, 2 * _BLOCK, 2, dtype=np.uint32)
 
@@ -631,6 +634,7 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
         np.multiply.at(buf, where[inside], factor[inside])
 
         size = -(-length // _BLOCK) * _BLOCK
+        # The last block's pad may hold np.empty garbage or stale products.
         buf[length:size] = 0
         blocks = buf[:size].reshape(-1, _BLOCK)
         rows = np.flatnonzero(blocks.max(axis=1) >= first).astype(np.uint32)

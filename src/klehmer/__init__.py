@@ -6,68 +6,10 @@ segmented sieves that reproduce the counting tables C_k(10^j) and the
 alpha sequence (least Carmichael number outside L_k) at bulk scale.
 """
 
-from .arith import (
-    MAX_NATURAL,
-    FactoredInteger,
-    carmichael_lambda,
-    euler_phi,
-    factorize,
-    is_prime,
-    mod_pow,
-    radical,
-    valuation,
-)
-from .carmichael import (
-    CarmichaelVerdict,
-    ChernickCandidate,
-    carmichael_verdict,
-    chernick,
-    chernick_factors,
-    fermat_test,
-    korselt_test,
-    lambda_test,
-    pseudoprime_base,
-    radical_korselt_test,
-)
-from .lehmer import (
-    K_CAP,
-    NOT_IN_LINF,
-    FamilyPairResult,
-    FamilyParityError,
-    FamilyPrimalityError,
-    LehmerIndex,
-    SemiprimeDecomposition,
-    fermat_family_pair,
-    in_Linf,
-    in_Lk,
-    in_Lk_valuation,
-    is_cyclic,
-    lehmer_index,
-    semiprime_decompose,
-    semiprime_in_Lk,
-)
-from .sieve import (
-    DEFAULT_MAX_LIMIT,
-    LARGE_MAX_LIMIT,
-    MEMORY_ENV_VAR,
-    AlphaNotFound,
-    AlphaRecord,
-    CountTable,
-    LehmerMembershipError,
-    LimitExceededError,
-    MemoryBudgetError,
-    NotCarmichaelError,
-    SieveSegment,
-    VerificationFailure,
-    alpha_search,
-    base_primes,
-    classify_range,
-    count_table,
-    enumerate_carmichael,
-    enumerate_Lk_composites,
-    totient_sieve,
-    verify_alpha_entry,
-)
+from .arith import *
+from .carmichael import *
+from .lehmer import *
+from .sieve import *
 
 from . import arith, carmichael, lehmer, sieve
 

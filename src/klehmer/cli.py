@@ -5,6 +5,8 @@ semiprime, pseudo-base.  JSON is the default format (csv everywhere,
 bfile for list).  Value fields that can exceed 64 bits are emitted as
 decimal strings so downstream JSON consumers cannot lose precision;
 small structural fields (k, exponents, counts, indexes) stay numeric.
+Each handler returns its records (a JSON payload, a CSV header and rows)
+and main alone renders them in the chosen format.
 
 Exit codes: 0 success, 1 usage error, 2 bound or memory budget exceeded
 (or an arithmetic failure such as an overflow or an unsplit factor),
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -136,6 +139,8 @@ def _json_text(payload) -> str:
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, list):
+        return " ".join(value)
     return "" if value is None else str(value)
 
 
@@ -143,7 +148,7 @@ def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([[_csv_cell(v) for v in row] for row in rows])
+    writer.writerows([[_csv_cell(row.get(h)) for h in header] for row in rows])
     return buf.getvalue()
 
 
@@ -205,6 +210,11 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _bulk_limits(args) -> dict:
+    return dict(segment_size=args.segment_size,
+                max_limit=LARGE_MAX_LIMIT if args.allow_large else None)
 
 
 def _add_bulk_options(p: argparse.ArgumentParser) -> None:
@@ -274,43 +284,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args) -> str:
-    report = classification_report(int(args.n))
-    if args.format == "csv":
-        fact = " ".join(f"{p}^{e}" for p, e in report.factorization)
-        row = [
-            report.n, fact, report.phi, report.lam, report.rad_phi,
-            _index_json(report.lehmer_index), report.is_carmichael,
-            "" if report.pseudoprime_base is None else report.pseudoprime_base,
-            report.base_degenerate,
-        ]
-        return _csv_text(
-            ["n", "factorization", "phi", "lambda", "rad_phi", "lehmer_index",
-             "is_carmichael", "pseudoprime_base", "base_degenerate"],
-            [row],
-        )
-    return _json_text(report.to_dict())
+# Every handler returns (payload, csv_header, rows): the JSON object, and
+# rows of JSON scalars (a list cell is joined by spaces) for CSV and b-file.
+def _cmd_classify(args):
+    payload = classification_report(int(args.n)).to_dict()
+    row = {**payload, "factorization": [f"{p}^{e}" for p, e in payload["factorization"]]}
+    header = ["n", "factorization", "phi", "lambda", "rad_phi", "lehmer_index",
+              "is_carmichael", "pseudoprime_base", "base_degenerate"]
+    return payload, header, [row]
 
 
-def _cmd_count(args) -> str:
-    table = count_table(
-        _parse_limit(args.limit),
-        _parse_ks(args.k),
-        segment_size=args.segment_size,
-        workers=args.workers,
-        max_limit=LARGE_MAX_LIMIT if args.allow_large else None,
-    )
+def _cmd_count(args):
+    table = count_table(_parse_limit(args.limit), _parse_ks(args.k),
+                        workers=args.workers, **_bulk_limits(args))
     rows = [
-        (_fmt_k(k), power, table.count(k, power))
+        {"k": _fmt_k(k), "X": power, "count": table.count(k, power)}
         for k in table.ks
         for power in table.powers
     ]
-    if args.format == "csv":
-        return _csv_text(["k", "X", "count"], rows)
-    return _json_text({
-        "limit": table.limit,
-        "rows": [{"k": k, "X": x, "count": c} for k, x, c in rows],
-    })
+    return {"limit": table.limit, "rows": rows}, ["k", "X", "count"], rows
 
 
 def _parse_set(name: str):
@@ -323,28 +315,22 @@ def _parse_set(name: str):
     raise ValueError(f"unknown set {name!r}")
 
 
-def _cmd_list(args) -> str:
+def _cmd_list(args):
     limit = _parse_limit(args.limit)
     kind, k = _parse_set(args.set_name)
-    common = dict(
-        segment_size=args.segment_size,
-        max_limit=LARGE_MAX_LIMIT if args.allow_large else None,
-    )
     if kind == "lk":
-        values = enumerate_Lk_composites(limit, k, workers=args.workers, **common)
+        values = enumerate_Lk_composites(limit, k, workers=args.workers,
+                                         **_bulk_limits(args))
     else:
         # The Korselt sieve runs in process, so --workers has no effect here.
-        values = enumerate_carmichael(limit, **common)
-    if args.format == "bfile":
-        return emit_bfile(values)
-    if args.format == "csv":
-        return _csv_text(["n"], [(v,) for v in values])
-    return _json_text({
-        "set": args.set_name,
-        "limit": limit,
-        "count": len(values),
-        "values": [str(v) for v in values],
-    })
+        values = enumerate_carmichael(limit, **_bulk_limits(args))
+    strings = [str(v) for v in values]
+    payload = {"set": args.set_name, "limit": limit, "count": len(values),
+               "values": strings}
+    return payload, ["n"], [{"n": v} for v in strings]
+
+
+_ALPHA_HEADER = ["k", "found", "n", "omega", "in_next", "bound"]
 
 
 def _alpha_payload(record) -> dict:
@@ -360,30 +346,15 @@ def _alpha_payload(record) -> dict:
     }
 
 
-def _alpha_text(record, fmt: str) -> str:
+def _cmd_alpha(args):
+    record = alpha_search(args.k, _parse_limit(args.limit), **_bulk_limits(args))
     payload = _alpha_payload(record)
-    if fmt == "csv":
-        header = ["k", "found", "n", "omega", "in_next", "bound"]
-        row = [payload["k"], payload["found"], payload.get("n", ""),
-               payload.get("omega", ""), payload.get("in_next", ""),
-               payload["bound"]]
-        return _csv_text(header, [row])
-    return _json_text(payload)
+    return payload, _ALPHA_HEADER, [payload]
 
 
-def _cmd_alpha(args) -> str:
-    record = alpha_search(
-        args.k,
-        _parse_limit(args.limit),
-        segment_size=args.segment_size,
-        max_limit=LARGE_MAX_LIMIT if args.allow_large else None,
-    )
-    return _alpha_text(record, args.format)
-
-
-def _cmd_alpha_verify(args) -> str:
-    record = verify_alpha_entry(args.k, int(args.n))
-    return _alpha_text(record, args.format)
+def _cmd_alpha_verify(args):
+    payload = _alpha_payload(verify_alpha_entry(args.k, int(args.n)))
+    return payload, _ALPHA_HEADER, [payload]
 
 
 def _candidate_payload(cand) -> dict:
@@ -400,7 +371,7 @@ def _candidate_payload(cand) -> dict:
     }
 
 
-def _cmd_chernick(args) -> str:
+def _cmd_chernick(args):
     if args.m is not None:
         candidates = [chernick(args.k, _parse_limit(args.m))]
     else:
@@ -413,23 +384,14 @@ def _cmd_chernick(args) -> str:
         # U_k(m) grows with m: classifying the largest m first raises an
         # overflow before the scan spends its time on the ones that fit.
         candidates = [chernick(args.k, m) for m in range(m_max, 0, -1)][::-1]
-    payloads = [_candidate_payload(c) for c in candidates]
-    if args.format == "csv":
-        header = ["k", "m", "value", "factors", "all_prime", "divisibility_ok",
-                  "is_carmichael", "guaranteed_index_k", "observed_index"]
-        rows = [
-            (p["k"], p["m"], p["value"], " ".join(p["factors"]), p["all_prime"],
-             p["divisibility_ok"], p["is_carmichael"], p["guaranteed_index_k"],
-             p["observed_index"])
-            for p in payloads
-        ]
-        return _csv_text(header, rows)
-    if args.m is not None:
-        return _json_text(payloads[0])
-    return _json_text({"k": args.k, "candidates": payloads})
+    rows = [_candidate_payload(c) for c in candidates]
+    payload = rows[0] if args.m is not None else {"k": args.k, "candidates": rows}
+    header = ["k", "m", "value", "factors", "all_prime", "divisibility_ok",
+              "is_carmichael", "guaranteed_index_k", "observed_index"]
+    return payload, header, rows
 
 
-def _cmd_semiprime(args) -> str:
+def _cmd_semiprime(args):
     dec = semiprime_decompose(int(args.p), int(args.q))
     payload = {
         "p": str(dec.p),
@@ -445,13 +407,10 @@ def _cmd_semiprime(args) -> str:
         payload["criterion"] = semiprime_in_Lk(dec, args.k)
         p, q = sorted((dec.p, dec.q))
         payload["direct"] = in_Lk(FactoredInteger(p * q, ((p, 1), (q, 1))), args.k)
-    if args.format == "csv":
-        header = list(payload.keys())
-        return _csv_text(header, [[payload[h] for h in header]])
-    return _json_text(payload)
+    return payload, list(payload), [payload]
 
 
-def _cmd_pseudo_base(args) -> str:
+def _cmd_pseudo_base(args):
     n = int(args.n)
     base = pseudoprime_base(n)
     payload = {
@@ -460,20 +419,26 @@ def _cmd_pseudo_base(args) -> str:
         "degenerate": base in (1, n - 1),
         "fermat_to_base": fermat_test(n, base),
     }
-    if args.format == "csv":
-        header = list(payload.keys())
-        return _csv_text(header, [[payload[h] for h in header]])
-    return _json_text(payload)
+    return payload, list(payload), [payload]
+
+
+# One argparse tree per process: building one takes over a millisecond.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = args.handler(args)
+        payload, header, rows = args.handler(args)
+        if args.format == "json":
+            text = _json_text(payload)
+        elif args.format == "csv":
+            text = _csv_text(header, rows)
+        else:
+            text = emit_bfile(row[header[0]] for row in rows)
     except (LimitExceededError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,8 +80,8 @@ _INT64_SAFE_HI = 3_000_000_000
 # Peak bytes (tracemalloc on 10^6 segments at 10^7, 9.9e7 and just below
 # _INT64_SAFE_HI, checked by the tests): totient_sieve at most 8.5 per
 # odd value it sieves (18.0 with spf, charged 12 + 8); a bulk segment at
-# most 9.4 (_classify_arrays, _segment_lk_members) or 2.4
-# (_segment_carmichael; 6.7 on the segment from 2, where most blocks of
+# most 9.4 (_classify_arrays, _segment_lk_members) or 2.4 (a Korselt
+# scan of one segment; 6.7 on the segment from 2, where most blocks of
 # the hit search reach first) per value of hi - lo.  12 is at least 27%
 # above each of these peaks, and 12 + 8 is 11% above the spf sieve's.
 _BYTES_PER_VALUE = 12
@@ -641,11 +641,6 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
         # n < hi + 2 * _BLOCK < 2^32 stays inside uint32.
         n = rows[:, None] * np.uint32(2 * _BLOCK) + (first + _BLOCK_STEPS)
         yield n[blocks[rows] == n]
-
-
-def _segment_carmichael(bounds: tuple[int, int]) -> np.ndarray:
-    """Carmichael numbers in [lo, hi): a Korselt scan of the one segment."""
-    return next(_korselt_scan([bounds]))
 
 
 def _carmichael_numbers(limit: int, segment_size: int | None) -> Iterator[int]:

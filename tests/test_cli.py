@@ -325,6 +325,19 @@ class TestUsage:
         rc, out, _ = run_cli(capsys, "count", "--limit", "100", "--format", "yaml")
         assert rc == 1 and out == ""
 
+    def test_parser_built_once(self, capsys, monkeypatch):
+        assert run_cli(capsys, "count", "--limit", "100", "--k", "2")[0] == 0
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        assert run_cli(capsys, "classify", "561")[0] == 0
+        assert built == []
+
     def test_bad_workers_is_usage_error(self, capsys):
         commands = (
             ("count", "--limit", "100", "--k", "2"),
@@ -450,6 +463,47 @@ class TestModuleEntryPoints:
         done = self.run_module(module, "count", "--limit", "1e8", "--k", "2")
         assert (done.returncode, done.stdout) == (2, "")
         assert "exceeds" in done.stderr
+
+
+# Whole stdout of one command per format not pinned above, including the
+# header-only CSV, the empty b-file and the not-found row with empty cells.
+GOLDEN_STDOUT = [
+    (("classify", "561", "--format", "csv"),
+     "n,factorization,phi,lambda,rad_phi,lehmer_index,is_carmichael,pseudoprime_base,"
+     "base_degenerate\n561,3^1 11^1 17^1,320,80,10,2,true,103,false\n"),
+    (("pseudo-base", "15", "--format", "csv"),
+     "n,base,degenerate,fermat_to_base\n15,1,true,true\n"),
+    (("chernick", "--k", "3", "--m", "1"),
+     '{\n  "k": 3,\n  "m": "1",\n  "factors": [\n    "7",\n    "13",\n    "19"\n'
+     '  ],\n  "value": "1729",\n  "all_prime": true,\n  "divisibility_ok": true,\n'
+     '  "is_carmichael": true,\n  "guaranteed_index_k": false,\n'
+     '  "observed_index": 2\n}\n'),
+    (("chernick", "--k", "3", "--m", "1", "--format", "csv"),
+     "k,m,value,factors,all_prime,divisibility_ok,is_carmichael,guaranteed_index_k,"
+     "observed_index\n3,1,1729,7 13 19,true,true,true,false,2\n"),
+    (("alpha-verify", "--k", "9", "--n", "330019822807208371201", "--format", "csv"),
+     "k,found,n,omega,in_next,bound\n9,true,330019822807208371201,10,true,0\n"),
+    (("alpha", "--k", "9", "--limit", "1000", "--format", "csv"),
+     "k,found,n,omega,in_next,bound\n9,false,,,,1000\n"),
+    (("list", "--set", "carmichael", "--limit", "500"),
+     '{\n  "set": "carmichael",\n  "limit": 500,\n  "count": 0,\n  "values": []\n}\n'),
+    (("list", "--set", "carmichael", "--limit", "500", "--format", "csv"), "n\n"),
+    (("list", "--set", "carmichael", "--limit", "500", "--format", "bfile"), ""),
+    (("count", "--limit", "100", "--k", "2,inf"),
+     '{\n  "limit": 100,\n  "rows": [\n'
+     '    {\n      "k": 2,\n      "X": 10,\n      "count": 5\n    },\n'
+     '    {\n      "k": 2,\n      "X": 100,\n      "count": 26\n    },\n'
+     '    {\n      "k": "inf",\n      "X": 10,\n      "count": 5\n    },\n'
+     '    {\n      "k": "inf",\n      "X": 100,\n      "count": 30\n    }\n'
+     '  ]\n}\n'),
+]
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("argv, expected", GOLDEN_STDOUT,
+                             ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
+    def test_whole_stdout(self, capsys, argv, expected):
+        assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 class TestEmitBfile:

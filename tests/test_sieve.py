@@ -25,7 +25,6 @@ from klehmer.sieve import (
     _korselt_scan,
     _prime_power_walk,
     _segment_bounds,
-    _segment_carmichael,
     _segment_histogram,
     _segment_lk_members,
     alpha_search,
@@ -408,7 +407,7 @@ def korselt_by_trial_division(lo: int, hi: int) -> list[int]:
 
 
 def assert_sieve_matches_korselt_test(lo: int, hi: int):
-    got = _segment_carmichael((lo, hi)).tolist()
+    got = next(_korselt_scan([(lo, hi)])).tolist()
     assert got == [n for n in range(lo, hi) if korselt_test(n)]
 
 
@@ -422,7 +421,7 @@ class TestOddKorseltSieve:
         (41_470_000, 41_473_000),  # holds alpha(4) = 41471521
     ])
     def test_matches_trial_division(self, lo, hi):
-        got = _segment_carmichael((lo, hi)).tolist()
+        got = next(_korselt_scan([(lo, hi)])).tolist()
         assert got == korselt_by_trial_division(lo, hi)
 
     def test_window_ending_at_int64_ceiling(self):
@@ -453,7 +452,7 @@ class TestOddKorseltSieve:
 
 def korselt_residue_product_int64(lo: int, hi: int) -> list[int]:
     """The int64 residue product with one strided pass per odd base prime:
-    the reference for _segment_carmichael's uint32 product and scatter."""
+    the reference for _korselt_scan's uint32 product and scatter."""
     first = max(lo, 2) | 1
     n = np.arange(first, hi, 2, dtype=np.int64)
     prod = np.ones(n.size, dtype=np.int64)
@@ -471,7 +470,7 @@ def carmichael_multiples_below_1e6(p: int) -> list[int]:
 
 
 class TestKorseltResidueOracle:
-    """_segment_carmichael against the int64 residue product."""
+    """_korselt_scan against the int64 residue product."""
 
     def test_uint32_product_fits_below_int64_ceiling(self):
         # prod divides n < _INT64_SAFE_HI, so its uint32 dtype relies on this.
@@ -487,7 +486,7 @@ class TestKorseltResidueOracle:
         pytest.param(2_998_000_000, 2_999_000_000, marks=pytest.mark.slow),
     ])
     def test_matches_reference(self, lo, hi):
-        assert _segment_carmichael((lo, hi)).tolist() == korselt_residue_product_int64(lo, hi)
+        assert next(_korselt_scan([(lo, hi)])).tolist() == korselt_residue_product_int64(lo, hi)
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.sampled_from([5, 7, 11, 13, 17, 97]), hits=st.sampled_from([1, _LOOP_HITS]),
@@ -509,7 +508,7 @@ class TestKorseltResidueOracle:
         c = multiples[i % len(multiples)]
         first = max(c - 2 * min(offset, size - 1), 3)
         lo, hi = first - lo_even, first + 2 * size - hi_even
-        got = _segment_carmichael((lo, hi)).tolist()
+        got = next(_korselt_scan([(lo, hi)])).tolist()
         assert c in got
         assert got == korselt_residue_product_int64(lo, hi)
 
@@ -522,8 +521,10 @@ class TestKorseltResidueOracle:
         # the int64 product.
         first = 2 * (m * _PATTERN_PERIOD + r) + 1
         short, long = first + 3000, first + 2 * (4 * _PATTERN_PERIOD + 100)
-        assert _segment_carmichael((first, short)).tolist() == korselt_by_trial_division(first, short)
-        assert _segment_carmichael((first, long)).tolist() == korselt_residue_product_int64(first, long)
+        assert (next(_korselt_scan([(first, short)])).tolist()
+                == korselt_by_trial_division(first, short))
+        assert (next(_korselt_scan([(first, long)])).tolist()
+                == korselt_residue_product_int64(first, long))
 
     def test_small_segments_around_the_tiled_primes(self):
         # The n = 3, 5, 7, 11, 13 that the tiled pattern must skip fall in
@@ -630,7 +631,7 @@ class TestSegmentMemory:
         (lambda lo, hi: totient_sieve(lo + 1, hi), _BYTES_PER_VALUE, 2),
         (lambda lo, hi: _classify_arrays(lo, hi), _BYTES_PER_VALUE, 1),
         (lambda lo, hi: _segment_lk_members((lo, hi, 3)), _BYTES_PER_VALUE, 1),
-        (lambda lo, hi: _segment_carmichael((lo, hi)), _BYTES_PER_VALUE, 1),
+        (lambda lo, hi: next(_korselt_scan([(lo, hi)])), _BYTES_PER_VALUE, 1),
     ], ids=["totient_sieve", "totient_sieve_spf", "totient_sieve_odd", "classify_arrays", "lk_members", "carmichael"])
     def test_peak_within_budget(self, run, per_value, step):
         tracemalloc.start()

@@ -225,7 +225,9 @@ def _add_bulk_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="klehmer", description=__doc__.splitlines()[0])
+    # Not from __doc__, which python -OO strips.
+    parser = _Parser(prog="klehmer",
+                     description="Command-line front end with machine-readable output.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="full report for a single n")

@@ -6,24 +6,29 @@ the alpha sequence (smallest Carmichael number outside L_k).
 
 The bulk route never factors anything and sieves odd n only (even n > 2
 lie outside every L_k, and no even n is a Carmichael number): a segmented
-uint32 totient sieve over the odd n supplies phi(n), and the Lehmer index
-of every odd n in a segment is found by iterated modular multiplication
-acc <- acc * (n-1) mod phi(n), stopping at the first zero or after
-bitlength(phi) - 1 steps (every prime exponent in
-phi(n) is below that, so no finite index can hide past it).  First, an
-exclusion filter drops the odd n with q | phi(n) but q not dividing n-1
-for some q in {3, 5, 7} (~72% of them near 10^7); only the rest go to
+uint32 totient sieve over the odd n supplies phi(n).  It copies the first
+level of 3, 5, 7, 11 and 13 from two tiled patterns (the product of their
+inverses mod 2^32, which divides them out of the remainder exactly, and
+the product of their p - 1) and walks every other odd prime power,
+dividing by a multiply with p^-1 mod 2^32.  An odd n > 1 is prime exactly
+when phi(n) = n - 1, so the primes get index 1 from that compare alone.
+The index of every other odd n is found by iterated modular
+multiplication acc <- acc * (n-1) mod phi(n), stopping at the first zero
+or after bitlength(phi) - 1 steps (every prime exponent in phi(n) is
+below that, so no finite index can hide past it).  First, an exclusion
+filter drops the odd n with q | phi(n) but q not dividing n-1 for some q
+in {3, 5, 7} (~72% of them near 10^7); only the composites left go to
 int64, where j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j at
 least every cutoff.  A nonzero result certifies n is outside L_inf, so
-only the ~12% of odd n that survive both run the iteration.  Carmichael
-numbers come from one ascending Korselt scan, which enumerate_carmichael
-lists and alpha_search walks: it plans once (base primes, strides, one
-reused uint32 product buffer), and each segment copies the tiled product
-of 3, 5, 7, 11 and 13, multiplies in the larger primes by strided passes
-or one scatter, and searches for hits block by block.  Count and L_k
-segments are independent work units; with a worker pool they are merged
-in ascending order, so results are identical for any worker count or
-segment size.
+only the ~0.07% of odd n that survive both (composites, and n = 1) run
+the iteration.  Carmichael numbers come from one ascending Korselt scan,
+which enumerate_carmichael lists and alpha_search walks: it plans once
+(base primes, strides, one reused uint32 product buffer), and each
+segment copies the tiled product of 3, 5, 7, 11 and 13, multiplies in
+the larger primes by strided passes or one scatter, and searches for
+hits block by block.  Count and L_k segments are independent work units;
+with a worker pool they are merged in ascending order, so results are
+identical for any worker count or segment size.
 """
 
 from __future__ import annotations
@@ -80,9 +85,9 @@ _INT64_SAFE_HI = 3_000_000_000
 # Peak bytes (tracemalloc on 10^6 segments at 10^7, 9.9e7 and just below
 # _INT64_SAFE_HI, checked by the tests): totient_sieve at most 8.5 per
 # odd value it sieves (18.0 with spf, charged 12 + 8); a bulk segment at
-# most 9.4 (_classify_arrays, _segment_lk_members) or 2.4 (a Korselt
-# scan of one segment; 6.7 on the segment from 2, where most blocks of
-# the hit search reach first) per value of hi - lo.  12 is at least 27%
+# most 6.5 (_classify_arrays, _segment_lk_members) or 2.4 (a Korselt
+# scan of one segment; 6.6 on the segment from 2, where most blocks of
+# the hit search reach first) per value of hi - lo.  12 is at least 41%
 # above each of these peaks, and 12 + 8 is 11% above the spf sieve's.
 _BYTES_PER_VALUE = 12
 
@@ -201,6 +206,71 @@ def base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
+# 3, 5, 7, 11 and 13 enter both sieves from cached patterns, which each
+# segment copies (_fill_tiled) instead of taking a strided pass per prime.
+# Their product in the Korselt scan repeats with period lcm(p(p-1)/2) =
+# 30030 in odd-index space (each entry at most 15015 and a divisor of n):
+# per 10^6 segment near 4e7, 0.08 ms against 0.09 ms for np.ones plus
+# 0.26-0.33 ms for the five passes.  Adding 17 makes that period 2 042 040
+# (8 MB) and lost.  Their first level in the totient sieve (which of them
+# divide n) repeats with period 3*5*7*11*13 = 15015.
+_TILED_PRIMES = (3, 5, 7, 11, 13)
+_PATTERN_PERIOD = math.lcm(*(p * (p - 1) // 2 for p in _TILED_PRIMES))
+_TOTIENT_PERIOD = math.prod(_TILED_PRIMES)
+
+
+@functools.cache
+def _inverse32(p: int) -> np.uint32:
+    """p^-1 mod 2^32 for odd p: a uint32 multiple of p times it is the
+    exact quotient.  Cached, as the walk asks for it at every level of
+    every segment; its arguments are odd primes below sqrt(_INT64_SAFE_HI)."""
+    return np.uint32(pow(p, -1, 1 << 32))
+
+
+@functools.cache
+def _tiled_pattern() -> np.ndarray:
+    """The product _TILED_PRIMES contribute to the Korselt scan at the odd
+    n = 2j + 1, by j mod _PATTERN_PERIOD; n = p itself is included."""
+    pattern = np.ones(_PATTERN_PERIOD, dtype=np.uint32)
+    for p in _TILED_PRIMES:
+        # n = p (mod p(p-1)) for n = 2j + 1 is j = (p-1)/2 (mod p(p-1)/2).
+        pattern[(p - 1) // 2 :: p * (p - 1) // 2] *= p
+    pattern.flags.writeable = False
+    return pattern
+
+
+@functools.cache
+def _totient_patterns() -> tuple[np.ndarray, np.ndarray]:
+    """The products of p^-1 mod 2^32 and of p - 1 over the p in
+    _TILED_PRIMES that divide the odd n = 2j + 1, by j mod _TOTIENT_PERIOD."""
+    inverse = np.ones(_TOTIENT_PERIOD, dtype=np.uint32)
+    totient = np.ones(_TOTIENT_PERIOD, dtype=np.uint32)
+    for p in _TILED_PRIMES:
+        # p | 2j + 1 is j = (p-1)/2 (mod p).
+        inverse[(p - 1) // 2 :: p] *= _inverse32(p)
+        totient[(p - 1) // 2 :: p] *= p - 1
+    inverse.flags.writeable = False
+    totient.flags.writeable = False
+    return inverse, totient
+
+
+def _fill_tiled(buf: np.ndarray, j0: int, length: int, pattern: np.ndarray) -> None:
+    """Set buf[:length] to the periodic ``pattern`` from odd index j0 on: one
+    rotated copy of the pattern, then copies that double the filled part."""
+    period = pattern.size
+    r = j0 % period
+    head = min(period - r, length)
+    buf[:head] = pattern[r : r + head]
+    tail = min(r, length - head)
+    buf[head : head + tail] = pattern[:tail]
+    # From here on the filled length is a multiple of the period.
+    filled = head + tail
+    while filled < length:
+        step = min(filled, length - filled)
+        buf[filled : filled + step] = buf[:step]
+        filled += step
+
+
 def _prime_power_walk(first: int, hi: int) -> Iterator[tuple[int, int, slice]]:
     """Yield (p, e, s) for every odd prime power p^e < hi, where s selects
     the multiples of p^e among the odd n = first + 2i < hi (totient_sieve).
@@ -225,11 +295,14 @@ def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
     """Exact totients of the odd n in [lo, hi) by a segmented sieve.
 
     ``phi[i]`` is phi(first + 2i), first being the first odd n >= lo.
-    For every odd prime power p^e below hi the multiples of p^e pick up
-    one factor of p (of p-1 at the first level); whatever remains after
-    all base primes is a single prime above sqrt(hi), contributing rem - 1.
-    Raises MemoryBudgetError when the segment cannot fit the configured
-    budget, with a workable segment size in the message.
+    The first level of _TILED_PRIMES comes from two tiled patterns: their
+    inverses mod 2^32 divide them out of rem, and their p - 1 start phi.
+    For every other odd prime power p^e below hi the multiples of p^e
+    pick up one factor of p (of p-1 at the first level of a prime above
+    the tiled ones), divided out of rem by p's inverse; whatever remains
+    after all base primes is a single prime above sqrt(hi), contributing
+    rem - 1.  Raises MemoryBudgetError when the segment cannot fit the
+    configured budget, with a workable segment size in the message.
     """
     lo = _as_natural(lo, minimum=1, name="lo")
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
@@ -238,28 +311,37 @@ def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
     first = lo | 1
     # The budget caps the odd values sieved: hi - lo = 2 * cap holds cap of them.
     cap = _budget_segment_cap(_BYTES_PER_VALUE + (8 if with_spf else 0))
-    if len(range(first, hi, 2)) > cap:
+    length = len(range(first, hi, 2))
+    if length > cap:
         raise MemoryBudgetError(hi - lo, _memory_budget_mib(), 2 * cap)
 
     # n < hi <= _INT64_SAFE_HI < 2^32, and every partial product of phi
-    # divides phi(n) < n, so uint32 cannot overflow.
+    # divides phi(n) < n, so uint32 cannot overflow.  For odd p, a multiply
+    # by p^-1 mod 2^32 divides a multiple of p exactly.
     rem = np.arange(first, hi, 2, dtype=np.uint32)
-    phi = np.ones(rem.size, dtype=np.uint32)
-    spf = np.zeros(rem.size, dtype=np.int64) if with_spf else None
+    phi = np.empty(length, dtype=np.uint32)
+    inverse, totient = _totient_patterns()
+    _fill_tiled(phi, first // 2, length, inverse)
+    rem *= phi
+    _fill_tiled(phi, first // 2, length, totient)
+    spf = np.zeros(length, dtype=np.int64) if with_spf else None
 
     for p, e, s in _prime_power_walk(first, hi):
-        rem[s] //= p
-        if e > 1:
-            phi[s] *= p
-            continue
-        phi[s] *= p - 1
-        if spf is not None:
-            view = spf[s]
-            view[view == 0] = p
+        if e == 1:
+            if spf is not None:
+                view = spf[s]
+                view[view == 0] = p
+            if p in _TILED_PRIMES:
+                continue
+        rem[s] *= _inverse32(p)
+        phi[s] *= p if e > 1 else p - 1
 
     if spf is not None:
-        missing = (spf == 0) & (rem > 1)
-        spf[missing] = rem[missing]
+        # An n that no base prime divides is 1 or a prime, its own spf.
+        missing = np.flatnonzero(spf == 0)
+        spf[missing] = 2 * missing + first
+        if first == 1:
+            spf[0] = 0
     # rem is 1 or the one prime above sqrt(hi), so rem - 1 clamped at 1
     # is exactly that prime's factor of phi.
     rem -= 1
@@ -283,7 +365,7 @@ def _may_be_in_linf(phi: np.ndarray, first: int) -> np.ndarray:
     ok = np.empty(phi.size, dtype=bool)
     for q in _EXCLUSION_PRIMES:
         # For odd q, phi * q^-1 mod 2^32 <= (2^32 - 1) // q iff q | phi.
-        np.multiply(phi, np.uint32(pow(q, -1, 1 << 32)), out=prod)
+        np.multiply(phi, _inverse32(q), out=prod)
         np.greater(prod, np.uint32(0xFFFFFFFF // q), out=ok)
         # The n = 1 (mod q) are every q-th entry, from i = (1 - first) / 2 mod q.
         ok[(1 - first) * pow(2, -1, q) % q :: q] = True
@@ -296,7 +378,8 @@ def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
     The totients cover the odd n only (totient_sieve): even n above 2 are
     settled without them (phi even, n-1 odd), and 2 has index 1.  The odd
-    n that _may_be_in_linf excludes have index 0; the rest take j
+    primes, phi(n) = n - 1, have index 1, and the odd n that
+    _may_be_in_linf excludes have index 0; the rest take j
     squarings of n-1 mod phi in int64, with 2^j >= the largest per-n
     cutoff bitlength(phi) - 1 (at most 31, as phi < 2^32).
     phi | (n-1)^k for some k <= cutoff implies phi | (n-1)^(2^j), so a
@@ -311,7 +394,13 @@ def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     # A view: writing odd_index[i] sets the index of first + 2i.
     odd_index = index[seg.first - lo :: 2]
 
-    pos = np.flatnonzero(_may_be_in_linf(phi, seg.first))
+    # An odd n > 1 is prime exactly when phi(n) = n - 1, and then has index
+    # 1; odd_index is still all 0, so a plain copy of the mask sets them.
+    prime = phi == np.arange(seg.first - 1, hi - 1, 2, dtype=np.uint32)
+    odd_index[:] = prime
+    keep = _may_be_in_linf(phi, seg.first)
+    keep &= ~prime
+    pos = np.flatnonzero(keep)
     ph = phi[pos].astype(np.int64)
     # Every operand is >= 0 and phi >= 1, so the truncating fmod equals %.
     base_val = 2 * pos
@@ -517,15 +606,6 @@ def enumerate_Lk_composites(
     return out
 
 
-# The product that 3, 5, 7, 11 and 13 contribute to the Korselt scan
-# repeats with period lcm(p(p-1)/2) = 30030 in odd-index space, so each
-# segment copies it from one cached pattern (each entry at most 15015 and
-# a divisor of n) instead of taking a strided pass per prime: per 10^6
-# segment near 4e7, 0.08 ms against 0.09 ms for np.ones plus 0.26-0.33 ms
-# for the five passes.  Adding 17 makes the period 2 042 040 (8 MB) and lost.
-_TILED_PRIMES = (3, 5, 7, 11, 13)
-_PATTERN_PERIOD = math.lcm(*(p * (p - 1) // 2 for p in _TILED_PRIMES))
-
 # A base prime whose stride fits more than _LOOP_HITS times into a
 # segment keeps its strided multiply; the others share one np.multiply.at
 # of at most _LOOP_HITS hits each.  Per 10^6 segment near 4e7 both together
@@ -544,35 +624,6 @@ _HIT_STEPS = np.arange(_LOOP_HITS)
 # did not tell 1024, 2048 and 4096 apart.
 _BLOCK = 4096
 _BLOCK_STEPS = np.arange(0, 2 * _BLOCK, 2, dtype=np.uint32)
-
-
-@functools.cache
-def _tiled_pattern() -> np.ndarray:
-    """The product _TILED_PRIMES contribute at the odd n = 2j + 1, by
-    j mod _PATTERN_PERIOD; n = p itself is included."""
-    pattern = np.ones(_PATTERN_PERIOD, dtype=np.uint32)
-    for p in _TILED_PRIMES:
-        # n = p (mod p(p-1)) for n = 2j + 1 is j = (p-1)/2 (mod p(p-1)/2).
-        pattern[(p - 1) // 2 :: p * (p - 1) // 2] *= p
-    pattern.flags.writeable = False
-    return pattern
-
-
-def _fill_tiled(buf: np.ndarray, j0: int, length: int) -> None:
-    """Set buf[:length] to the tiled pattern from odd index j0 on: one
-    rotated copy of the pattern, then copies that double the filled part."""
-    pattern = _tiled_pattern()
-    r = j0 % _PATTERN_PERIOD
-    head = min(_PATTERN_PERIOD - r, length)
-    buf[:head] = pattern[r : r + head]
-    tail = min(r, length - head)
-    buf[head : head + tail] = pattern[:tail]
-    # From here on the filled length is a multiple of the period.
-    filled = head + tail
-    while filled < length:
-        step = min(filled, length - filled)
-        buf[filled : filled + step] = buf[:step]
-        filled += step
 
 
 def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
@@ -615,7 +666,7 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
         first = max(lo, 2) | 1  # prod starts at 1, so n = 1 would pass
         length = len(range(first, hi, 2))
         j0 = first // 2
-        _fill_tiled(buf, j0, length)
+        _fill_tiled(buf, j0, length, _tiled_pattern())
         for t in _TILED_PRIMES:
             if first <= t < hi:  # n = t itself is prime
                 buf[(t - first) // 2] //= t

@@ -445,14 +445,21 @@ class TestModuleEntryPoints:
     """`python -m klehmer.cli` and `python -m klehmer` behave like main()."""
 
     @staticmethod
-    def run_module(module, *args):
+    def run_module(module, *args, flags=()):
         src = str(Path(klehmer.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", module, *args],
+            [sys.executable, *flags, "-m", module, *args],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    def test_docstrings_stripped(self):
+        # python -OO drops every docstring; the CLI must not need them.
+        plain = self.run_module("klehmer.cli", "classify", "561")
+        stripped = self.run_module("klehmer.cli", "classify", "561", flags=("-OO",))
+        assert (stripped.returncode, stripped.stdout, stripped.stderr) == (0, plain.stdout, "")
+        assert plain.returncode == 0 and '"n": "561"' in plain.stdout
 
     @pytest.mark.parametrize("module", ["klehmer.cli", "klehmer"])
     def test_stdout_and_exit_code(self, module):

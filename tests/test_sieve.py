@@ -15,6 +15,7 @@ from klehmer.sieve import (
     _INT64_SAFE_HI,
     _LOOP_HITS,
     _PATTERN_PERIOD,
+    _TOTIENT_PERIOD,
     AlphaNotFound,
     LehmerMembershipError,
     LimitExceededError,
@@ -23,7 +24,6 @@ from klehmer.sieve import (
     NotCarmichaelError,
     _classify_arrays,
     _korselt_scan,
-    _prime_power_walk,
     _segment_bounds,
     _segment_histogram,
     _segment_lk_members,
@@ -143,14 +143,23 @@ class TestOddTotientSieve:
 
 
 def totient_sieve_int64(lo: int, hi: int) -> np.ndarray:
-    """Totients of the odd n by the same prime-power walk in int64 arrays:
-    the reference for totient_sieve's uint32 rem and phi."""
+    """Totients of the odd n in [lo, hi) by a plain int64 prime-power sieve
+    over the conftest prime mask, dividing with //: the reference for
+    totient_sieve's uint32 rem and phi, sharing no code with it."""
     first = lo | 1
     rem = np.arange(first, hi, 2, dtype=np.int64)
     phi = np.ones(rem.size, dtype=np.int64)
-    for p, e, s in _prime_power_walk(first, hi):
-        rem[s] //= p
-        phi[s] *= p if e > 1 else p - 1
+    for p in np.flatnonzero(sieve_prime_mask(math.isqrt(hi - 1)))[1:].tolist():
+        pe, e = p, 1
+        while pe < hi:
+            # The first odd multiple of pe at or above first.
+            m = -(-first // pe) * pe
+            m += pe * (m % 2 == 0)
+            s = slice((m - first) // 2, None, pe)
+            rem[s] //= p
+            phi[s] *= p if e > 1 else p - 1
+            pe *= p
+            e += 1
     return phi * np.maximum(rem - 1, 1)
 
 
@@ -176,6 +185,59 @@ class TestUint32TotientSieve:
         lo, hi = 2**31 - 10_000, 2**31 + 10_000
         phi = totient_sieve(lo, hi).phi
         assert phi.tolist() == [euler_phi(factorize(n)) for n in range(lo | 1, hi, 2)]
+
+
+class TestTiledTotientPatterns:
+    """3, 5, 7, 11 and 13 enter totient_sieve from patterns of period
+    _TOTIENT_PERIOD in odd-index space, and only their powers through the
+    prime-power walk."""
+
+    @pytest.mark.parametrize("m", [0, 1, 33])
+    @pytest.mark.parametrize("r", [0, 1, _TOTIENT_PERIOD - 1])
+    def test_windows_on_the_pattern_seam(self, m, r, phi_100k, spf_200k):
+        # The first odd index (n - 1) / 2 of the window is r mod the period:
+        # a short window against the conftest sieves (factorization above
+        # them), and one of four periods, which the sieve fills by doubling
+        # copies, against the int64 reference.
+        first = 2 * (m * _TOTIENT_PERIOD + r) + 1
+        short, long = first + 3000, first + 2 * (4 * _TOTIENT_PERIOD + 100)
+        if short <= phi_100k.size:
+            phi, spf = phi_100k[first:short], spf_200k[first:short]
+        else:
+            phi, spf = factorized_phi_spf(first, short)
+        seg = totient_sieve(first, short, with_spf=True)
+        assert np.array_equal(seg.phi, phi[::2])
+        assert np.array_equal(seg.spf, spf[::2])
+        assert np.array_equal(totient_sieve(first, long).phi, totient_sieve_int64(first, long))
+
+    def test_every_window_below_200(self, phi_100k, spf_200k):
+        # Here the tiled primes can lie above isqrt(hi - 1), where the walk
+        # never reaches them: their spf and phi come from the patterns alone.
+        for hi in range(2, 201):
+            for lo in range(1, hi):
+                seg = totient_sieve(lo, hi, with_spf=True)
+                first = lo | 1
+                assert np.array_equal(seg.phi, phi_100k[first:hi:2]), (lo, hi)
+                assert np.array_equal(seg.spf, spf_200k[first:hi:2]), (lo, hi)
+
+
+class TestPrimeShortcut:
+    """_classify_arrays gives every odd prime index 1 from phi(n) = n - 1
+    alone; every other n keeps the index lehmer_index gives."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1, 5_001),  # holds the tiled primes 3, 5, 7, 11 and 13 themselves
+        (2**31 - 5_000, 2**31 + 5_000),
+        (_INT64_SAFE_HI - 10_000, _INT64_SAFE_HI),
+    ])
+    def test_primes_index_one_at_the_edges(self, lo, hi):
+        _, index = _classify_arrays(lo, hi)
+        for n, ix in zip(range(lo, hi), index.tolist()):
+            if n % 2 and is_prime(n):
+                assert ix == 1, n
+            else:
+                idx = lehmer_index(n)
+                assert ix == (idx.k if idx.is_finite else 0), n
 
 
 class TestClassifyRange:

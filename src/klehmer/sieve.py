@@ -297,12 +297,12 @@ def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
     ``phi[i]`` is phi(first + 2i), first being the first odd n >= lo.
     The first level of _TILED_PRIMES comes from two tiled patterns: their
     inverses mod 2^32 divide them out of rem, and their p - 1 start phi.
-    For every other odd prime power p^e below hi the multiples of p^e
-    pick up one factor of p (of p-1 at the first level of a prime above
-    the tiled ones), divided out of rem by p's inverse; whatever remains
-    after all base primes is a single prime above sqrt(hi), contributing
-    rem - 1.  Raises MemoryBudgetError when the segment cannot fit the
-    configured budget, with a workable segment size in the message.
+    At the multiples of every other odd prime power p^e below hi, phi
+    picks up one factor of p (p - 1 at the first level) and rem loses
+    one, by a multiply with p^-1 mod 2^32; whatever remains after all
+    base primes is a single prime above sqrt(hi), contributing rem - 1.
+    Raises MemoryBudgetError when the segment cannot fit the configured
+    budget, with a workable segment size in the message.
     """
     lo = _as_natural(lo, minimum=1, name="lo")
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
@@ -319,6 +319,7 @@ def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
     # divides phi(n) < n, so uint32 cannot overflow.  For odd p, a multiply
     # by p^-1 mod 2^32 divides a multiple of p exactly.
     rem = np.arange(first, hi, 2, dtype=np.uint32)
+    # phi holds the inverse pattern first, so no third array is needed.
     phi = np.empty(length, dtype=np.uint32)
     inverse, totient = _totient_patterns()
     _fill_tiled(phi, first // 2, length, inverse)

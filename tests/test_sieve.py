@@ -212,7 +212,8 @@ class TestTiledTotientPatterns:
 
     def test_every_window_below_200(self, phi_100k, spf_200k):
         # Here the tiled primes can lie above isqrt(hi - 1), where the walk
-        # never reaches them: their spf and phi come from the patterns alone.
+        # never reaches them: their phi comes from the patterns alone, and
+        # the spf of such a prime n is n itself.
         for hi in range(2, 201):
             for lo in range(1, hi):
                 seg = totient_sieve(lo, hi, with_spf=True)

@@ -25,7 +25,6 @@ import sys
 from dataclasses import dataclass
 
 from .arith import (
-    FactoredInteger,
     _as_natural,
     carmichael_lambda,
     factorize,
@@ -35,7 +34,6 @@ from .carmichael import chernick, korselt_test, pseudoprime_base, fermat_test
 from .lehmer import (
     LehmerIndex,
     lehmer_index,
-    in_Lk,
     semiprime_decompose,
     semiprime_in_Lk,
 )
@@ -407,8 +405,10 @@ def _cmd_semiprime(args):
     if args.k is not None:
         payload["k"] = args.k
         payload["criterion"] = semiprime_in_Lk(dec, args.k)
-        p, q = sorted((dec.p, dec.q))
-        payload["direct"] = in_Lk(FactoredInteger(p * q, ((p, 1), (q, 1))), args.k)
+        # phi(pq) | (pq - 1)^k by definition: p and q were proved prime once,
+        # in semiprime_decompose, and pq must stay in the 127-bit domain.
+        n = _as_natural(dec.p * dec.q, name="value")
+        payload["direct"] = pow(n - 1, args.k, (dec.p - 1) * (dec.q - 1)) == 0
     return payload, list(payload), [payload]
 
 

@@ -9,8 +9,10 @@ lie outside every L_k, and no even n is a Carmichael number): a segmented
 uint32 totient sieve over the odd n supplies phi(n).  It copies the first
 level of 3, 5, 7, 11 and 13 from two tiled patterns (the product of their
 inverses mod 2^32, which divides them out of the remainder exactly, and
-the product of their p - 1) and walks every other odd prime power,
-dividing by a multiply with p^-1 mod 2^32.  An odd n > 1 is prime exactly
+the product of their p - 1); then one loop over the odd base primes
+multiplies in p - 1 at the multiples of every other p and p at the
+multiples of each higher power, dividing p out of the remainder by a
+multiply with p^-1 mod 2^32.  An odd n > 1 is prime exactly
 when phi(n) = n - 1, so the primes get index 1 from that compare alone.
 The index of every other odd n is found by iterated modular
 multiplication acc <- acc * (n-1) mod phi(n), stopping at the first zero
@@ -26,9 +28,9 @@ which enumerate_carmichael lists and alpha_search walks: it plans once
 (base primes, strides, one reused uint32 product buffer), and each
 segment copies the tiled product of 3, 5, 7, 11 and 13, multiplies in
 the larger primes by strided passes or one scatter, and searches for
-hits block by block.  Count and L_k segments are independent work units;
-with a worker pool they are merged in ascending order, so results are
-identical for any worker count or segment size.
+hits block by block.  Count and L_k segments are independent work units,
+merged in ascending order as they arrive (from a worker pool or not), so
+results are identical for any worker count or segment size.
 """
 
 from __future__ import annotations
@@ -83,12 +85,13 @@ _DEFAULT_SEGMENT = 1_000_000
 _INT64_SAFE_HI = 3_000_000_000
 
 # Peak bytes (tracemalloc on 10^6 segments at 10^7, 9.9e7 and just below
-# _INT64_SAFE_HI, checked by the tests): totient_sieve at most 8.5 per
-# odd value it sieves (18.0 with spf, charged 12 + 8); a bulk segment at
-# most 6.5 (_classify_arrays, _segment_lk_members) or 2.4 (a Korselt
-# scan of one segment; 6.6 on the segment from 2, where most blocks of
-# the hit search reach first) per value of hi - lo.  12 is at least 41%
-# above each of these peaks, and 12 + 8 is 11% above the spf sieve's.
+# _INT64_SAFE_HI, checked by the tests): totient_sieve 8.2-8.5 per odd
+# value it sieves (9.8 on a first call near _INT64_SAFE_HI, which caches
+# the inverses of its 5570 base primes); a bulk segment at most 6.5
+# (_classify_arrays, _segment_lk_members) or 2.4 (a Korselt scan of one
+# segment; 6.6 on the segment from 2, where most blocks of the hit search
+# reach first) per value of hi - lo.  12 is at least 22% above each of
+# these peaks.
 _BYTES_PER_VALUE = 12
 
 
@@ -123,17 +126,17 @@ class LehmerMembershipError(VerificationFailure):
 
 @dataclass
 class SieveSegment:
-    """Totients (and optionally smallest prime factors) of the odd n in [lo, hi).
+    """Totients of the odd n in [lo, hi).
 
     Entry i belongs to n = first + 2i, first being the first odd n >= lo.
-    ``phi`` is uint32 (every n is below _INT64_SAFE_HI < 2^32); ``spf``
-    is int64.
+    ``phi`` is uint32 (every n is below _INT64_SAFE_HI < 2^32).
     """
 
     lo: int
     hi: int
     phi: np.ndarray
-    spf: np.ndarray | None = None
+    # Always None; bench/spans.py reads it, and it goes when that stops.
+    spf: None = None
 
     @property
     def first(self) -> int:
@@ -189,8 +192,8 @@ def _memory_budget_mib() -> int:
     return mib
 
 
-def _budget_segment_cap(bytes_per_elem: int) -> int:
-    return max(1024, _memory_budget_mib() * (1 << 20) // bytes_per_elem)
+def _budget_segment_cap() -> int:
+    return max(1024, _memory_budget_mib() * (1 << 20) // _BYTES_PER_VALUE)
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -222,8 +225,8 @@ _TOTIENT_PERIOD = math.prod(_TILED_PRIMES)
 @functools.cache
 def _inverse32(p: int) -> np.uint32:
     """p^-1 mod 2^32 for odd p: a uint32 multiple of p times it is the
-    exact quotient.  Cached, as the walk asks for it at every level of
-    every segment; its arguments are odd primes below sqrt(_INT64_SAFE_HI)."""
+    exact quotient.  Cached, as the totient sieve asks for it in every
+    segment; its arguments are odd primes below sqrt(_INT64_SAFE_HI)."""
     return np.uint32(pow(p, -1, 1 << 32))
 
 
@@ -271,38 +274,20 @@ def _fill_tiled(buf: np.ndarray, j0: int, length: int, pattern: np.ndarray) -> N
         filled += step
 
 
-def _prime_power_walk(first: int, hi: int) -> Iterator[tuple[int, int, slice]]:
-    """Yield (p, e, s) for every odd prime power p^e < hi, where s selects
-    the multiples of p^e among the odd n = first + 2i < hi (totient_sieve).
-
-    Consecutive odd multiples of p^e are 2 p^e apart, so the stride in
-    index space is p^e, from the i with first + 2i = 0 (mod p^e).
-    """
-    length = len(range(first, hi, 2))
-    for p in base_primes(math.isqrt(hi - 1))[1:].tolist():
-        pe, e = p, 1
-        while pe < hi:
-            # (pe + 1) // 2 is the inverse of 2 mod the odd pe.
-            i = -first * ((pe + 1) // 2) % pe
-            if i >= length:
-                break
-            yield p, e, slice(i, length, pe)
-            pe *= p
-            e += 1
-
-
-def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
+def totient_sieve(lo: int, hi: int) -> SieveSegment:
     """Exact totients of the odd n in [lo, hi) by a segmented sieve.
 
     ``phi[i]`` is phi(first + 2i), first being the first odd n >= lo.
     The first level of _TILED_PRIMES comes from two tiled patterns: their
     inverses mod 2^32 divide them out of rem, and their p - 1 start phi.
-    At the multiples of every other odd prime power p^e below hi, phi
-    picks up one factor of p (p - 1 at the first level) and rem loses
-    one, by a multiply with p^-1 mod 2^32; whatever remains after all
-    base primes is a single prime above sqrt(hi), contributing rem - 1.
-    Raises MemoryBudgetError when the segment cannot fit the configured
-    budget, with a workable segment size in the message.
+    One loop then walks the odd base primes p <= sqrt(hi - 1) and their
+    powers p^e < hi, from p^2 for _TILED_PRIMES and from p for the rest:
+    at the multiples of p^e, phi picks up one factor of p (p - 1 at the
+    first level) and rem loses one, by a multiply with p^-1 mod 2^32.
+    Whatever remains in rem is 1 or a single prime above sqrt(hi),
+    contributing rem - 1.  Raises MemoryBudgetError when the segment
+    cannot fit the configured budget, with a workable segment size in
+    the message.
     """
     lo = _as_natural(lo, minimum=1, name="lo")
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
@@ -310,7 +295,7 @@ def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
         raise LimitExceededError(f"hi must stay below {_INT64_SAFE_HI}")
     first = lo | 1
     # The budget caps the odd values sieved: hi - lo = 2 * cap holds cap of them.
-    cap = _budget_segment_cap(_BYTES_PER_VALUE + (8 if with_spf else 0))
+    cap = _budget_segment_cap()
     length = len(range(first, hi, 2))
     if length > cap:
         raise MemoryBudgetError(hi - lo, _memory_budget_mib(), 2 * cap)
@@ -325,30 +310,28 @@ def totient_sieve(lo: int, hi: int, with_spf: bool = False) -> SieveSegment:
     _fill_tiled(phi, first // 2, length, inverse)
     rem *= phi
     _fill_tiled(phi, first // 2, length, totient)
-    spf = np.zeros(length, dtype=np.int64) if with_spf else None
 
-    for p, e, s in _prime_power_walk(first, hi):
-        if e == 1:
-            if spf is not None:
-                view = spf[s]
-                view[view == 0] = p
-            if p in _TILED_PRIMES:
-                continue
-        rem[s] *= _inverse32(p)
-        phi[s] *= p if e > 1 else p - 1
+    for p in base_primes(math.isqrt(hi - 1))[1:].tolist():
+        pe, factor = (p * p, p) if p in _TILED_PRIMES else (p, p - 1)
+        inv = _inverse32(p)
+        while pe < hi:
+            # Consecutive odd multiples of pe are 2 pe apart, so the stride
+            # in index space is pe, from the i with first + 2i = 0 (mod pe);
+            # (pe + 1) // 2 is the inverse of 2 mod the odd pe.
+            i = -first * ((pe + 1) // 2) % pe
+            if i >= length:
+                break
+            rem[i::pe] *= inv
+            phi[i::pe] *= factor
+            pe *= p
+            factor = p
 
-    if spf is not None:
-        # An n that no base prime divides is 1 or a prime, its own spf.
-        missing = np.flatnonzero(spf == 0)
-        spf[missing] = 2 * missing + first
-        if first == 1:
-            spf[0] = 0
     # rem is 1 or the one prime above sqrt(hi), so rem - 1 clamped at 1
     # is exactly that prime's factor of phi.
     rem -= 1
     np.maximum(rem, 1, out=rem)
     phi *= rem
-    return SieveSegment(lo, hi, phi, spf)
+    return SieveSegment(lo, hi, phi)
 
 
 # q | phi(n) with q not dividing n - 1 puts n outside L_inf: q never
@@ -459,17 +442,20 @@ def _segment_bounds(
 def _auto_segment_size(segment_size: int | None) -> int:
     if segment_size is not None:
         segment_size = _as_natural(segment_size, minimum=1, name="segment_size")
-    return min(segment_size or _DEFAULT_SEGMENT, _budget_segment_cap(_BYTES_PER_VALUE))
+    return min(segment_size or _DEFAULT_SEGMENT, _budget_segment_cap())
 
 
-def _map_segments(func, args_list, workers: int):
+def _map_segments(func, args_list, workers: int) -> Iterator:
+    """Yield func(a) for each a in args_list in order, as results arrive,
+    so that callers merge them without holding a list of them."""
     # A fork-based pool starts all of its workers up front, so never ask
     # for more than there are segments or cores.
     size = min(workers, len(args_list), os.cpu_count() or 1)
     if size <= 1:
-        return [func(a) for a in args_list]
+        yield from map(func, args_list)
+        return
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(func, args_list))
+        yield from pool.map(func, args_list)
 
 
 def _check_limit(limit, max_limit: int | None) -> int:

@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own code paths: totients
 come from the classic in-place divisor sieve, primality from a boolean
 sieve, factorizations from plain trial division.  Library results are
 always compared against these, never against themselves.  The
-exceptions, ``swap_factorize`` and the ``factorize_calls`` fixture built
-on it, watch the library's own factorize calls.
+exceptions, ``swap_arith`` and the ``factorize_calls`` fixture built on
+it, watch the library's own factorize and is_prime calls.
 """
 
 from __future__ import annotations
@@ -106,19 +106,19 @@ def spf_200k() -> np.ndarray:
     return sieve_spf(200_000)
 
 
-def swap_factorize(monkeypatch, wrapper) -> None:
-    """Route every factorize call through ``wrapper(original, n)``,
-    wherever factorize is bound.
+def swap_arith(monkeypatch, attr: str, wrapper) -> None:
+    """Route every call of ``klehmer.arith.<attr>`` (factorize, is_prime)
+    through ``wrapper(original, n)``, wherever the name is bound.
 
     Like the benchmark's tracer, this swaps the name in every loaded
     klehmer module, so calls routed through arith's helpers count too.
     """
     from klehmer import arith
 
-    original = arith.factorize
+    original = getattr(arith, attr)
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "klehmer" and module.__dict__.get("factorize") is original:
-            monkeypatch.setattr(module, "factorize", lambda n: wrapper(original, n))
+        if name.split(".")[0] == "klehmer" and module.__dict__.get(attr) is original:
+            monkeypatch.setattr(module, attr, lambda n: wrapper(original, n))
 
 
 @pytest.fixture
@@ -130,5 +130,5 @@ def factorize_calls(monkeypatch) -> list[int]:
         calls.append(int(n))
         return original(n)
 
-    swap_factorize(monkeypatch, recording)
+    swap_arith(monkeypatch, "factorize", recording)
     return calls

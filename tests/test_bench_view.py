@@ -4,7 +4,7 @@ bench/spans.py looks up the functions it traces by name and reads fields
 of the totient sieve's result, so a library change can break a traced
 benchmark run while the rest of this suite stays green.  These tests
 execute spans.py from its source (nothing is written under bench/) and
-check both.
+check both, and which commands reach the totient sieve.
 """
 
 import importlib
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from klehmer import cli
 from klehmer.sieve import totient_sieve
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -34,12 +35,27 @@ def test_every_traced_name_resolves(spans):
     assert missing == []
 
 
-@pytest.mark.parametrize("with_spf", [False, True])
-def test_sieve_figures_read_a_real_segment(spans, with_spf):
+def test_sieve_figures_read_a_real_segment(spans):
     # _sieve_bytes reads SieveSegment.spf, so the field stays while it does.
-    seg = totient_sieve(1000, 3001, with_spf=with_spf)
-    spf_bytes = seg.spf.nbytes if with_spf else 0
+    seg = totient_sieve(1000, 3001)
+    assert seg.spf is None
     assert spans._sieve_values(seg) == 2001
-    assert spans._sieve_bytes(seg) == seg.phi.nbytes + spf_bytes
+    assert spans._sieve_bytes(seg) == seg.phi.nbytes
     measure = {name: m for name, _, _, m in spans.TRACED}["sieve.totient_sieve"]
-    assert measure(seg) == (2001, seg.phi.nbytes + spf_bytes)
+    assert measure(seg) == (2001, seg.phi.nbytes)
+
+
+# bench/run.py checks these layers in traced runs (REQUIRED and BYPASS):
+# the count must reach the totient sieve through the name spans.py swaps,
+# and the Korselt scan and the per-number path must never call it.
+@pytest.mark.parametrize("argv, sieved", [
+    (["count", "--limit", "1e3"], True),
+    (["list", "--set", "carmichael", "--limit", "1e4"], False),
+    (["alpha", "--k", "2", "--limit", "1e4"], False),
+    (["classify", "561"], False),
+], ids=["count", "list-carmichael", "alpha", "classify"])
+def test_totient_sieve_spans_per_command(spans, capsys, argv, sieved):
+    with spans.instrument(spans.Tracer()) as tracer:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert (spans.calls(tracer.spans, "sieve.totient_sieve") > 0) == sieved

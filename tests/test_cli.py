@@ -14,6 +14,8 @@ import klehmer
 from klehmer import cli
 from klehmer.cli import classification_report, emit_bfile, main
 
+from conftest import swap_arith
+
 
 def run_cli(capsys, *args):
     rc = main(list(args))
@@ -257,6 +259,22 @@ class TestSemiprime:
         rc, out, _ = run_cli(capsys, "semiprime", "7", "13", "--k", "3",
                              "--format", "csv")
         assert out == "p,q,a,b,d,alpha,beta,k,criterion,direct\n7,13,1,2,3,1,1,3,true,true\n"
+
+    def test_proves_p_and_q_once(self, capsys, monkeypatch):
+        calls = []
+
+        def recording(original, n):
+            calls.append(n)
+            return original(n)
+
+        swap_arith(monkeypatch, "is_prime", recording)
+        rc, out, _ = run_cli(capsys, "semiprime", "7", "13", "--k", "3")
+        assert (rc, calls.count(7), calls.count(13)) == (0, 1, 1)
+        assert out == (
+            '{\n  "p": "7",\n  "q": "13",\n  "a": 1,\n  "b": 2,\n  "d": "3",\n'
+            '  "alpha": "1",\n  "beta": "1",\n  "k": 3,\n  "criterion": true,\n'
+            '  "direct": true\n}\n'
+        )
 
     def test_json_without_k(self, capsys):
         rc, out, _ = run_cli(capsys, "semiprime", "5", "13")

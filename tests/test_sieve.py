@@ -37,7 +37,7 @@ from klehmer.sieve import (
     verify_alpha_entry,
 )
 
-from conftest import sieve_phi, sieve_prime_mask, sieve_spf, trial_factorize
+from conftest import sieve_phi, sieve_prime_mask, trial_factorize
 
 
 A173703_BELOW_50000 = [
@@ -65,11 +65,6 @@ class TestTotientSieve:
         phi = sieve_phi(50_000)
         assert np.array_equal(totient_sieve(1, 50_001).phi, phi[1::2])
         assert np.array_equal(totient_sieve(30_000, 40_000).phi, phi[30_001:40_000:2])
-
-    def test_spf_option(self):
-        spf = sieve_spf(10_000)
-        seg = totient_sieve(2, 10_001, with_spf=True)
-        assert np.array_equal(seg.spf, spf[3::2])
 
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setenv(MEMORY_ENV_VAR, "1")
@@ -107,11 +102,9 @@ class TestTotientSieve:
             totient_sieve(0, 10)
 
 
-def factorized_phi_spf(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """phi(n) and the smallest prime factor of every n in [lo, hi), by factorize."""
-    fs = [factorize(n) for n in range(lo, hi)]
-    return (np.array([euler_phi(f) for f in fs], dtype=np.int64),
-            np.array([f.factors[0][0] for f in fs], dtype=np.int64))
+def factorized_phi(lo: int, hi: int) -> np.ndarray:
+    """phi(n) of every n in [lo, hi), by factorize."""
+    return np.array([euler_phi(factorize(n)) for n in range(lo, hi)], dtype=np.int64)
 
 
 class TestOddTotientSieve:
@@ -124,17 +117,12 @@ class TestOddTotientSieve:
         (1, 20_000), (2, 20_000),
         (_INT64_SAFE_HI - 10_000, _INT64_SAFE_HI),
     ])
-    def test_matches_full_sieve(self, lo, hi, phi_100k, spf_200k):
-        if hi <= phi_100k.size:
-            phi, spf = phi_100k[lo:hi], spf_200k[lo:hi]
-        else:
-            phi, spf = factorized_phi_spf(lo, hi)
-        seg = totient_sieve(lo, hi, with_spf=True)
+    def test_matches_full_sieve(self, lo, hi, phi_100k):
+        phi = phi_100k[lo:hi] if hi <= phi_100k.size else factorized_phi(lo, hi)
+        seg = totient_sieve(lo, hi)
         first = lo | 1
         assert (seg.lo, seg.hi, seg.first) == (lo, hi, first)
         assert np.array_equal(seg.phi, phi[first - lo :: 2])
-        assert np.array_equal(seg.spf, spf[first - lo :: 2])
-        assert np.array_equal(totient_sieve(lo, hi).phi, seg.phi)
 
     def test_agrees_with_oracle_sieve(self):
         phi = sieve_phi(50_000)
@@ -190,36 +178,39 @@ class TestUint32TotientSieve:
 class TestTiledTotientPatterns:
     """3, 5, 7, 11 and 13 enter totient_sieve from patterns of period
     _TOTIENT_PERIOD in odd-index space, and only their powers through the
-    prime-power walk."""
+    prime-power loop, which starts them at p^2."""
 
     @pytest.mark.parametrize("m", [0, 1, 33])
     @pytest.mark.parametrize("r", [0, 1, _TOTIENT_PERIOD - 1])
-    def test_windows_on_the_pattern_seam(self, m, r, phi_100k, spf_200k):
+    def test_windows_on_the_pattern_seam(self, m, r, phi_100k):
         # The first odd index (n - 1) / 2 of the window is r mod the period:
         # a short window against the conftest sieves (factorization above
         # them), and one of four periods, which the sieve fills by doubling
         # copies, against the int64 reference.
         first = 2 * (m * _TOTIENT_PERIOD + r) + 1
         short, long = first + 3000, first + 2 * (4 * _TOTIENT_PERIOD + 100)
-        if short <= phi_100k.size:
-            phi, spf = phi_100k[first:short], spf_200k[first:short]
-        else:
-            phi, spf = factorized_phi_spf(first, short)
-        seg = totient_sieve(first, short, with_spf=True)
-        assert np.array_equal(seg.phi, phi[::2])
-        assert np.array_equal(seg.spf, spf[::2])
+        phi = phi_100k[first:short] if short <= phi_100k.size else factorized_phi(first, short)
+        assert np.array_equal(totient_sieve(first, short).phi, phi[::2])
         assert np.array_equal(totient_sieve(first, long).phi, totient_sieve_int64(first, long))
 
-    def test_every_window_below_200(self, phi_100k, spf_200k):
-        # Here the tiled primes can lie above isqrt(hi - 1), where the walk
-        # never reaches them: their phi comes from the patterns alone, and
-        # the spf of such a prime n is n itself.
+    def test_windows_at_tiled_prime_powers(self):
+        # Windows of 1 and 7 values starting from 3 below to 2 above each
+        # power p^2 .. p^7 of a tiled prime, where the loop takes over.
+        for p in (3, 5, 7, 11, 13):
+            for e in range(2, 8):
+                for lo in range(p**e - 3, p**e + 3):
+                    for hi in (lo + 1, lo + 7):
+                        assert np.array_equal(totient_sieve(lo, hi).phi,
+                                              totient_sieve_int64(lo, hi)), (lo, hi)
+
+    def test_every_window_below_200(self, phi_100k):
+        # Here the tiled primes can lie above isqrt(hi - 1), where the loop
+        # never reaches them: their phi comes from the patterns alone.
         for hi in range(2, 201):
             for lo in range(1, hi):
-                seg = totient_sieve(lo, hi, with_spf=True)
+                seg = totient_sieve(lo, hi)
                 first = lo | 1
                 assert np.array_equal(seg.phi, phi_100k[first:hi:2]), (lo, hi)
-                assert np.array_equal(seg.spf, spf_200k[first:hi:2]), (lo, hi)
 
 
 class TestPrimeShortcut:
@@ -690,12 +681,11 @@ class TestSegmentMemory:
     # odd values as the even-started window.
     @pytest.mark.parametrize("run, per_value, step", [
         (lambda lo, hi: totient_sieve(lo, hi), _BYTES_PER_VALUE, 2),
-        (lambda lo, hi: totient_sieve(lo, hi, with_spf=True), _BYTES_PER_VALUE + 8, 2),
         (lambda lo, hi: totient_sieve(lo + 1, hi), _BYTES_PER_VALUE, 2),
         (lambda lo, hi: _classify_arrays(lo, hi), _BYTES_PER_VALUE, 1),
         (lambda lo, hi: _segment_lk_members((lo, hi, 3)), _BYTES_PER_VALUE, 1),
         (lambda lo, hi: next(_korselt_scan([(lo, hi)])), _BYTES_PER_VALUE, 1),
-    ], ids=["totient_sieve", "totient_sieve_spf", "totient_sieve_odd", "classify_arrays", "lk_members", "carmichael"])
+    ], ids=["totient_sieve", "totient_sieve_odd", "classify_arrays", "lk_members", "carmichael"])
     def test_peak_within_budget(self, run, per_value, step):
         tracemalloc.start()
         try:
@@ -718,6 +708,17 @@ class TestSegmentMemory:
             tracemalloc.stop()
         assert len(found) == 105
         assert peak <= _BYTES_PER_VALUE * size
+
+    def test_count_merges_histograms_as_they_arrive(self):
+        # 1000 segments of 1 value: holding every segment's histogram of
+        # K_CAP + 1 int64 counts until the merge would take about 1 MiB.
+        tracemalloc.start()
+        try:
+            count_table(10**3, segment_size=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1000 * (K_CAP + 1) * 8 // 4
 
 
 @pytest.fixture

@@ -8,9 +8,10 @@ small structural fields (k, exponents, counts, indexes) stay numeric.
 Each handler returns its records (a JSON payload, a CSV header and rows)
 and main alone renders them in the chosen format.
 
-Exit codes: 0 success, 1 usage error, 2 bound or memory budget exceeded
-(or an arithmetic failure such as an overflow or an unsplit factor),
-3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 bound exceeded or arithmetic
+failure (such as an overflow or an unsplit factor), 3 verification
+failure.  Bulk segments are always sized to fit the memory budget
+(KLEHMER_MEMORY_MIB).
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ def _parse_int(text: str, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {text!r}")
 
 
-def _parse_limit(text: str) -> int:
-    """Accept plain integers and scientific notation like 1e6."""
+def _parse_limit(text: str, name: str = "limit") -> int:
+    """Accept plain integers and scientific notation like 1e6; ``name`` is
+    the option that errors name."""
     try:
         return int(text)
     except ValueError:
@@ -166,9 +168,9 @@ def _parse_limit(text: str) -> int:
     try:
         x = float(text)
     except ValueError:
-        raise ValueError(f"invalid limit {text!r}")
+        raise ValueError(f"invalid {name} {text!r}")
     if not x.is_integer() or abs(x) > 1e18:
-        raise ValueError(f"invalid limit {text!r}")
+        raise ValueError(f"invalid {name} {text!r}")
     return int(x)
 
 
@@ -211,12 +213,10 @@ def _positive_int(text: str) -> int:
 
 
 def _bulk_limits(args) -> dict:
-    return dict(segment_size=args.segment_size,
-                max_limit=LARGE_MAX_LIMIT if args.allow_large else None)
+    return dict(max_limit=LARGE_MAX_LIMIT if args.allow_large else None)
 
 
 def _add_bulk_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--segment-size", type=int, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--allow-large", action="store_true",
                    help="raise the limit ceiling from 1e7 to 1e8")
@@ -373,9 +373,9 @@ def _candidate_payload(cand) -> dict:
 
 def _cmd_chernick(args):
     if args.m is not None:
-        candidates = [chernick(args.k, _parse_limit(args.m))]
+        candidates = [chernick(args.k, _parse_limit(args.m, "m"))]
     else:
-        m_max = _parse_limit(args.m_max)
+        m_max = _parse_limit(args.m_max, "m-max")
         _as_natural(m_max, minimum=1, name="m-max")
         if m_max > _CHERNICK_M_MAX:
             raise LimitExceededError(

@@ -30,7 +30,7 @@ segment copies the tiled product of 3, 5, 7, 11 and 13, multiplies in
 the larger primes by strided passes or one scatter, and searches for
 hits block by block.  Count and L_k segments are independent work units,
 merged in ascending order as they arrive (from a worker pool or not), so
-results are identical for any worker count or segment size.
+results are identical for any worker count or segmentation.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def _memory_budget_mib() -> int:
 
 
 def _budget_segment_cap() -> int:
-    return max(1024, _memory_budget_mib() * (1 << 20) // _BYTES_PER_VALUE)
+    return _memory_budget_mib() * (1 << 20) // _BYTES_PER_VALUE
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -422,9 +422,16 @@ def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _segment_bounds(
-    lo: int, hi: int, size: int, cuts: tuple[int, ...] = ()
+    lo: int, hi: int, cuts: tuple[int, ...] = ()
 ) -> list[tuple[int, int]]:
-    """Split [lo, hi) into chunks of at most ``size``, aligned on ``cuts``."""
+    """Split [lo, hi) into the segments every bulk path runs on, also cut at
+    each of ``cuts`` inside the range.
+
+    The one place that picks the segment size: _DEFAULT_SEGMENT values, or
+    fewer when the memory budget (KLEHMER_MEMORY_MIB) cannot hold that many.
+    Results never depend on the size, only speed and peak memory do.
+    """
+    size = min(_DEFAULT_SEGMENT, _budget_segment_cap())
     marks = sorted({c for c in cuts if lo < c < hi})
     bounds = []
     start = lo
@@ -437,12 +444,6 @@ def _segment_bounds(
         bounds.append((start, end))
         start = end
     return bounds
-
-
-def _auto_segment_size(segment_size: int | None) -> int:
-    if segment_size is not None:
-        segment_size = _as_natural(segment_size, minimum=1, name="segment_size")
-    return min(segment_size or _DEFAULT_SEGMENT, _budget_segment_cap())
 
 
 def _map_segments(func, args_list, workers: int) -> Iterator:
@@ -470,9 +471,7 @@ def _check_limit(limit, max_limit: int | None) -> int:
     return limit
 
 
-def classify_range(
-    lo: int, hi: int, *, segment_size: int | None = None
-) -> Iterator[tuple[int, LehmerIndex]]:
+def classify_range(lo: int, hi: int) -> Iterator[tuple[int, LehmerIndex]]:
     """Yield (n, LehmerIndex) for every n in [lo, hi), factorization-free.
 
     The same algorithm as lehmer_index, on sieved totients in bulk, so it
@@ -482,8 +481,7 @@ def classify_range(
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
     if hi > _INT64_SAFE_HI:
         raise LimitExceededError(f"hi must stay below {_INT64_SAFE_HI}")
-    size = _auto_segment_size(segment_size)
-    for a, b in _segment_bounds(lo, hi, size):
+    for a, b in _segment_bounds(lo, hi):
         _, index = _classify_arrays(a, b)
         for i, ix in enumerate(index.tolist()):
             yield a + i, (LehmerIndex(ix) if ix else NOT_IN_LINF)
@@ -518,7 +516,6 @@ def count_table(
     limit,
     ks=(2, 3, 4, 5, math.inf),
     *,
-    segment_size: int | None = None,
     workers: int = 1,
     max_limit: int | None = None,
 ) -> CountTable:
@@ -526,8 +523,7 @@ def count_table(
 
     ``limit`` must itself be a power of ten.  The inf row (membership in
     L_inf) is always computed alongside the requested ks; requested k
-    beyond 127 count as inf.  Deterministic for any worker count and
-    segment size.
+    beyond 127 count as inf.  Deterministic for any worker count.
     """
     limit = _check_limit(limit, max_limit)
     j = round(math.log10(limit))
@@ -536,8 +532,7 @@ def count_table(
     requested = _normalize_ks(ks)
     powers = tuple(10**i for i in range(1, j + 1))
 
-    size = _auto_segment_size(segment_size)
-    bounds = _segment_bounds(1, limit + 1, size, cuts=tuple(p + 1 for p in powers))
+    bounds = _segment_bounds(1, limit + 1, cuts=tuple(p + 1 for p in powers))
     hists = _map_segments(_segment_histogram, bounds, workers)
 
     running = np.zeros(K_CAP + 1, dtype=np.int64)
@@ -577,15 +572,13 @@ def enumerate_Lk_composites(
     limit,
     k: int,
     *,
-    segment_size: int | None = None,
     workers: int = 1,
     max_limit: int | None = None,
 ) -> list[int]:
     """All composite n <= limit with phi(n) | (n-1)^k, ascending."""
     limit = _check_limit(limit, max_limit)
     k = _as_natural(k, minimum=1, name="k")
-    size = _auto_segment_size(segment_size)
-    bounds = _segment_bounds(1, limit + 1, size)
+    bounds = _segment_bounds(1, limit + 1)
     chunks = _map_segments(_segment_lk_members, [(a, b, k) for a, b in bounds], workers)
     out: list[int] = []
     for chunk in chunks:
@@ -681,34 +674,24 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
         yield n[blocks[rows] == n]
 
 
-def _carmichael_numbers(limit: int, segment_size: int | None) -> Iterator[int]:
+def _carmichael_numbers(limit: int) -> Iterator[int]:
     """Carmichael numbers <= limit in ascending order, one segment at a time."""
-    bounds = _segment_bounds(2, limit + 1, _auto_segment_size(segment_size))
-    for found in _korselt_scan(bounds):
+    for found in _korselt_scan(_segment_bounds(2, limit + 1)):
         yield from found.tolist()
 
 
-def enumerate_carmichael(
-    limit,
-    *,
-    segment_size: int | None = None,
-    max_limit: int | None = None,
-) -> list[int]:
+def enumerate_carmichael(limit, *, max_limit: int | None = None) -> list[int]:
     """All Carmichael numbers <= limit, ascending.
 
     One Korselt scan (_korselt_scan) in process: its plan and buffer are
     made once for all segments, and a segment costs less than starting a
     worker pool does.
     """
-    return list(_carmichael_numbers(_check_limit(limit, max_limit), segment_size))
+    return list(_carmichael_numbers(_check_limit(limit, max_limit)))
 
 
 def alpha_search(
-    k: int,
-    limit,
-    *,
-    segment_size: int | None = None,
-    max_limit: int | None = None,
+    k: int, limit, *, max_limit: int | None = None
 ) -> AlphaRecord | AlphaNotFound:
     """Smallest Carmichael number <= limit outside L_k, if any.
 
@@ -718,7 +701,7 @@ def alpha_search(
     """
     k = _as_natural(k, minimum=1, name="k")
     limit = _check_limit(limit, max_limit)
-    for n in _carmichael_numbers(limit, segment_size):
+    for n in _carmichael_numbers(limit):
         f = factorize(n)
         idx = lehmer_index(f)
         if not idx <= k:

@@ -5,13 +5,15 @@ come from the classic in-place divisor sieve, primality from a boolean
 sieve, factorizations from plain trial division.  Library results are
 always compared against these, never against themselves.  The
 exceptions, ``swap_arith`` and the ``factorize_calls`` fixture built on
-it, watch the library's own factorize and is_prime calls.
+it, watch the library's own factorize and is_prime calls, and
+``segments_of`` sets the library's segment size.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,6 +121,18 @@ def swap_arith(monkeypatch, attr: str, wrapper) -> None:
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "klehmer" and module.__dict__.get(attr) is original:
             monkeypatch.setattr(module, attr, lambda n: wrapper(original, n))
+
+
+def segments_of(size: int):
+    """Context manager: the bulk paths split their ranges into segments of
+    at most ``size`` values (still capped by the memory budget).
+
+    A plain patch rather than monkeypatch, so it also works inside
+    @given tests, which share one function-scoped fixture across examples.
+    """
+    from klehmer import sieve
+
+    return mock.patch.object(sieve, "_DEFAULT_SEGMENT", size)
 
 
 @pytest.fixture

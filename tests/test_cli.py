@@ -14,7 +14,7 @@ import klehmer
 from klehmer import cli
 from klehmer.cli import classification_report, emit_bfile, main
 
-from conftest import swap_arith
+from conftest import segments_of, swap_arith
 
 
 def run_cli(capsys, *args):
@@ -121,11 +121,21 @@ class TestCount:
     def test_identical_across_workers(self, capsys):
         rc1, out1, _ = run_cli(capsys, "count", "--limit", "1e5", "--k",
                                "2,3,4,5,inf", "--format", "csv")
-        rc2, out2, _ = run_cli(capsys, "count", "--limit", "1e5", "--k",
-                               "2,3,4,5,inf", "--format", "csv",
-                               "--workers", "2", "--segment-size", "7777")
+        with segments_of(7777):
+            rc2, out2, _ = run_cli(capsys, "count", "--limit", "1e5", "--k",
+                                   "2,3,4,5,inf", "--format", "csv", "--workers", "2")
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    def test_smallest_memory_budget_changes_nothing(self, capsys, monkeypatch):
+        # At 1 MiB segments hold 87 381 values, so they end away from the
+        # default's 10^6 boundaries.
+        commands = (("count", "--limit", "1e6", "--format", "csv"),
+                    ("list", "--set", "lk-composites:3", "--limit", "1e6"))
+        default = [run_cli(capsys, *command) for command in commands]
+        monkeypatch.setenv("KLEHMER_MEMORY_MIB", "1")
+        assert [run_cli(capsys, *command) for command in commands] == default
+        assert all(rc == 0 for rc, _, _ in default)
 
 
 class TestList:
@@ -235,6 +245,11 @@ class TestChernick:
     def test_k_too_small_is_usage_error(self, capsys):
         rc, _, _ = run_cli(capsys, "chernick", "--k", "2", "--m", "1")
         assert rc == 1
+
+    @pytest.mark.parametrize("flag", ["--m", "--m-max"])
+    def test_bad_m_names_its_option(self, capsys, flag):
+        rc, out, err = run_cli(capsys, "chernick", "--k", "3", flag, "1e30")
+        assert (rc, out, err) == (1, "", f"error: invalid {flag[2:]} '1e30'\n")
 
     @pytest.mark.parametrize("m_max", ["100001", "1e9", str(10**20)])
     def test_m_max_above_ceiling_is_exit_2(self, capsys, m_max):
@@ -356,6 +371,17 @@ class TestUsage:
         assert run_cli(capsys, "classify", "561")[0] == 0
         assert built == []
 
+    def test_segment_size_is_not_an_option(self, capsys):
+        commands = (
+            ("count", "--limit", "1e7"),
+            ("list", "--set", "carmichael", "--limit", "1e7"),
+            ("alpha", "--k", "4", "--limit", "1e7"),
+        )
+        for command in commands:
+            rc, out, err = run_cli(capsys, *command, "--segment-size", "1")
+            assert (rc, out) == (1, ""), command
+            assert err.startswith("usage: ") and "--segment-size" in err, command
+
     def test_bad_workers_is_usage_error(self, capsys):
         commands = (
             ("count", "--limit", "100", "--k", "2"),
@@ -390,12 +416,10 @@ _TOKENS = {
             "lk-composites:x", "l3-composites"],
     "m": ["1", "6", "1073742435", "1e18", "1e30", str(2**127)],
     "m_max": ["1", "6", "1e3", "1e4", "1e9"],
-    "segment": ["1", "97", "7777", "100000"],
     "workers": ["1", "2", "64"],
     "format": ["json", "csv", "bfile", "yaml"],
 }
-_BULK = {"--format": "format", "--segment-size": "segment", "--workers": "workers",
-         "--allow-large": None}
+_BULK = {"--format": "format", "--workers": "workers", "--allow-large": None}
 # command: (positional kinds, required options, other options)
 _COMMANDS = {
     "classify": (["n"], {}, {"--format": "format"}),

@@ -37,7 +37,7 @@ from klehmer.sieve import (
     verify_alpha_entry,
 )
 
-from conftest import sieve_phi, sieve_prime_mask, trial_factorize
+from conftest import segments_of, sieve_phi, sieve_prime_mask, trial_factorize
 
 
 A173703_BELOW_50000 = [
@@ -248,15 +248,14 @@ class TestClassifyRange:
         assert finite_composites == {15: 3, 51: 5, 85: 3, 91: 3}
 
     def test_agrees_with_lehmer_index_to_1e5(self):
-        for n, idx in classify_range(1, 100_001, segment_size=37_123):
-            assert idx == lehmer_index(n), n
+        with segments_of(37_123):
+            for n, idx in classify_range(1, 100_001):
+                assert idx == lehmer_index(n), n
 
     def test_validation(self):
         for lo, hi in ((0, 10), (5, 5)):
             with pytest.raises(ValueError):
                 next(classify_range(lo, hi))
-        with pytest.raises(ValueError):
-            next(classify_range(1, 10, segment_size=0))
         with pytest.raises(LimitExceededError):
             next(classify_range(1, _INT64_SAFE_HI + 1))
 
@@ -394,14 +393,16 @@ class TestCountTable:
     def test_deterministic_across_segments_and_workers(self):
         reference = count_table(100_000, (2, 5))
         for seg in (7_777, 33_333):
-            assert count_table(100_000, (2, 5), segment_size=seg).counts == reference.counts
+            with segments_of(seg):
+                assert count_table(100_000, (2, 5)).counts == reference.counts
         assert count_table(100_000, (2, 5), workers=2).counts == reference.counts
 
     @settings(max_examples=8, deadline=None)
     @given(segment_size=st.integers(1, 20_000))
     def test_segment_size_invariant(self, segment_size):
         reference = count_table(10**4)
-        assert count_table(10**4, segment_size=segment_size).counts == reference.counts
+        with segments_of(segment_size):
+            assert count_table(10**4).counts == reference.counts
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):
@@ -446,7 +447,8 @@ class TestEnumerate:
             assert (n in carms) == korselt_test(n), n
 
     def test_deterministic(self):
-        a = enumerate_carmichael(50_000, segment_size=9_999)
+        with segments_of(9_999):
+            a = enumerate_carmichael(50_000)
         assert a == enumerate_carmichael(50_000)
 
 
@@ -497,7 +499,8 @@ class TestOddKorseltSieve:
     @given(segment_size=st.integers(100, 100_000))
     def test_segment_size_invariant(self, segment_size):
         reference = enumerate_carmichael(10**5)
-        assert enumerate_carmichael(10**5, segment_size=segment_size) == reference
+        with segments_of(segment_size):
+            assert enumerate_carmichael(10**5) == reference
 
     @pytest.mark.slow
     def test_count_to_1e8(self):
@@ -588,7 +591,8 @@ class TestKorseltResidueOracle:
         assert reference == korselt_residue_product_int64(2, hi) == [561]
         for lo in range(2, 16):
             for size in range(1, 41):
-                got = np.concatenate(list(_korselt_scan(_segment_bounds(lo, hi, size))))
+                with segments_of(size):
+                    got = np.concatenate(list(_korselt_scan(_segment_bounds(lo, hi))))
                 assert got.tolist() == reference, (lo, size)
 
     def test_scan_without_segments(self):
@@ -598,8 +602,9 @@ class TestKorseltResidueOracle:
     def test_short_last_segment(self):
         # The scan's buffer is sized for segments of 10 000 values and the
         # last one holds 1039; the Carmichael number 41041 lies just past it.
-        assert _segment_bounds(2, 41_041, 10_000)[-1] == (40_002, 41_041)
-        got = enumerate_carmichael(41_040, segment_size=10_000)
+        with segments_of(10_000):
+            assert _segment_bounds(2, 41_041)[-1] == (40_002, 41_041)
+            got = enumerate_carmichael(41_040)
         assert got == korselt_residue_product_int64(2, 41_041) == korselt_by_trial_division(2, 41_041)
 
 
@@ -702,7 +707,8 @@ class TestSegmentMemory:
         size = 200_000
         tracemalloc.start()
         try:
-            found = enumerate_carmichael(10**7, segment_size=size)
+            with segments_of(size):
+                found = enumerate_carmichael(10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -714,7 +720,8 @@ class TestSegmentMemory:
         # K_CAP + 1 int64 counts until the merge would take about 1 MiB.
         tracemalloc.start()
         try:
-            count_table(10**3, segment_size=1)
+            with segments_of(1):
+                count_table(10**3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -760,9 +767,16 @@ class TestWorkerPool:
         assert pool_sizes == expected
 
     def test_korselt_sieve_starts_no_pool(self, pool_sizes):
-        assert enumerate_carmichael(10**5, segment_size=9_999) == enumerate_carmichael(10**5)
+        reference = enumerate_carmichael(10**5)
+        with segments_of(9_999):
+            assert enumerate_carmichael(10**5) == reference
         with pytest.raises(TypeError):
             enumerate_carmichael(10**5, workers=2)
+        # Segment sizes are the library's own choice.
+        with pytest.raises(TypeError):
+            enumerate_carmichael(10**5, segment_size=9_999)
+        with pytest.raises(TypeError):
+            count_table(10**3, segment_size=1)
         assert pool_sizes == []
 
 
@@ -777,15 +791,16 @@ class TestWorkerCount:
     @settings(max_examples=4, deadline=None)
     @given(limit=st.sampled_from([10**5, 10**6]), segment_size=st.integers(5_000, 100_000))
     def test_count_table(self, limit, segment_size):
-        one, two = (count_table(limit, segment_size=segment_size, workers=w) for w in (1, 2))
+        with segments_of(segment_size):
+            one, two = (count_table(limit, workers=w) for w in (1, 2))
         assert one == two
 
     @settings(max_examples=4, deadline=None)
     @given(limit=st.integers(2 * 10**5, 10**6), k=st.integers(1, 6),
            segment_size=st.integers(5_000, 100_000))
     def test_enumerate_Lk_composites(self, limit, k, segment_size):
-        one, two = (enumerate_Lk_composites(limit, k, segment_size=segment_size, workers=w)
-                    for w in (1, 2))
+        with segments_of(segment_size):
+            one, two = (enumerate_Lk_composites(limit, k, workers=w) for w in (1, 2))
         assert one == two
 
 

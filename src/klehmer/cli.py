@@ -10,8 +10,8 @@ and main alone renders them in the chosen format.
 
 Exit codes: 0 success, 1 usage error, 2 bound exceeded or arithmetic
 failure (such as an overflow or an unsplit factor), 3 verification
-failure.  Bulk segments are always sized to fit the memory budget
-(KLEHMER_MEMORY_MIB).
+failure.  The library sieves bulk ranges in fixed segments of 10^6
+values, one per process at a time.
 """
 
 from __future__ import annotations
@@ -228,58 +228,56 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Command-line front end with machine-readable output.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="full report for a single n")
+    def command(name, handler, help):
+        # main reports a subcommand's unknown arguments through ``parser``.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, parser=p)
+        return p
+
+    p = command("classify", _cmd_classify, "full report for a single n")
     p.add_argument("n")
     _add_format(p)
-    p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("count", help="counting table C_k(10^j)")
+    p = command("count", _cmd_count, "counting table C_k(10^j)")
     p.add_argument("--limit", required=True)
     p.add_argument("--k", default="2,3,4,5,inf")
     _add_format(p)
     _add_bulk_options(p)
-    p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("list", help="enumerate a membership set")
+    p = command("list", _cmd_list, "enumerate a membership set")
     p.add_argument("--set", required=True, dest="set_name",
                    help="l2-composites | lk-composites:<k> | carmichael")
     p.add_argument("--limit", required=True)
     _add_format(p, choices=("json", "csv", "bfile"))
     _add_bulk_options(p)
-    p.set_defaults(handler=_cmd_list)
 
-    p = sub.add_parser("alpha", help="search the least Carmichael number outside L_k")
+    p = command("alpha", _cmd_alpha, "search the least Carmichael number outside L_k")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--limit", required=True)
     _add_format(p)
     _add_bulk_options(p)
-    p.set_defaults(handler=_cmd_alpha)
 
-    p = sub.add_parser("alpha-verify", help="verify a claimed alpha(k) value")
+    p = command("alpha-verify", _cmd_alpha_verify, "verify a claimed alpha(k) value")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--n", required=True)
     _add_format(p)
-    p.set_defaults(handler=_cmd_alpha_verify)
 
-    p = sub.add_parser("chernick", help="build Chernick candidates U_k(m)")
+    p = command("chernick", _cmd_chernick, "build Chernick candidates U_k(m)")
     p.add_argument("--k", required=True, type=int)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--m")
     group.add_argument("--m-max")
     _add_format(p)
-    p.set_defaults(handler=_cmd_chernick)
 
-    p = sub.add_parser("semiprime", help="decompose p*q and test L_k membership")
+    p = command("semiprime", _cmd_semiprime, "decompose p*q and test L_k membership")
     p.add_argument("p")
     p.add_argument("q")
     p.add_argument("--k", type=int, default=None)
     _add_format(p)
-    p.set_defaults(handler=_cmd_semiprime)
 
-    p = sub.add_parser("pseudo-base", help="Fermat-pseudoprime base for n in L_inf")
+    p = command("pseudo-base", _cmd_pseudo_base, "Fermat-pseudoprime base for n in L_inf")
     p.add_argument("n")
     _add_format(p)
-    p.set_defaults(handler=_cmd_pseudo_base)
 
     return parser
 
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Every handler returns (payload, csv_header, rows): the JSON object, and
 # rows of JSON scalars (a list cell is joined by spaces) for CSV and b-file.
 def _cmd_classify(args):
-    payload = classification_report(int(args.n)).to_dict()
+    payload = classification_report(_parse_int(args.n, "n")).to_dict()
     row = {**payload, "factorization": [f"{p}^{e}" for p, e in payload["factorization"]]}
     header = ["n", "factorization", "phi", "lambda", "rad_phi", "lehmer_index",
               "is_carmichael", "pseudoprime_base", "base_degenerate"]
@@ -353,7 +351,7 @@ def _cmd_alpha(args):
 
 
 def _cmd_alpha_verify(args):
-    payload = _alpha_payload(verify_alpha_entry(args.k, int(args.n)))
+    payload = _alpha_payload(verify_alpha_entry(args.k, _parse_int(args.n, "n")))
     return payload, _ALPHA_HEADER, [payload]
 
 
@@ -392,7 +390,7 @@ def _cmd_chernick(args):
 
 
 def _cmd_semiprime(args):
-    dec = semiprime_decompose(int(args.p), int(args.q))
+    dec = semiprime_decompose(_parse_int(args.p, "p"), _parse_int(args.q, "q"))
     payload = {
         "p": str(dec.p),
         "q": str(dec.q),
@@ -413,7 +411,7 @@ def _cmd_semiprime(args):
 
 
 def _cmd_pseudo_base(args):
-    n = int(args.n)
+    n = _parse_int(args.n, "n")
     base = pseudoprime_base(n)
     payload = {
         "n": str(n),
@@ -429,8 +427,15 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # Tokens before the subcommand are the root's unknown options;
+            # otherwise the subcommand reports its own, with its usage.
+            owner = parser if argv.index(args.command) > 0 else args.parser
+            owner.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -51,13 +51,11 @@ from .lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, lehmer_index
 __all__ = [
     "DEFAULT_MAX_LIMIT",
     "LARGE_MAX_LIMIT",
-    "MEMORY_ENV_VAR",
     "SieveSegment",
     "CountTable",
     "AlphaRecord",
     "AlphaNotFound",
     "LimitExceededError",
-    "MemoryBudgetError",
     "VerificationFailure",
     "NotCarmichaelError",
     "LehmerMembershipError",
@@ -71,13 +69,10 @@ __all__ = [
     "verify_alpha_entry",
 ]
 
-# Desk-scale default; the 10^8 ceiling is opt-in (CLI --allow-large) and
-# needs a few hundred MB of segment headroom.
+# Desk-scale default; the 10^8 ceiling is opt-in (CLI --allow-large): it
+# runs ten times as long, in the same 10^6-value segments.
 DEFAULT_MAX_LIMIT = 10**7
 LARGE_MAX_LIMIT = 10**8
-
-MEMORY_ENV_VAR = "KLEHMER_MEMORY_MIB"
-_DEFAULT_MEMORY_MIB = 512
 
 _DEFAULT_SEGMENT = 1_000_000
 
@@ -94,22 +89,14 @@ _INT64_SAFE_HI = 3_000_000_000
 # these peaks.
 _BYTES_PER_VALUE = 12
 
+# A direct totient_sieve call sieves at most this many odd values (512 MiB
+# at _BYTES_PER_VALUE each), so hi - lo up to twice it; bulk segments are
+# _DEFAULT_SEGMENT values, far below.
+_SIEVE_MAX_ODD = (512 << 20) // _BYTES_PER_VALUE
+
 
 class LimitExceededError(Exception):
     """Requested bound is above the configured maximum."""
-
-
-class MemoryBudgetError(LimitExceededError):
-    """Segment would not fit the memory budget; carries a workable size."""
-
-    def __init__(self, requested: int, budget_mib: int, suggested: int):
-        self.requested = requested
-        self.budget_mib = budget_mib
-        self.suggested = suggested
-        super().__init__(
-            f"segment of {requested} values exceeds the {budget_mib} MiB "
-            f"budget ({MEMORY_ENV_VAR}); use segments of at most {suggested}"
-        )
 
 
 class VerificationFailure(Exception):
@@ -177,23 +164,6 @@ class AlphaNotFound:
 
     k: int
     bound: int
-
-
-def _memory_budget_mib() -> int:
-    raw = os.environ.get(MEMORY_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_MEMORY_MIB
-    try:
-        mib = int(raw)
-    except ValueError:
-        raise ValueError(f"{MEMORY_ENV_VAR} must be an integer, got {raw!r}")
-    if mib < 1:
-        raise ValueError(f"{MEMORY_ENV_VAR} must be positive, got {mib}")
-    return mib
-
-
-def _budget_segment_cap() -> int:
-    return _memory_budget_mib() * (1 << 20) // _BYTES_PER_VALUE
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -285,20 +255,22 @@ def totient_sieve(lo: int, hi: int) -> SieveSegment:
     at the multiples of p^e, phi picks up one factor of p (p - 1 at the
     first level) and rem loses one, by a multiply with p^-1 mod 2^32.
     Whatever remains in rem is 1 or a single prime above sqrt(hi),
-    contributing rem - 1.  Raises MemoryBudgetError when the segment
-    cannot fit the configured budget, with a workable segment size in
-    the message.
+    contributing rem - 1.  Raises LimitExceededError, before allocating
+    anything, when [lo, hi) holds more than _SIEVE_MAX_ODD odd values; the
+    message names the largest workable hi - lo.
     """
     lo = _as_natural(lo, minimum=1, name="lo")
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
     if hi > _INT64_SAFE_HI:
         raise LimitExceededError(f"hi must stay below {_INT64_SAFE_HI}")
     first = lo | 1
-    # The budget caps the odd values sieved: hi - lo = 2 * cap holds cap of them.
-    cap = _budget_segment_cap()
     length = len(range(first, hi, 2))
-    if length > cap:
-        raise MemoryBudgetError(hi - lo, _memory_budget_mib(), 2 * cap)
+    if length > _SIEVE_MAX_ODD:
+        # hi - lo = 2 * _SIEVE_MAX_ODD holds that many odd values for any lo.
+        raise LimitExceededError(
+            f"hi - lo = {hi - lo} is too many values for one sieve; "
+            f"use hi - lo <= {2 * _SIEVE_MAX_ODD}"
+        )
 
     # n < hi <= _INT64_SAFE_HI < 2^32, and every partial product of phi
     # divides phi(n) < n, so uint32 cannot overflow.  For odd p, a multiply
@@ -427,16 +399,15 @@ def _segment_bounds(
     """Split [lo, hi) into the segments every bulk path runs on, also cut at
     each of ``cuts`` inside the range.
 
-    The one place that picks the segment size: _DEFAULT_SEGMENT values, or
-    fewer when the memory budget (KLEHMER_MEMORY_MIB) cannot hold that many.
-    Results never depend on the size, only speed and peak memory do.
+    The one place that picks the segment size: _DEFAULT_SEGMENT values,
+    read at call time.  Results never depend on the size, only speed and
+    peak memory do.
     """
-    size = min(_DEFAULT_SEGMENT, _budget_segment_cap())
     marks = sorted({c for c in cuts if lo < c < hi})
     bounds = []
     start = lo
     while start < hi:
-        end = min(start + size, hi)
+        end = min(start + _DEFAULT_SEGMENT, hi)
         for c in marks:
             if start < c < end:
                 end = c

@@ -125,7 +125,7 @@ def swap_arith(monkeypatch, attr: str, wrapper) -> None:
 
 def segments_of(size: int):
     """Context manager: the bulk paths split their ranges into segments of
-    at most ``size`` values (still capped by the memory budget).
+    at most ``size`` values instead of _DEFAULT_SEGMENT.
 
     A plain patch rather than monkeypatch, so it also works inside
     @given tests, which share one function-scoped fixture across examples.

@@ -127,13 +127,17 @@ class TestCount:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
-    def test_smallest_memory_budget_changes_nothing(self, capsys, monkeypatch):
-        # At 1 MiB segments hold 87 381 values, so they end away from the
-        # default's 10^6 boundaries.
+    @pytest.mark.parametrize("value", ["1", "zero"])
+    def test_memory_variable_is_ignored(self, capsys, monkeypatch, value):
+        # Bulk segments are always 10^6 values; no environment variable,
+        # however malformed, shrinks them or stops a command.
+        from klehmer.sieve import _segment_bounds
+
         commands = (("count", "--limit", "1e6", "--format", "csv"),
                     ("list", "--set", "lk-composites:3", "--limit", "1e6"))
         default = [run_cli(capsys, *command) for command in commands]
-        monkeypatch.setenv("KLEHMER_MEMORY_MIB", "1")
+        monkeypatch.setenv("KLEHMER_MEMORY_MIB", value)
+        assert _segment_bounds(1, 10**6 + 1) == [(1, 10**6 + 1)]
         assert [run_cli(capsys, *command) for command in commands] == default
         assert all(rc == 0 for rc, _, _ in default)
 
@@ -339,6 +343,35 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         rc, _, err = run_cli(capsys, "count", "--limit", "100", "--wibble")
         assert rc == 1 and "usage" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--limit", "1e3", "--bogus"),
+        ("classify", "561", "--bogus"),
+    ])
+    def test_unknown_flag_after_command_gets_its_usage(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"usage: klehmer {argv[0]} ")
+        assert err.endswith(f"klehmer {argv[0]}: error: unrecognized arguments: --bogus\n")
+
+    def test_unknown_flag_before_command_gets_root_usage(self, capsys):
+        rc, out, err = run_cli(capsys, "--bogus", "count", "--limit", "1e3")
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage: klehmer [-h]")
+        assert err.endswith("klehmer: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv, name, text", [
+        (("classify", "abc"), "n", "abc"),
+        (("classify", "1e3"), "n", "1e3"),
+        (("alpha-verify", "--k", "2", "--n", "abc"), "n", "abc"),
+        (("semiprime", "x", "5"), "p", "x"),
+        (("semiprime", "5", "y"), "q", "y"),
+        (("pseudo-base", "1e3"), "n", "1e3"),
+    ])
+    def test_non_integer_n_names_its_argument(self, capsys, argv, name, text):
+        assert run_cli(capsys, *argv) == (
+            1, "", f"error: {name} must be an integer, got {text!r}\n",
+        )
 
     def test_unknown_command(self, capsys):
         rc, _, _ = run_cli(capsys, "transmogrify")

@@ -19,8 +19,6 @@ from klehmer.sieve import (
     AlphaNotFound,
     LehmerMembershipError,
     LimitExceededError,
-    MemoryBudgetError,
-    MEMORY_ENV_VAR,
     NotCarmichaelError,
     _classify_arrays,
     _korselt_scan,
@@ -66,34 +64,36 @@ class TestTotientSieve:
         assert np.array_equal(totient_sieve(1, 50_001).phi, phi[1::2])
         assert np.array_equal(totient_sieve(30_000, 40_000).phi, phi[30_001:40_000:2])
 
-    def test_memory_budget(self, monkeypatch):
-        monkeypatch.setenv(MEMORY_ENV_VAR, "1")
-        with pytest.raises(MemoryBudgetError) as err:
-            totient_sieve(1, 10**7)
-        assert err.value.suggested >= 1024
-        assert str(err.value.suggested) in str(err.value)
-        # the suggestion actually works
-        totient_sieve(1, err.value.suggested)
+    # 512 MiB at 12 bytes per odd value (the former memory budget's
+    # default); hi - lo may be twice it.
+    MAX_ODD = 44_739_242
 
-    def test_odd_sieve_charged_per_odd_value(self, monkeypatch):
-        monkeypatch.setenv(MEMORY_ENV_VAR, "1")
-        cap = (1 << 20) // _BYTES_PER_VALUE
+    @pytest.mark.parametrize("lo", [10**6, 10**6 + 1])
+    def test_refuses_above_the_cap_before_allocating(self, lo):
+        assert (512 << 20) // _BYTES_PER_VALUE == self.MAX_ODD
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceededError) as err:
+                totient_sieve(lo, lo + 2 * self.MAX_ODD + 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(2 * self.MAX_ODD) in str(err.value)
+        # One segment of the cap would take about 360 MB.
+        assert peak < 64 << 10
+
+    def test_cap_counts_odd_values(self, monkeypatch):
         # A range of 2 * cap values holds cap odd ones, whatever lo's parity.
+        cap = 500
+        monkeypatch.setattr("klehmer.sieve._SIEVE_MAX_ODD", cap)
         for lo in (10**6, 10**6 + 1):
-            seg = totient_sieve(lo, lo + 2 * cap)
-            assert seg.phi.size == cap
-            with pytest.raises(MemoryBudgetError):
+            assert totient_sieve(lo, lo + 2 * cap).phi.size == cap
+            with pytest.raises(LimitExceededError):
                 totient_sieve(lo, lo + 2 * cap + 2)
-        with pytest.raises(MemoryBudgetError) as err:
-            totient_sieve(1, 10**7)
-        assert err.value.suggested == 2 * cap
-        for lo in (2, 3):
-            totient_sieve(lo, lo + err.value.suggested)
-
-    def test_bad_budget_rejected(self, monkeypatch):
-        monkeypatch.setenv(MEMORY_ENV_VAR, "zero")
-        with pytest.raises(ValueError):
-            totient_sieve(1, 100)
+        # One value more adds an odd one only when lo is odd.
+        assert totient_sieve(10**6, 10**6 + 2 * cap + 1).phi.size == cap
+        with pytest.raises(LimitExceededError):
+            totient_sieve(10**6 + 1, 10**6 + 2 * cap + 2)
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):

@@ -206,7 +206,12 @@ def _add_format(p: argparse.ArgumentParser, choices=("json", "csv")) -> None:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    # argparse names a type function's ValueError by the function's name,
+    # so say what went wrong here, as _parse_int does.
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

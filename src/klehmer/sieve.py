@@ -28,9 +28,14 @@ which enumerate_carmichael lists and alpha_search walks: it plans once
 (base primes, strides, one reused uint32 product buffer), and each
 segment copies the tiled product of 3, 5, 7, 11 and 13, multiplies in
 the larger primes by strided passes or one scatter, and searches for
-hits block by block.  Count and L_k segments are independent work units,
-merged in ascending order as they arrive (from a worker pool or not), so
-results are identical for any worker count or segmentation.
+hits block by block.  The count, the L_k lists and classify_range consume
+one classify scan, which also plans once (the walk's step table, cached
+per limit, and rem, phi and two masks that every segment reuses),
+and each segment yields its prime mask and the few composites that the
+iteration settles, so only classify_range builds a per-n index.  With a
+worker pool each worker scans one contiguous run of segments; results are
+merged in ascending order as they arrive, so they are identical for any
+worker count or segmentation.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -80,13 +85,14 @@ _DEFAULT_SEGMENT = 1_000_000
 _INT64_SAFE_HI = 3_000_000_000
 
 # Peak bytes (tracemalloc on 10^6 segments at 10^7, 9.9e7 and just below
-# _INT64_SAFE_HI, checked by the tests): totient_sieve 8.2-8.5 per odd
-# value it sieves (9.8 on a first call near _INT64_SAFE_HI, which caches
-# the inverses of its 5570 base primes); a bulk segment at most 6.5
-# (_classify_arrays, _segment_lk_members) or 2.4 (a Korselt scan of one
-# segment; 6.6 on the segment from 2, where most blocks of the hit search
-# reach first) per value of hi - lo.  12 is at least 22% above each of
-# these peaks.
+# _INT64_SAFE_HI, checked by the tests): a direct totient_sieve call
+# 8.1-8.6 per odd value it sieves (9.4 on a first call near
+# _INT64_SAFE_HI, which builds the step table of its 5570 base primes); a
+# classify scan of one segment at most 7.8 (_classify_arrays,
+# _histogram_scan, _lk_scan) or a Korselt scan 2.4 (6.6 on the segment
+# from 2, where most blocks of the hit search reach first) per value of
+# hi - lo.  12 is at least 27% above each of these peaks.  A scan of many
+# segments is charged once, for its longest.
 _BYTES_PER_VALUE = 12
 
 # A direct totient_sieve call sieves at most this many odd values (512 MiB
@@ -116,7 +122,8 @@ class SieveSegment:
     """Totients of the odd n in [lo, hi).
 
     Entry i belongs to n = first + 2i, first being the first odd n >= lo.
-    ``phi`` is uint32 (every n is below _INT64_SAFE_HI < 2^32).
+    ``phi`` is uint32 (every n is below _INT64_SAFE_HI < 2^32).  In a
+    scan it is a view of the scan's buffer, overwritten by the next segment.
     """
 
     lo: int
@@ -195,8 +202,8 @@ _TOTIENT_PERIOD = math.prod(_TILED_PRIMES)
 @functools.cache
 def _inverse32(p: int) -> np.uint32:
     """p^-1 mod 2^32 for odd p: a uint32 multiple of p times it is the
-    exact quotient.  Cached, as the totient sieve asks for it in every
-    segment; its arguments are odd primes below sqrt(_INT64_SAFE_HI)."""
+    exact quotient.  Cached, as the exclusion filter asks for it in every
+    segment; its arguments are _TILED_PRIMES and _EXCLUSION_PRIMES."""
     return np.uint32(pow(p, -1, 1 << 32))
 
 
@@ -244,20 +251,81 @@ def _fill_tiled(buf: np.ndarray, j0: int, length: int, pattern: np.ndarray) -> N
         filled += step
 
 
-def totient_sieve(lo: int, hi: int) -> SieveSegment:
+def _fill_steps(buf: np.ndarray, start: int) -> None:
+    """Set buf[i] = start + 2i without a temporary: one value, then copies
+    that double the filled part, each shifted past it."""
+    if buf.size:
+        buf[0] = start
+    filled = 1
+    while filled < buf.size:
+        step = min(filled, buf.size - filled)
+        np.add(buf[:step], 2 * filled, out=buf[filled : filled + step])
+        filled += step
+
+
+@functools.lru_cache(maxsize=8)
+def _walk_steps(root: int) -> tuple[np.ndarray, ...]:
+    """The totient sieve's prime powers for every hi <= (root + 1)^2, as
+    arrays (p^e, (p^e + 1) // 2, p^-1 mod 2^32, factor of phi): each odd
+    prime p <= root, from p^2 for _TILED_PRIMES and from p for the rest,
+    with factor p - 1 at p itself and p above.  Cached per root, so that
+    repeated runs to one limit build it once; the arrays are read-only."""
+    pe, inv, factor = [], [], []
+    for p in base_primes(root)[1:].tolist():
+        q, f = (p * p, p) if p in _TILED_PRIMES else (p, p - 1)
+        v = pow(p, -1, 1 << 32)
+        # hi <= (root + 1)^2 puts every n below (root + 1)^2.
+        while q < (root + 1) ** 2:
+            pe.append(q)
+            inv.append(v)
+            factor.append(f)
+            q *= p
+            f = p
+    steps = (np.array(pe, dtype=np.int64),)
+    # (pe + 1) // 2 is the inverse of 2 mod the odd pe.
+    steps += ((steps[0] + 1) // 2, np.array(inv, dtype=np.uint32),
+              np.array(factor, dtype=np.uint32))
+    for a in steps:
+        a.flags.writeable = False
+    return steps
+
+
+@dataclass(frozen=True)
+class _SievePlan:
+    """What totient_sieve reuses across the segments of one scan: the step
+    table of _walk_steps and the uint32 rem and phi buffers, sized to the
+    longest segment.  Each segment overwrites both buffers."""
+
+    steps: tuple[np.ndarray, ...]
+    rem: np.ndarray
+    phi: np.ndarray
+
+
+def _sieve_plan(top: int, longest: int) -> _SievePlan:
+    """A plan for segments with hi <= top of at most ``longest`` odd n."""
+    return _SievePlan(_walk_steps(math.isqrt(top - 1)),
+                      np.empty(longest, dtype=np.uint32),
+                      np.empty(longest, dtype=np.uint32))
+
+
+def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveSegment:
     """Exact totients of the odd n in [lo, hi) by a segmented sieve.
 
     ``phi[i]`` is phi(first + 2i), first being the first odd n >= lo.
     The first level of _TILED_PRIMES comes from two tiled patterns: their
     inverses mod 2^32 divide them out of rem, and their p - 1 start phi.
-    One loop then walks the odd base primes p <= sqrt(hi - 1) and their
-    powers p^e < hi, from p^2 for _TILED_PRIMES and from p for the rest:
-    at the multiples of p^e, phi picks up one factor of p (p - 1 at the
-    first level) and rem loses one, by a multiply with p^-1 mod 2^32.
-    Whatever remains in rem is 1 or a single prime above sqrt(hi),
-    contributing rem - 1.  Raises LimitExceededError, before allocating
-    anything, when [lo, hi) holds more than _SIEVE_MAX_ODD odd values; the
-    message names the largest workable hi - lo.
+    The walk then takes the odd base primes p <= sqrt(hi - 1) and their
+    powers p^e < hi, from p^2 for _TILED_PRIMES and from p for the rest
+    (_walk_steps): at the multiples of p^e, phi picks up one factor of p
+    (p - 1 at the first level) and rem loses one, by a multiply with p^-1
+    mod 2^32.  Whatever remains in rem is 1 or a single prime above
+    sqrt(hi), contributing rem - 1.  Raises LimitExceededError, before
+    allocating anything, when [lo, hi) holds more than _SIEVE_MAX_ODD odd
+    values; the message names the largest workable hi - lo.
+
+    A scan hands in its ``plan`` (_sieve_plan, with a top at least hi):
+    then ``phi`` is a view of the plan's buffer, valid until the next
+    segment.  Without one, the call makes its own and the caller owns phi.
     """
     lo = _as_natural(lo, minimum=1, name="lo")
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
@@ -271,32 +339,31 @@ def totient_sieve(lo: int, hi: int) -> SieveSegment:
             f"hi - lo = {hi - lo} is too many values for one sieve; "
             f"use hi - lo <= {2 * _SIEVE_MAX_ODD}"
         )
+    if plan is None:
+        plan = _sieve_plan(hi, length)
 
     # n < hi <= _INT64_SAFE_HI < 2^32, and every partial product of phi
     # divides phi(n) < n, so uint32 cannot overflow.  For odd p, a multiply
     # by p^-1 mod 2^32 divides a multiple of p exactly.
-    rem = np.arange(first, hi, 2, dtype=np.uint32)
+    rem, phi = plan.rem[:length], plan.phi[:length]
+    _fill_steps(rem, first)
     # phi holds the inverse pattern first, so no third array is needed.
-    phi = np.empty(length, dtype=np.uint32)
     inverse, totient = _totient_patterns()
     _fill_tiled(phi, first // 2, length, inverse)
     rem *= phi
     _fill_tiled(phi, first // 2, length, totient)
 
-    for p in base_primes(math.isqrt(hi - 1))[1:].tolist():
-        pe, factor = (p * p, p) if p in _TILED_PRIMES else (p, p - 1)
-        inv = _inverse32(p)
-        while pe < hi:
-            # Consecutive odd multiples of pe are 2 pe apart, so the stride
-            # in index space is pe, from the i with first + 2i = 0 (mod pe);
-            # (pe + 1) // 2 is the inverse of 2 mod the odd pe.
-            i = -first * ((pe + 1) // 2) % pe
-            if i >= length:
-                break
-            rem[i::pe] *= inv
-            phi[i::pe] *= factor
-            pe *= p
-            factor = p
+    # The odd multiples of pe are 2 pe apart, so the stride in index space
+    # is pe, from the i with first + 2i = 0 (mod pe).  A plan made for a
+    # larger hi also holds p^e >= hi, which never reach i < length, and
+    # primes above sqrt(hi - 1), which leave rem at 1 where they divide n
+    # and so give the same phi.
+    pe, half, inv, factor = plan.steps
+    start = -first * half % pe
+    hit = np.flatnonzero(start < length)
+    for i, h, v, f in zip(start[hit], pe[hit], inv[hit], factor[hit]):
+        rem[i::h] *= v
+        phi[i::h] *= f
 
     # rem is 1 or the one prime above sqrt(hi), so rem - 1 clamped at 1
     # is exactly that prime's factor of phi.
@@ -313,59 +380,54 @@ def totient_sieve(lo: int, hi: int) -> SieveSegment:
 _EXCLUSION_PRIMES = (3, 5, 7)
 
 
-def _may_be_in_linf(phi: np.ndarray, first: int) -> np.ndarray:
-    """Mask over the odd n = first + 2i: False where some q in
-    _EXCLUSION_PRIMES divides phi(n) (uint32) but not n - 1."""
-    keep = np.ones(phi.size, dtype=bool)
-    prod = np.empty_like(phi)
-    ok = np.empty(phi.size, dtype=bool)
-    for q in _EXCLUSION_PRIMES:
+def _may_be_in_linf(phi: np.ndarray, first: int, keep: np.ndarray,
+                    prod: np.ndarray, ok: np.ndarray) -> None:
+    """Set the mask ``keep`` over the odd n = first + 2i: False where some q
+    in _EXCLUSION_PRIMES divides phi(n) (uint32) but not n - 1.  ``prod``
+    (uint32) and ``ok`` (bool) are scratch of the same size."""
+    for j, q in enumerate(_EXCLUSION_PRIMES):
+        # The first q writes keep itself, the others go through ok.
+        out = ok if j else keep
         # For odd q, phi * q^-1 mod 2^32 <= (2^32 - 1) // q iff q | phi.
         np.multiply(phi, _inverse32(q), out=prod)
-        np.greater(prod, np.uint32(0xFFFFFFFF // q), out=ok)
+        np.greater(prod, np.uint32(0xFFFFFFFF // q), out=out)
         # The n = 1 (mod q) are every q-th entry, from i = (1 - first) / 2 mod q.
-        ok[(1 - first) * pow(2, -1, q) % q :: q] = True
-        keep &= ok
-    return keep
+        out[(1 - first) * pow(2, -1, q) % q :: q] = True
+        if j:
+            keep &= ok
 
 
-def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Odd-n totients and per-n Lehmer indexes for [lo, hi); index 0 = not in L_inf.
+class _Classified(NamedTuple):
+    """One segment of a classify scan, over its odd n = seg.first + 2i: the
+    totients, the mask of primes (index 1), and the positions ``pos`` and
+    indexes ``index`` of the other odd n in L_inf (n = 1 among them).
+    Every other odd n, and every even n but 2, is outside L_inf."""
 
-    The totients cover the odd n only (totient_sieve): even n above 2 are
-    settled without them (phi even, n-1 odd), and 2 has index 1.  The odd
-    primes, phi(n) = n - 1, have index 1, and the odd n that
-    _may_be_in_linf excludes have index 0; the rest take j
-    squarings of n-1 mod phi in int64, with 2^j >= the largest per-n
-    cutoff bitlength(phi) - 1 (at most 31, as phi < 2^32).
+    seg: SieveSegment
+    prime: np.ndarray
+    pos: np.ndarray
+    index: np.ndarray
+
+
+def _lehmer_indexes(phi: np.ndarray, first: int,
+                    pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The odd n = first + 2 pos that lie in L_inf, as (positions, indexes).
+
+    j squarings of n - 1 mod phi in int64, with 2^j >= the largest cutoff
+    bitlength(phi) - 1 among them (at most 31, as phi < 2^32), come first:
     phi | (n-1)^k for some k <= cutoff implies phi | (n-1)^(2^j), so a
     nonzero result certifies index 0.  The survivors run the modular
     iteration against their cutoff, which gives the exact index.
     """
-    seg = totient_sieve(lo, hi)
-    phi = seg.phi
-    index = np.zeros(hi - lo, dtype=np.uint8)
-    if lo <= 2 < hi:
-        index[2 - lo] = 1
-    # A view: writing odd_index[i] sets the index of first + 2i.
-    odd_index = index[seg.first - lo :: 2]
-
-    # An odd n > 1 is prime exactly when phi(n) = n - 1, and then has index
-    # 1; odd_index is still all 0, so a plain copy of the mask sets them.
-    prime = phi == np.arange(seg.first - 1, hi - 1, 2, dtype=np.uint32)
-    odd_index[:] = prime
-    keep = _may_be_in_linf(phi, seg.first)
-    keep &= ~prime
-    pos = np.flatnonzero(keep)
     ph = phi[pos].astype(np.int64)
     # Every operand is >= 0 and phi >= 1, so the truncating fmod equals %.
     base_val = 2 * pos
-    base_val += seg.first - 1
+    base_val += first - 1
     np.fmod(base_val, ph, out=base_val)
 
-    # The cutoff grows with phi, so the largest is that of phi.max()
-    # (-1 for a segment without odd n, which has nothing to square).
-    top_cut = int(phi.max(initial=0)).bit_length() - 1
+    # The cutoff grows with phi, so the largest is that of ph.max() (-1
+    # when nothing is left, and then there is nothing to square).
+    top_cut = int(ph.max(initial=0)).bit_length() - 1
     # sq < phi < hi <= _INT64_SAFE_HI keeps sq * sq inside int64.
     sq = base_val.copy()
     for _ in range((top_cut - 1).bit_length()):
@@ -375,14 +437,16 @@ def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     pos, base_val, ph = pos[keep], base_val[keep], ph[keep]
     cut = np.frexp(ph.astype(np.float64))[1].astype(np.int64) - 1
 
+    index = np.zeros(pos.size, dtype=np.uint8)
+    live = np.arange(pos.size)
     acc = base_val.copy()
     k = 1
-    while pos.size:
+    while live.size:
         # acc = (n-1)^k mod phi: a zero gives index k, a cutoff of k ends n.
         zero = acc == 0
-        odd_index[pos[zero]] = k
+        index[live[zero]] = k
         alive = ~zero & (cut > k)
-        pos = pos[alive]
+        live = live[alive]
         acc = acc[alive]
         base_val = base_val[alive]
         ph = ph[alive]
@@ -390,7 +454,61 @@ def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         k += 1
         acc *= base_val
         np.fmod(acc, ph, out=acc)
-    return phi, index
+    member = np.flatnonzero(index)
+    return pos[member], index[member]
+
+
+def _classify_scan(bounds: list[tuple[int, int]]) -> Iterator[_Classified]:
+    """Lehmer indexes over each of the ascending segments ``bounds``; one
+    _Classified per segment, whose arrays stay valid until the next one.
+
+    The plan is made once per scan: _walk_steps up to sqrt of the last hi,
+    and the rem and phi buffers of totient_sieve, a keep and a prime mask,
+    all sized to the longest segment.  The totients cover the odd n only:
+    even n above 2 are settled without them (phi even, n-1 odd), and 2
+    has index 1.  The odd n with phi(n) = n - 1 are exactly the odd
+    primes, index 1; _may_be_in_linf excludes most other odd n; only the
+    few left go to _lehmer_indexes.
+    """
+    if not bounds:  # limit 1 leaves no segment
+        return
+    longest = max(len(range(lo | 1, hi, 2)) for lo, hi in bounds)
+    plan = _sieve_plan(bounds[-1][1], longest)
+    keep = np.empty(longest, dtype=bool)
+    prime = np.empty(longest, dtype=bool)
+    for lo, hi in bounds:
+        # Through the module global, which the benchmark's tracer swaps.
+        seg = totient_sieve(lo, hi, plan=plan)
+        phi, first = seg.phi, seg.first
+        # totient_sieve is done with rem, so it serves as scratch here.
+        work, kp, pr = plan.rem[: phi.size], keep[: phi.size], prime[: phi.size]
+        _may_be_in_linf(phi, first, kp, work, pr)
+        _fill_steps(work, first - 1)
+        np.equal(phi, work, out=pr)
+        # keep and not prime, in place.
+        np.greater(kp, pr, out=kp)
+        pos, index = _lehmer_indexes(phi, first, np.flatnonzero(kp))
+        yield _Classified(seg, pr, pos, index)
+
+
+def _dense_index(c: _Classified) -> np.ndarray:
+    """The Lehmer index of every n in the segment (0 = not in L_inf)."""
+    lo, hi = c.seg.lo, c.seg.hi
+    index = np.zeros(hi - lo, dtype=np.uint8)
+    if lo <= 2 < hi:
+        index[2 - lo] = 1
+    # A view: writing odd_index[i] sets the index of first + 2i.
+    odd_index = index[c.seg.first - lo :: 2]
+    odd_index[:] = c.prime
+    odd_index[c.pos] = c.index
+    return index
+
+
+def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Odd-n totients and per-n Lehmer indexes for [lo, hi); index 0 = not
+    in L_inf.  A scan of the one segment (_classify_scan)."""
+    c = next(_classify_scan([(lo, hi)]))
+    return c.seg.phi, _dense_index(c)
 
 
 def _segment_bounds(
@@ -417,17 +535,32 @@ def _segment_bounds(
     return bounds
 
 
-def _map_segments(func, args_list, workers: int) -> Iterator:
-    """Yield func(a) for each a in args_list in order, as results arrive,
-    so that callers merge them without holding a list of them."""
+def _listed(scan, bounds) -> list:
+    return list(scan(bounds))
+
+
+def _map_scans(scan, bounds: list[tuple[int, int]], workers: int) -> Iterator:
+    """Yield scan's per-segment results over ``bounds`` in order, as they
+    arrive, so that callers merge them without holding a list of them.
+
+    With a pool, each worker runs one scan over a contiguous run of
+    segments, about an equal share of the values, and returns its run's
+    results as a list.
+    """
     # A fork-based pool starts all of its workers up front, so never ask
     # for more than there are segments or cores.
-    size = min(workers, len(args_list), os.cpu_count() or 1)
+    size = min(workers, len(bounds), os.cpu_count() or 1)
     if size <= 1:
-        yield from map(func, args_list)
+        yield from scan(bounds)
         return
+    # A segment joins the run its midpoint falls in.
+    lo, total = bounds[0][0], bounds[-1][1] - bounds[0][0]
+    runs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for a, b in bounds:
+        runs[(a + b - 2 * lo) * size // (2 * total)].append((a, b))
     with ProcessPoolExecutor(max_workers=size) as pool:
-        yield from pool.map(func, args_list)
+        for results in pool.map(functools.partial(_listed, scan), filter(None, runs)):
+            yield from results
 
 
 def _check_limit(limit, max_limit: int | None) -> int:
@@ -452,21 +585,21 @@ def classify_range(lo: int, hi: int) -> Iterator[tuple[int, LehmerIndex]]:
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
     if hi > _INT64_SAFE_HI:
         raise LimitExceededError(f"hi must stay below {_INT64_SAFE_HI}")
-    for a, b in _segment_bounds(lo, hi):
-        _, index = _classify_arrays(a, b)
+    for c in _classify_scan(_segment_bounds(lo, hi)):
+        index = _dense_index(c)
         for i, ix in enumerate(index.tolist()):
-            yield a + i, (LehmerIndex(ix) if ix else NOT_IN_LINF)
+            yield c.seg.lo + i, (LehmerIndex(ix) if ix else NOT_IN_LINF)
 
 
-def _segment_histogram(bounds: tuple[int, int]) -> np.ndarray:
-    lo, hi = bounds
-    _, index = _classify_arrays(lo, hi)
-    # bincount widens its input to int64; the members of L_inf are few, so
-    # widening only them spares a transient 8 bytes per value of hi - lo.
-    members = index[index != 0]
-    hist = np.bincount(members, minlength=K_CAP + 1).astype(np.int64)
-    hist[0] = index.size - members.size
-    return hist
+def _histogram_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """Per segment of one classify scan, how many n have each Lehmer index
+    (0 = not in L_inf), as K_CAP + 1 int64 counts."""
+    for c in _classify_scan(bounds):
+        lo, hi = c.seg.lo, c.seg.hi
+        hist = np.bincount(c.index, minlength=K_CAP + 1).astype(np.int64)
+        hist[1] += np.count_nonzero(c.prime) + (lo <= 2 < hi)
+        hist[0] = hi - lo - hist.sum()
+        yield hist
 
 
 def _normalize_ks(ks) -> tuple:
@@ -504,7 +637,7 @@ def count_table(
     powers = tuple(10**i for i in range(1, j + 1))
 
     bounds = _segment_bounds(1, limit + 1, cuts=tuple(p + 1 for p in powers))
-    hists = _map_segments(_segment_histogram, bounds, workers)
+    hists = _map_scans(_histogram_scan, bounds, workers)
 
     running = np.zeros(K_CAP + 1, dtype=np.int64)
     snapshots = {}
@@ -527,16 +660,15 @@ def count_table(
     return CountTable(limit=limit, ks=requested, powers=powers, counts=counts)
 
 
-def _segment_lk_members(args: tuple[int, int, int]) -> np.ndarray:
-    # Even n are never composite members: 2 is prime, and even n > 2
-    # lie outside L_inf.
-    lo, hi, k = args
-    phi, index = _classify_arrays(lo, hi)
-    first = lo | 1
-    index = index[first - lo :: 2]
-    pos = np.flatnonzero((index >= 1) & (index <= min(k, K_CAP)))
-    n = first + 2 * pos
-    return n[(n > 1) & (phi[pos] != n - 1)]
+def _lk_scan(bounds: list[tuple[int, int]], k: int) -> Iterator[np.ndarray]:
+    """Per segment of one classify scan, its composite members of L_k.
+
+    Even n are never composite members: 2 is prime, and even n > 2 lie
+    outside L_inf.  The odd primes are not among the settled n, so only
+    n = 1 is left to drop."""
+    for c in _classify_scan(bounds):
+        n = c.seg.first + 2 * c.pos[c.index <= min(k, K_CAP)]
+        yield n[n > 1]
 
 
 def enumerate_Lk_composites(
@@ -550,7 +682,7 @@ def enumerate_Lk_composites(
     limit = _check_limit(limit, max_limit)
     k = _as_natural(k, minimum=1, name="k")
     bounds = _segment_bounds(1, limit + 1)
-    chunks = _map_segments(_segment_lk_members, [(a, b, k) for a, b in bounds], workers)
+    chunks = _map_scans(functools.partial(_lk_scan, k=k), bounds, workers)
     out: list[int] = []
     for chunk in chunks:
         out.extend(chunk.tolist())

@@ -427,6 +427,14 @@ class TestUsage:
                 assert (rc, out) == (1, ""), (command, workers)
                 assert "--workers" in err
 
+    @pytest.mark.parametrize("workers", ["x", "1.5", ""])
+    def test_non_integer_workers_names_no_helper(self, capsys, workers):
+        rc, out, err = run_cli(capsys, "count", "--limit", "1e3", "--workers", workers)
+        assert (rc, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            f"klehmer count: error: argument --workers: must be an integer, got {workers!r}"
+        )
+
 
 # Tokens for fuzzed command lines: values of each kind an argument takes,
 # edges included, and junk that any argument may get instead.  Bulk limits

@@ -22,9 +22,9 @@ from klehmer.sieve import (
     NotCarmichaelError,
     _classify_arrays,
     _korselt_scan,
+    _histogram_scan,
+    _lk_scan,
     _segment_bounds,
-    _segment_histogram,
-    _segment_lk_members,
     alpha_search,
     base_primes,
     classify_range,
@@ -384,7 +384,7 @@ class TestCountTable:
     def test_segment_histogram_counts_every_value(self, lo, hi):
         _, index = _classify_arrays(lo, hi)
         expected = np.bincount(index, minlength=K_CAP + 1)
-        assert np.array_equal(_segment_histogram((lo, hi)), expected)
+        assert np.array_equal(next(_histogram_scan([(lo, hi)])), expected)
 
     def test_huge_k_counts_as_inf(self):
         table = count_table(1000, (500,))
@@ -688,7 +688,7 @@ class TestSegmentMemory:
         (lambda lo, hi: totient_sieve(lo, hi), _BYTES_PER_VALUE, 2),
         (lambda lo, hi: totient_sieve(lo + 1, hi), _BYTES_PER_VALUE, 2),
         (lambda lo, hi: _classify_arrays(lo, hi), _BYTES_PER_VALUE, 1),
-        (lambda lo, hi: _segment_lk_members((lo, hi, 3)), _BYTES_PER_VALUE, 1),
+        (lambda lo, hi: next(_lk_scan([(lo, hi)], 3)), _BYTES_PER_VALUE, 1),
         (lambda lo, hi: next(_korselt_scan([(lo, hi)])), _BYTES_PER_VALUE, 1),
     ], ids=["totient_sieve", "totient_sieve_odd", "classify_arrays", "lk_members", "carmichael"])
     def test_peak_within_budget(self, run, per_value, step):
@@ -714,6 +714,31 @@ class TestSegmentMemory:
             tracemalloc.stop()
         assert len(found) == 105
         assert peak <= _BYTES_PER_VALUE * size
+
+    def test_count_scan_charged_once(self):
+        # A count of 5 segments holds one plan: the rem and phi buffers and
+        # two masks, sized by the segment and not by the range.
+        size = 200_000
+        tracemalloc.start()
+        try:
+            with segments_of(size):
+                table = count_table(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.count(math.inf, 10**6) == 80058
+        assert peak <= _BYTES_PER_VALUE * size
+
+    def test_direct_sieve_owns_its_totients(self):
+        # A scan's segments share its buffers; a direct call's do not.
+        lo, hi = 10**6, 10**6 + 2_000
+        seg = totient_sieve(lo, hi)
+        kept = seg.phi.copy()
+        again = totient_sieve(lo, hi)
+        count_table(10**4)
+        assert not np.shares_memory(seg.phi, again.phi)
+        assert np.array_equal(seg.phi, kept)
+        assert np.array_equal(again.phi, kept)
 
     def test_count_merges_histograms_as_they_arrive(self):
         # 1000 segments of 1 value: holding every segment's histogram of
@@ -778,6 +803,40 @@ class TestWorkerPool:
         with pytest.raises(TypeError):
             count_table(10**3, segment_size=1)
         assert pool_sizes == []
+
+
+class TestBufferReuse:
+    """A scan reuses its buffers from segment to segment.  A count's
+    segments grow from the cuts at 11, 101, ... and the last one shrinks, so
+    a stale value from an earlier or longer segment would show up as a
+    difference between segmentations, in process or in a pool worker's run
+    of segments.  The classify windows start at an even and an odd lo."""
+
+    @staticmethod
+    def outputs(workers: int):
+        return (
+            count_table(10**4, workers=workers).counts,
+            enumerate_Lk_composites(10**4, 3, workers=workers),
+            [list(classify_range(lo, lo + 3_000)) for lo in (10**6, 10**6 + 1)],
+        )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return self.outputs(1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("size", [1, 7_777, None])
+    def test_same_under_any_segmentation(self, pool_sizes, monkeypatch, reference,
+                                         size, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if size is None:
+            got = self.outputs(workers)
+        else:
+            with segments_of(size):
+                got = self.outputs(workers)
+        assert got == reference
+        # Every run that has two segments or more takes a pool of 2.
+        assert set(pool_sizes) == ({2} if workers == 2 else set())
 
 
 @pytest.mark.slow

@@ -3,7 +3,7 @@
 
 The counts include 1 and the primes (which all sit in L_1); composites
 are the rare part.  Runs to 10^6 in a couple of seconds; pass a higher
-power of ten on the command line (up to 1e8) for the larger columns.
+power of ten on the command line for the larger columns.
 """
 
 import math
@@ -16,7 +16,7 @@ LIMIT = int(float(sys.argv[1])) if len(sys.argv) > 1 else 10**6
 
 if __name__ == "__main__":
     t0 = time.time()
-    table = count_table(LIMIT, (2, 3, 4, 5, math.inf), max_limit=10**8)
+    table = count_table(LIMIT, (2, 3, 4, 5, math.inf))
     elapsed = time.time() - t0
 
     header = ["k \\ X"] + [f"10^{round(math.log10(p))}" for p in table.powers]

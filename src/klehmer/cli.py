@@ -11,7 +11,8 @@ and main alone renders them in the chosen format.
 Exit codes: 0 success, 1 usage error, 2 bound exceeded or arithmetic
 failure (such as an overflow or an unsplit factor), 3 verification
 failure.  The library sieves bulk ranges in fixed segments of 10^6
-values, one per process at a time.
+values, one per process at a time, and takes any limit below 3*10^9;
+the CLI caps a bulk --limit at 10^7, or 10^8 with --allow-large.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .lehmer import (
     semiprime_in_Lk,
 )
 from .sieve import (
-    LARGE_MAX_LIMIT,
     LimitExceededError,
     VerificationFailure,
     alpha_search,
@@ -205,20 +205,32 @@ def _add_format(p: argparse.ArgumentParser, choices=("json", "csv")) -> None:
     p.add_argument("--format", choices=choices, default="json")
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     # argparse names a type function's ValueError by the function's name,
     # so say what went wrong here, as _parse_int does.
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
-def _bulk_limits(args) -> dict:
-    return dict(max_limit=LARGE_MAX_LIMIT if args.allow_large else None)
+def _bulk_limit(args, limit: int) -> int:
+    """A bulk command's parsed ``limit``, checked against the domain and
+    then the desk-scale ceiling: 10^7, or 10^8 (ten times as long, in the
+    same segments) with --allow-large.  Handlers call it once their other
+    arguments are parsed, so that a malformed one is reported first."""
+    limit = _as_natural(limit, minimum=1, name="limit")
+    ceiling = 10**8 if args.allow_large else 10**7
+    if limit > ceiling:
+        raise LimitExceededError(f"limit {limit} exceeds the configured maximum {ceiling}")
+    return limit
 
 
 def _add_bulk_options(p: argparse.ArgumentParser) -> None:
@@ -257,18 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bulk_options(p)
 
     p = command("alpha", _cmd_alpha, "search the least Carmichael number outside L_k")
-    p.add_argument("--k", required=True, type=int)
+    p.add_argument("--k", required=True, type=_integer)
     p.add_argument("--limit", required=True)
     _add_format(p)
     _add_bulk_options(p)
 
     p = command("alpha-verify", _cmd_alpha_verify, "verify a claimed alpha(k) value")
-    p.add_argument("--k", required=True, type=int)
+    p.add_argument("--k", required=True, type=_integer)
     p.add_argument("--n", required=True)
     _add_format(p)
 
     p = command("chernick", _cmd_chernick, "build Chernick candidates U_k(m)")
-    p.add_argument("--k", required=True, type=int)
+    p.add_argument("--k", required=True, type=_integer)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--m")
     group.add_argument("--m-max")
@@ -277,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("semiprime", _cmd_semiprime, "decompose p*q and test L_k membership")
     p.add_argument("p")
     p.add_argument("q")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_integer, default=None)
     _add_format(p)
 
     p = command("pseudo-base", _cmd_pseudo_base, "Fermat-pseudoprime base for n in L_inf")
@@ -298,8 +310,8 @@ def _cmd_classify(args):
 
 
 def _cmd_count(args):
-    table = count_table(_parse_limit(args.limit), _parse_ks(args.k),
-                        workers=args.workers, **_bulk_limits(args))
+    limit, ks = _parse_limit(args.limit), _parse_ks(args.k)
+    table = count_table(_bulk_limit(args, limit), ks, workers=args.workers)
     rows = [
         {"k": _fmt_k(k), "X": power, "count": table.count(k, power)}
         for k in table.ks
@@ -321,12 +333,12 @@ def _parse_set(name: str):
 def _cmd_list(args):
     limit = _parse_limit(args.limit)
     kind, k = _parse_set(args.set_name)
+    limit = _bulk_limit(args, limit)
     if kind == "lk":
-        values = enumerate_Lk_composites(limit, k, workers=args.workers,
-                                         **_bulk_limits(args))
+        values = enumerate_Lk_composites(limit, k, workers=args.workers)
     else:
         # The Korselt sieve runs in process, so --workers has no effect here.
-        values = enumerate_carmichael(limit, **_bulk_limits(args))
+        values = enumerate_carmichael(limit)
     strings = [str(v) for v in values]
     payload = {"set": args.set_name, "limit": limit, "count": len(values),
                "values": strings}
@@ -350,7 +362,7 @@ def _alpha_payload(record) -> dict:
 
 
 def _cmd_alpha(args):
-    record = alpha_search(args.k, _parse_limit(args.limit), **_bulk_limits(args))
+    record = alpha_search(args.k, _bulk_limit(args, _parse_limit(args.limit)))
     payload = _alpha_payload(record)
     return payload, _ALPHA_HEADER, [payload]
 

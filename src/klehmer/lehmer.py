@@ -120,11 +120,18 @@ def lehmer_index(n) -> LehmerIndex:
     base = (f.value - 1) % phi
     if pow(base, max(phi.bit_length() - 1, 1), phi):
         return NOT_IN_LINF
+    return LehmerIndex.finite(_power_index(base, phi))
+
+
+def _power_index(base: int, phi: int) -> int:
+    """Least k >= 1 with base^k = 0 (mod phi), for 0 <= base < phi and a
+    base with such a k: one multiplication at a time, to the first zero.
+    The bulk path runs its certified members through it as well."""
     acc, k = base, 1
     while acc:
         acc = acc * base % phi
         k += 1
-    return LehmerIndex.finite(k)
+    return k
 
 
 def in_Lk_valuation(n, k: int) -> bool:

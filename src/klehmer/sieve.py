@@ -14,16 +14,16 @@ multiplies in p - 1 at the multiples of every other p and p at the
 multiples of each higher power, dividing p out of the remainder by a
 multiply with p^-1 mod 2^32.  An odd n > 1 is prime exactly
 when phi(n) = n - 1, so the primes get index 1 from that compare alone.
-The index of every other odd n is found by iterated modular
-multiplication acc <- acc * (n-1) mod phi(n), stopping at the first zero
-or after bitlength(phi) - 1 steps (every prime exponent in phi(n) is
-below that, so no finite index can hide past it).  First, an exclusion
-filter drops the odd n with q | phi(n) but q not dividing n-1 for some q
-in {3, 5, 7} (~72% of them near 10^7); only the composites left go to
-int64, where j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j at
-least every cutoff.  A nonzero result certifies n is outside L_inf, so
-only the ~0.07% of odd n that survive both (composites, and n = 1) run
-the iteration.  Carmichael numbers come from one ascending Korselt scan,
+Every other odd n is settled in two steps.  First, an exclusion filter
+drops the odd n with q | phi(n) but q not dividing n-1 for some q in
+{3, 5, 7} (~72% of them near 10^7); only the composites left go to
+int64, where j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j
+at least every bitlength(phi) - 1 (no prime exponent of phi(n) exceeds
+it).  A nonzero result certifies n is outside L_inf, and a zero puts n
+in L_(2^j); so only the ~0.07% of odd n that survive both (composites,
+and n = 1) take lehmer_index's own iteration acc <- acc * (n-1) mod
+phi(n), which reaches zero within 2^j <= 32 steps.  Carmichael numbers
+come from one ascending Korselt scan,
 which enumerate_carmichael lists and alpha_search walks: it plans once
 (base primes, strides, one reused uint32 product buffer), and each
 segment copies the tiled product of 3, 5, 7, 11 and 13, multiplies in
@@ -51,11 +51,9 @@ import numpy as np
 
 from .arith import _as_natural, factorize
 from .carmichael import korselt_test
-from .lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, lehmer_index
+from .lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, _power_index, lehmer_index
 
 __all__ = [
-    "DEFAULT_MAX_LIMIT",
-    "LARGE_MAX_LIMIT",
     "SieveSegment",
     "CountTable",
     "AlphaRecord",
@@ -73,11 +71,6 @@ __all__ = [
     "alpha_search",
     "verify_alpha_entry",
 ]
-
-# Desk-scale default; the 10^8 ceiling is opt-in (CLI --allow-large): it
-# runs ten times as long, in the same 10^6-value segments.
-DEFAULT_MAX_LIMIT = 10**7
-LARGE_MAX_LIMIT = 10**8
 
 _DEFAULT_SEGMENT = 1_000_000
 
@@ -102,7 +95,7 @@ _SIEVE_MAX_ODD = (512 << 20) // _BYTES_PER_VALUE
 
 
 class LimitExceededError(Exception):
-    """Requested bound is above the configured maximum."""
+    """Requested bound is above the allowed maximum."""
 
 
 class VerificationFailure(Exception):
@@ -308,6 +301,15 @@ def _sieve_plan(top: int, longest: int) -> _SievePlan:
                       np.empty(longest, dtype=np.uint32))
 
 
+def _check_range(lo, hi) -> tuple[int, int]:
+    """[lo, hi) as ints, with 1 <= lo < hi <= _INT64_SAFE_HI."""
+    lo = _as_natural(lo, minimum=1, name="lo")
+    hi = _as_natural(hi, minimum=lo + 1, name="hi")
+    if hi > _INT64_SAFE_HI:
+        raise LimitExceededError(f"hi must not exceed {_INT64_SAFE_HI}")
+    return lo, hi
+
+
 def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveSegment:
     """Exact totients of the odd n in [lo, hi) by a segmented sieve.
 
@@ -327,10 +329,7 @@ def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveS
     then ``phi`` is a view of the plan's buffer, valid until the next
     segment.  Without one, the call makes its own and the caller owns phi.
     """
-    lo = _as_natural(lo, minimum=1, name="lo")
-    hi = _as_natural(hi, minimum=lo + 1, name="hi")
-    if hi > _INT64_SAFE_HI:
-        raise LimitExceededError(f"hi must stay below {_INT64_SAFE_HI}")
+    lo, hi = _check_range(lo, hi)
     first = lo | 1
     length = len(range(first, hi, 2))
     if length > _SIEVE_MAX_ODD:
@@ -415,9 +414,11 @@ def _lehmer_indexes(phi: np.ndarray, first: int,
 
     j squarings of n - 1 mod phi in int64, with 2^j >= the largest cutoff
     bitlength(phi) - 1 among them (at most 31, as phi < 2^32), come first:
-    phi | (n-1)^k for some k <= cutoff implies phi | (n-1)^(2^j), so a
-    nonzero result certifies index 0.  The survivors run the modular
-    iteration against their cutoff, which gives the exact index.
+    no prime exponent of phi exceeds its cutoff, so phi divides some
+    (n-1)^k exactly when it divides (n-1)^(2^j), and a nonzero result
+    certifies index 0.  A zero puts n in L_(2^j), so each survivor's
+    index comes from lehmer_index's own loop (_power_index) within 2^j
+    steps.
     """
     ph = phi[pos].astype(np.int64)
     # Every operand is >= 0 and phi >= 1, so the truncating fmod equals %.
@@ -434,28 +435,8 @@ def _lehmer_indexes(phi: np.ndarray, first: int,
         sq *= sq
         np.fmod(sq, ph, out=sq)
     keep = np.flatnonzero(sq == 0)
-    pos, base_val, ph = pos[keep], base_val[keep], ph[keep]
-    cut = np.frexp(ph.astype(np.float64))[1].astype(np.int64) - 1
-
-    index = np.zeros(pos.size, dtype=np.uint8)
-    live = np.arange(pos.size)
-    acc = base_val.copy()
-    k = 1
-    while live.size:
-        # acc = (n-1)^k mod phi: a zero gives index k, a cutoff of k ends n.
-        zero = acc == 0
-        index[live[zero]] = k
-        alive = ~zero & (cut > k)
-        live = live[alive]
-        acc = acc[alive]
-        base_val = base_val[alive]
-        ph = ph[alive]
-        cut = cut[alive]
-        k += 1
-        acc *= base_val
-        np.fmod(acc, ph, out=acc)
-    member = np.flatnonzero(index)
-    return pos[member], index[member]
+    index = map(_power_index, base_val[keep].tolist(), ph[keep].tolist())
+    return pos[keep], np.fromiter(index, dtype=np.uint8, count=keep.size)
 
 
 def _classify_scan(bounds: list[tuple[int, int]]) -> Iterator[_Classified]:
@@ -563,13 +544,8 @@ def _map_scans(scan, bounds: list[tuple[int, int]], workers: int) -> Iterator:
             yield from results
 
 
-def _check_limit(limit, max_limit: int | None) -> int:
+def _check_limit(limit) -> int:
     limit = _as_natural(limit, minimum=1, name="limit")
-    ceiling = DEFAULT_MAX_LIMIT if max_limit is None else max_limit
-    if limit > ceiling:
-        raise LimitExceededError(
-            f"limit {limit} exceeds the configured maximum {ceiling}"
-        )
     if limit >= _INT64_SAFE_HI:
         raise LimitExceededError(f"limit must stay below {_INT64_SAFE_HI}")
     return limit
@@ -581,10 +557,7 @@ def classify_range(lo: int, hi: int) -> Iterator[tuple[int, LehmerIndex]]:
     The same algorithm as lehmer_index, on sieved totients in bulk, so it
     agrees with lehmer_index everywhere.
     """
-    lo = _as_natural(lo, minimum=1, name="lo")
-    hi = _as_natural(hi, minimum=lo + 1, name="hi")
-    if hi > _INT64_SAFE_HI:
-        raise LimitExceededError(f"hi must stay below {_INT64_SAFE_HI}")
+    lo, hi = _check_range(lo, hi)
     for c in _classify_scan(_segment_bounds(lo, hi)):
         index = _dense_index(c)
         for i, ix in enumerate(index.tolist()):
@@ -616,20 +589,16 @@ def _normalize_ks(ks) -> tuple:
     return tuple(sorted(seen, key=lambda v: (v == math.inf, v)))
 
 
-def count_table(
-    limit,
-    ks=(2, 3, 4, 5, math.inf),
-    *,
-    workers: int = 1,
-    max_limit: int | None = None,
-) -> CountTable:
+def count_table(limit, ks=(2, 3, 4, 5, math.inf), *, workers: int = 1) -> CountTable:
     """Exact counts C_k(10^j) for every power of ten up to ``limit``.
 
     ``limit`` must itself be a power of ten.  The inf row (membership in
     L_inf) is always computed alongside the requested ks; requested k
     beyond 127 count as inf.  Deterministic for any worker count.
+    Raises LimitExceededError for a limit of _INT64_SAFE_HI or more.
     """
-    limit = _check_limit(limit, max_limit)
+    limit = _check_limit(limit)
+    workers = _as_natural(workers, minimum=1, name="workers")
     j = round(math.log10(limit))
     if 10**j != limit or j < 1:
         raise ValueError(f"limit must be a power of 10 >= 10, got {limit}")
@@ -671,16 +640,11 @@ def _lk_scan(bounds: list[tuple[int, int]], k: int) -> Iterator[np.ndarray]:
         yield n[n > 1]
 
 
-def enumerate_Lk_composites(
-    limit,
-    k: int,
-    *,
-    workers: int = 1,
-    max_limit: int | None = None,
-) -> list[int]:
+def enumerate_Lk_composites(limit, k: int, *, workers: int = 1) -> list[int]:
     """All composite n <= limit with phi(n) | (n-1)^k, ascending."""
-    limit = _check_limit(limit, max_limit)
+    limit = _check_limit(limit)
     k = _as_natural(k, minimum=1, name="k")
+    workers = _as_natural(workers, minimum=1, name="workers")
     bounds = _segment_bounds(1, limit + 1)
     chunks = _map_scans(functools.partial(_lk_scan, k=k), bounds, workers)
     out: list[int] = []
@@ -783,19 +747,17 @@ def _carmichael_numbers(limit: int) -> Iterator[int]:
         yield from found.tolist()
 
 
-def enumerate_carmichael(limit, *, max_limit: int | None = None) -> list[int]:
+def enumerate_carmichael(limit) -> list[int]:
     """All Carmichael numbers <= limit, ascending.
 
     One Korselt scan (_korselt_scan) in process: its plan and buffer are
     made once for all segments, and a segment costs less than starting a
     worker pool does.
     """
-    return list(_carmichael_numbers(_check_limit(limit, max_limit)))
+    return list(_carmichael_numbers(_check_limit(limit)))
 
 
-def alpha_search(
-    k: int, limit, *, max_limit: int | None = None
-) -> AlphaRecord | AlphaNotFound:
+def alpha_search(k: int, limit) -> AlphaRecord | AlphaNotFound:
     """Smallest Carmichael number <= limit outside L_k, if any.
 
     Scans Carmichael numbers serially in ascending order, factors each
@@ -803,7 +765,7 @@ def alpha_search(
     record is minimal below the bound by construction.
     """
     k = _as_natural(k, minimum=1, name="k")
-    limit = _check_limit(limit, max_limit)
+    limit = _check_limit(limit)
     for n in _carmichael_numbers(limit):
         f = factorize(n)
         idx = lehmer_index(f)

@@ -89,7 +89,7 @@ def test_c1_counting_table_to_1e6(capsys):
 @pytest.mark.slow
 def test_c1_stretch_counting_table_to_1e7():
     t0 = time.monotonic()
-    table = count_table(10**7, (2, 3, 4, 5, math.inf), max_limit=10**8)
+    table = count_table(10**7, (2, 3, 4, 5, math.inf))
     elapsed = time.monotonic() - t0
     for k, reference in COUNT_REFERENCE.items():
         assert table.counts[k] == reference, k
@@ -122,7 +122,7 @@ def test_c3_alpha_search():
 
 @pytest.mark.slow
 def test_c3_stretch_alpha4():
-    r = alpha_search(4, 5 * 10**7, max_limit=10**8)
+    r = alpha_search(4, 5 * 10**7)
     assert (r.n, r.omega) == (41471521, 5)
     _report("C3-stretch", "alpha(4) = 41471521 below 5e7")
 

@@ -112,6 +112,29 @@ class TestCount:
         rc, out, err = run_cli(capsys, "count", "--limit", "1e8", "--k", "2")
         assert rc == 2 and "exceeds" in err
 
+    @pytest.mark.parametrize("argv, ceiling", [
+        (("count", "--limit", "1e8"), 10**7),
+        (("list", "--set", "carmichael", "--limit", "2e7"), 10**7),
+        (("alpha", "--k", "1", "--limit", "2e8", "--allow-large"), 10**8),
+    ])
+    def test_ceiling_message(self, capsys, argv, ceiling):
+        limit = int(float(argv[argv.index("--limit") + 1]))
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: limit {limit} exceeds the configured maximum {ceiling}\n",
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        # The domain is checked before the ceiling ...
+        (("count", "--limit", "0"), "limit must be >= 1, got 0"),
+        (("count", "--limit", str(10**40)), "limit exceeds 2**127 - 1"),
+        # ... and the ceiling after every other argument is parsed.
+        (("count", "--limit", "1e9", "--k", "x"), "k must be an integer, got 'x'"),
+        (("list", "--set", "lk-composites:x", "--limit", "1e9"),
+         "k must be an integer, got 'x'"),
+    ])
+    def test_other_faults_before_the_ceiling(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
     def test_bad_limit_is_usage_error(self, capsys):
         rc, _, _ = run_cli(capsys, "count", "--limit", "banana", "--k", "2")
         assert rc == 1
@@ -426,6 +449,19 @@ class TestUsage:
                 rc, out, err = run_cli(capsys, *command, "--workers", workers)
                 assert (rc, out) == (1, ""), (command, workers)
                 assert "--workers" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("alpha", "--k", "x", "--limit", "10"),
+        ("alpha-verify", "--k", "x", "--n", "561"),
+        ("chernick", "--k", "x", "--m", "1"),
+        ("semiprime", "3", "5", "--k", "x"),
+    ])
+    def test_non_integer_k_names_no_helper(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            f"klehmer {argv[0]}: error: argument --k: must be an integer, got 'x'"
+        )
 
     @pytest.mark.parametrize("workers", ["x", "1.5", ""])
     def test_non_integer_workers_names_no_helper(self, capsys, workers):

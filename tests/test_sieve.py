@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from klehmer.arith import euler_phi, factorize, is_prime
 from klehmer.carmichael import korselt_test
-from klehmer.lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, in_Lk, lehmer_index
+from klehmer.lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, _power_index, in_Lk, lehmer_index
 from klehmer.sieve import (
     _BYTES_PER_VALUE,
     _INT64_SAFE_HI,
@@ -23,6 +23,7 @@ from klehmer.sieve import (
     _classify_arrays,
     _korselt_scan,
     _histogram_scan,
+    _lehmer_indexes,
     _lk_scan,
     _segment_bounds,
     alpha_search,
@@ -100,6 +101,17 @@ class TestTotientSieve:
             totient_sieve(5, 5)
         with pytest.raises(ValueError):
             totient_sieve(0, 10)
+
+    @pytest.mark.parametrize("run", [
+        totient_sieve,
+        lambda lo, hi: next(classify_range(lo, hi)),
+    ], ids=["totient_sieve", "classify_range"])
+    def test_int64_bound_is_inclusive(self, run):
+        # Both share one range check: hi = _INT64_SAFE_HI itself is fine.
+        run(_INT64_SAFE_HI - 1, _INT64_SAFE_HI)
+        with pytest.raises(LimitExceededError) as err:
+            run(_INT64_SAFE_HI - 1, _INT64_SAFE_HI + 1)
+        assert str(err.value) == f"hi must not exceed {_INT64_SAFE_HI}"
 
 
 def factorized_phi(lo: int, hi: int) -> np.ndarray:
@@ -310,6 +322,44 @@ class TestSquaringCertificate:
         assert list(classify_range(n, n + 1)) == [(n, idx)]
 
 
+def least_power_index(base: int, phi: int) -> int:
+    """The least k >= 1 with phi | base^k, by exact powers, or 0 when no k
+    up to 64 works (a finite index below 2^32 is at most 31): the
+    reference for _power_index, sharing no code with it."""
+    return next((k for k in range(1, 65) if pow(base, k, phi) == 0), 0)
+
+
+class TestPowerIndex:
+    """_power_index, the one loop that lehmer_index and the bulk path
+    share, against exact powers rather than against itself."""
+
+    def test_every_certified_member_near_1e7(self):
+        # All odd n of the window go through the certificate, primes too.
+        lo, hi = 10**7 - 10**4, 10**7
+        phi = totient_sieve(lo, hi).phi.astype(np.int64).tolist()
+        first = lo | 1
+        expected = {}
+        for i, ph in enumerate(phi):
+            k = least_power_index((first + 2 * i - 1) % ph, ph)
+            if k:
+                expected[i] = k
+        pos, index = _lehmer_indexes(np.array(phi, dtype=np.uint32), first,
+                                     np.arange(len(phi)))
+        assert dict(zip(pos.tolist(), index.tolist())) == expected
+        composites = [i for i in expected if not is_prime(first + 2 * i)]
+        assert len(composites) > 1 and max(expected.values()) > 2
+        for i, k in expected.items():
+            ph = phi[i]
+            assert _power_index((first + 2 * i - 1) % ph, ph) == k
+
+    def test_phi_one(self):
+        # n = 1 and n = 2: phi = 1 divides base^1 = 0.
+        assert _power_index(0, 1) == least_power_index(0, 1) == 1
+        assert lehmer_index(1) == lehmer_index(2) == LehmerIndex.finite(1)
+        pos, index = _lehmer_indexes(np.array([1], dtype=np.uint32), 1, np.arange(1))
+        assert (pos.tolist(), index.tolist()) == ([0], [1])
+
+
 def assert_window_matches_linear(q: int, r: int, lo: int, w: int, lo_even: bool):
     # Move the window so that its first odd n is r (mod q).
     first = lo | 1
@@ -408,17 +458,47 @@ class TestCountTable:
         with pytest.raises(ValueError):
             count_table(5000, (2,))  # not a power of ten
         with pytest.raises(LimitExceededError):
-            count_table(10**8, (2,))  # above the default ceiling
+            count_table(10**10, (2,))  # past the int64 bound
         count_table(10, (2,))  # smallest accepted
 
     def test_raised_ceiling(self):
-        # explicit opt-in accepts the larger bound (not actually computed here)
-        with pytest.raises(ValueError):
-            count_table(2 * 10**7, (2,), max_limit=10**8)  # not a power of 10
+        # The library has no desk-scale ceiling (the CLI keeps that): a
+        # limit past 10^7 gets through to the power-of-ten check.
+        with pytest.raises(ValueError, match="power of 10"):
+            count_table(2 * 10**7, (2,))
 
     def test_empty_k_list_rejected(self):
         with pytest.raises(ValueError):
             count_table(100, ())
+
+
+class TestLimitBounds:
+    """The library's one bound on a limit is the int64 one, limit <
+    _INT64_SAFE_HI; the desk-scale ceilings belong to the CLI."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: count_table(10**10),
+        lambda: enumerate_Lk_composites(_INT64_SAFE_HI, 2),
+        lambda: enumerate_carmichael(_INT64_SAFE_HI),
+        lambda: alpha_search(4, _INT64_SAFE_HI),
+    ], ids=["count_table", "enumerate_Lk_composites", "enumerate_carmichael",
+            "alpha_search"])
+    def test_int64_bound_raises_before_sieving(self, monkeypatch, run):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sieved past the int64 bound")
+
+        for name in ("totient_sieve", "_korselt_scan", "_segment_bounds"):
+            monkeypatch.setattr(f"klehmer.sieve.{name}", refuse)
+        with pytest.raises(LimitExceededError) as err:
+            run()
+        assert str(err.value) == f"limit must stay below {_INT64_SAFE_HI}"
+
+    def test_carmichael_past_1e7(self):
+        below = enumerate_carmichael(10**7)
+        got = enumerate_carmichael(2 * 10**7)
+        assert len(below) == 105 and got[:105] == below
+        assert len(got) > 105
+        assert all(korselt_test(n) for n in got)
 
 
 class TestEnumerate:
@@ -504,7 +584,7 @@ class TestOddKorseltSieve:
 
     @pytest.mark.slow
     def test_count_to_1e8(self):
-        assert len(enumerate_carmichael(10**8, max_limit=10**8)) == 255
+        assert len(enumerate_carmichael(10**8)) == 255
 
 
 def korselt_residue_product_int64(lo: int, hi: int) -> list[int]:
@@ -805,6 +885,33 @@ class TestWorkerPool:
         assert pool_sizes == []
 
 
+class TestWorkerValidation:
+    """``workers`` is checked on entry, before any segment is sieved or any
+    pool is asked for; cpu_count is patched so that the value itself, not
+    the machine, would size a pool."""
+
+    @pytest.mark.parametrize("workers, error, message", [
+        (0, ValueError, "workers must be >= 1, got 0"),
+        (-3, ValueError, "workers must be >= 1, got -3"),
+        (2.5, TypeError, "'float' object cannot be interpreted as an integer"),
+    ])
+    @pytest.mark.parametrize("run", [
+        lambda w: count_table(10**4, (2,), workers=w),
+        lambda w: enumerate_Lk_composites(10**4, 2, workers=w),
+    ], ids=["count_table", "enumerate_Lk_composites"])
+    def test_bad_workers_rejected_up_front(self, pool_sizes, monkeypatch, run,
+                                           workers, error, message):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        sieved = []
+        original = totient_sieve
+        monkeypatch.setattr("klehmer.sieve.totient_sieve",
+                            lambda *a, **kw: sieved.append(a) or original(*a, **kw))
+        with pytest.raises(error) as err:
+            run(workers)
+        assert str(err.value) == message
+        assert (sieved, pool_sizes) == ([], [])
+
+
 class TestBufferReuse:
     """A scan reuses its buffers from segment to segment.  A count's
     segments grow from the cuts at 11, 101, ... and the last one shrinks, so
@@ -874,7 +981,7 @@ class TestLargeRange:
         assert table.count(math.inf, 10**7) == 670225
 
     def test_count_table_1e8(self):
-        table = count_table(10**8, max_limit=10**8)
+        table = count_table(10**8)
         assert table.counts == {
             2: (5, 26, 170, 1236, 9613, 78535, 664667, 5761621),
             3: (5, 29, 179, 1266, 9714, 78841, 665538, 5763967),
@@ -884,5 +991,5 @@ class TestLargeRange:
         }
 
     def test_alpha4_below_5e7(self):
-        r = alpha_search(4, 50_000_000, max_limit=10**8)
+        r = alpha_search(4, 50_000_000)
         assert r.n == 41471521 and r.omega == 5 and r.in_next

@@ -10,9 +10,13 @@ and main alone renders them in the chosen format.
 
 Exit codes: 0 success, 1 usage error, 2 bound exceeded or arithmetic
 failure (such as an overflow or an unsplit factor), 3 verification
-failure.  The library sieves bulk ranges in fixed segments of 10^6
-values, one per process at a time, and takes any limit below 3*10^9;
-the CLI caps a bulk --limit at 10^7, or 10^8 with --allow-large.
+failure.  Exit 1 has two shapes on stderr: a malformed argument gets the
+subcommand's usage and "klehmer <cmd>: error: argument <name>: ...",
+and a well-formed value outside the domain (such as a p that is not
+prime) gets one "error: ..." line.  The library sieves bulk ranges in
+fixed segments of 10^6 values, one per process at a time, and takes any
+limit below 3*10^9; the CLI caps a bulk --limit at 10^7, or 10^8 with
+--allow-large.
 """
 
 from __future__ import annotations
@@ -151,44 +155,6 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _parse_int(text: str, name: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}")
-
-
-def _parse_limit(text: str, name: str = "limit") -> int:
-    """Accept plain integers and scientific notation like 1e6; ``name`` is
-    the option that errors name."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        x = float(text)
-    except ValueError:
-        raise ValueError(f"invalid {name} {text!r}")
-    if not x.is_integer() or abs(x) > 1e18:
-        raise ValueError(f"invalid {name} {text!r}")
-    return int(x)
-
-
-def _parse_ks(text: str) -> tuple:
-    ks = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part == "inf":
-            ks.append(math.inf)
-        else:
-            ks.append(_parse_int(part, "k"))
-    if not ks:
-        raise ValueError("empty k list")
-    return tuple(ks)
-
-
 def _fmt_k(k) -> str | int:
     return "inf" if k == math.inf else int(k)
 
@@ -205,9 +171,10 @@ def _add_format(p: argparse.ArgumentParser, choices=("json", "csv")) -> None:
     p.add_argument("--format", choices=choices, default="json")
 
 
+# The argparse types below parse every argument's text, so a handler's
+# ValueError is always a domain error.  Each raises ArgumentTypeError:
+# argparse names a type's plain ValueError by the function's name.
 def _integer(text: str) -> int:
-    # argparse names a type function's ValueError by the function's name,
-    # so say what went wrong here, as _parse_int does.
     try:
         return int(text)
     except ValueError:
@@ -221,11 +188,50 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _limit(text: str) -> int:
+    """An integer, or a whole float such as 1e6 of size at most 1e18."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        x = float(text)
+        if x.is_integer() and abs(x) <= 1e18:
+            return int(x)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an integer or a whole float up to 1e18, got {text!r}")
+
+
+def _k_list(text: str) -> tuple:
+    """Comma-separated ks, each an integer or inf; empty entries are skipped."""
+    parts = [part.strip() for part in text.split(",")]
+    ks = tuple(math.inf if part == "inf" else _integer(part) for part in parts if part)
+    if not ks:
+        raise argparse.ArgumentTypeError("empty k list")
+    return ks
+
+
+def _set(text: str) -> tuple[str, int | None]:
+    """The set's name as given, and its k (None for carmichael)."""
+    if text == "l2-composites":
+        return text, 2
+    if text.startswith("lk-composites:"):
+        k = text.split(":", 1)[1]
+        try:
+            return text, int(k)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"k must be an integer, got {k!r}")
+    if text == "carmichael":
+        return text, None
+    raise argparse.ArgumentTypeError(f"unknown set {text!r}")
+
+
 def _bulk_limit(args, limit: int) -> int:
-    """A bulk command's parsed ``limit``, checked against the domain and
-    then the desk-scale ceiling: 10^7, or 10^8 (ten times as long, in the
-    same segments) with --allow-large.  Handlers call it once their other
-    arguments are parsed, so that a malformed one is reported first."""
+    """A bulk command's ``limit``, checked against the domain and then the
+    desk-scale ceiling: 10^7, or 10^8 (ten times as long, in the same
+    segments) with --allow-large."""
     limit = _as_natural(limit, minimum=1, name="limit")
     ceiling = 10**8 if args.allow_large else 10**7
     if limit > ceiling:
@@ -234,6 +240,8 @@ def _bulk_limit(args, limit: int) -> int:
 
 
 def _add_bulk_options(p: argparse.ArgumentParser) -> None:
+    # alpha and list --set carmichael ignore --workers but keep accepting
+    # it: the benchmark's carmichael-alpha command lines pass it to both.
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--allow-large", action="store_true",
                    help="raise the limit ceiling from 1e7 to 1e8")
@@ -252,48 +260,48 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("classify", _cmd_classify, "full report for a single n")
-    p.add_argument("n")
+    p.add_argument("n", type=_integer)
     _add_format(p)
 
     p = command("count", _cmd_count, "counting table C_k(10^j)")
-    p.add_argument("--limit", required=True)
-    p.add_argument("--k", default="2,3,4,5,inf")
+    p.add_argument("--limit", required=True, type=_limit)
+    p.add_argument("--k", default="2,3,4,5,inf", type=_k_list)
     _add_format(p)
     _add_bulk_options(p)
 
     p = command("list", _cmd_list, "enumerate a membership set")
-    p.add_argument("--set", required=True, dest="set_name",
+    p.add_argument("--set", required=True, dest="set_name", type=_set,
                    help="l2-composites | lk-composites:<k> | carmichael")
-    p.add_argument("--limit", required=True)
+    p.add_argument("--limit", required=True, type=_limit)
     _add_format(p, choices=("json", "csv", "bfile"))
     _add_bulk_options(p)
 
     p = command("alpha", _cmd_alpha, "search the least Carmichael number outside L_k")
     p.add_argument("--k", required=True, type=_integer)
-    p.add_argument("--limit", required=True)
+    p.add_argument("--limit", required=True, type=_limit)
     _add_format(p)
     _add_bulk_options(p)
 
     p = command("alpha-verify", _cmd_alpha_verify, "verify a claimed alpha(k) value")
     p.add_argument("--k", required=True, type=_integer)
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", required=True, type=_integer)
     _add_format(p)
 
     p = command("chernick", _cmd_chernick, "build Chernick candidates U_k(m)")
     p.add_argument("--k", required=True, type=_integer)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m")
-    group.add_argument("--m-max")
+    group.add_argument("--m", type=_limit)
+    group.add_argument("--m-max", type=_limit)
     _add_format(p)
 
     p = command("semiprime", _cmd_semiprime, "decompose p*q and test L_k membership")
-    p.add_argument("p")
-    p.add_argument("q")
+    p.add_argument("p", type=_integer)
+    p.add_argument("q", type=_integer)
     p.add_argument("--k", type=_integer, default=None)
     _add_format(p)
 
     p = command("pseudo-base", _cmd_pseudo_base, "Fermat-pseudoprime base for n in L_inf")
-    p.add_argument("n")
+    p.add_argument("n", type=_integer)
     _add_format(p)
 
     return parser
@@ -302,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Every handler returns (payload, csv_header, rows): the JSON object, and
 # rows of JSON scalars (a list cell is joined by spaces) for CSV and b-file.
 def _cmd_classify(args):
-    payload = classification_report(_parse_int(args.n, "n")).to_dict()
+    payload = classification_report(args.n).to_dict()
     row = {**payload, "factorization": [f"{p}^{e}" for p, e in payload["factorization"]]}
     header = ["n", "factorization", "phi", "lambda", "rad_phi", "lehmer_index",
               "is_carmichael", "pseudoprime_base", "base_degenerate"]
@@ -310,8 +318,7 @@ def _cmd_classify(args):
 
 
 def _cmd_count(args):
-    limit, ks = _parse_limit(args.limit), _parse_ks(args.k)
-    table = count_table(_bulk_limit(args, limit), ks, workers=args.workers)
+    table = count_table(_bulk_limit(args, args.limit), args.k, workers=args.workers)
     rows = [
         {"k": _fmt_k(k), "X": power, "count": table.count(k, power)}
         for k in table.ks
@@ -320,27 +327,16 @@ def _cmd_count(args):
     return {"limit": table.limit, "rows": rows}, ["k", "X", "count"], rows
 
 
-def _parse_set(name: str):
-    if name == "l2-composites":
-        return ("lk", 2)
-    if name.startswith("lk-composites:"):
-        return ("lk", _parse_int(name.split(":", 1)[1], "k"))
-    if name == "carmichael":
-        return ("carmichael", None)
-    raise ValueError(f"unknown set {name!r}")
-
-
 def _cmd_list(args):
-    limit = _parse_limit(args.limit)
-    kind, k = _parse_set(args.set_name)
-    limit = _bulk_limit(args, limit)
-    if kind == "lk":
+    name, k = args.set_name
+    limit = _bulk_limit(args, args.limit)
+    if k is not None:
         values = enumerate_Lk_composites(limit, k, workers=args.workers)
     else:
         # The Korselt sieve runs in process, so --workers has no effect here.
         values = enumerate_carmichael(limit)
     strings = [str(v) for v in values]
-    payload = {"set": args.set_name, "limit": limit, "count": len(values),
+    payload = {"set": name, "limit": limit, "count": len(values),
                "values": strings}
     return payload, ["n"], [{"n": v} for v in strings]
 
@@ -362,13 +358,13 @@ def _alpha_payload(record) -> dict:
 
 
 def _cmd_alpha(args):
-    record = alpha_search(args.k, _bulk_limit(args, _parse_limit(args.limit)))
+    record = alpha_search(args.k, _bulk_limit(args, args.limit))
     payload = _alpha_payload(record)
     return payload, _ALPHA_HEADER, [payload]
 
 
 def _cmd_alpha_verify(args):
-    payload = _alpha_payload(verify_alpha_entry(args.k, _parse_int(args.n, "n")))
+    payload = _alpha_payload(verify_alpha_entry(args.k, args.n))
     return payload, _ALPHA_HEADER, [payload]
 
 
@@ -388,10 +384,9 @@ def _candidate_payload(cand) -> dict:
 
 def _cmd_chernick(args):
     if args.m is not None:
-        candidates = [chernick(args.k, _parse_limit(args.m, "m"))]
+        candidates = [chernick(args.k, args.m)]
     else:
-        m_max = _parse_limit(args.m_max, "m-max")
-        _as_natural(m_max, minimum=1, name="m-max")
+        m_max = _as_natural(args.m_max, minimum=1, name="m-max")
         if m_max > _CHERNICK_M_MAX:
             raise LimitExceededError(
                 f"m-max {m_max} exceeds the maximum {_CHERNICK_M_MAX}"
@@ -407,7 +402,7 @@ def _cmd_chernick(args):
 
 
 def _cmd_semiprime(args):
-    dec = semiprime_decompose(_parse_int(args.p, "p"), _parse_int(args.q, "q"))
+    dec = semiprime_decompose(args.p, args.q)
     payload = {
         "p": str(dec.p),
         "q": str(dec.q),
@@ -428,7 +423,7 @@ def _cmd_semiprime(args):
 
 
 def _cmd_pseudo_base(args):
-    n = _parse_int(args.n, "n")
+    n = args.n
     base = pseudoprime_base(n)
     payload = {
         "n": str(n),

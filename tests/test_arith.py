@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from klehmer import arith
 from klehmer.arith import (
     FactoredInteger,
     carmichael_lambda,
@@ -115,6 +116,16 @@ class TestFactorize:
     def test_prime_power_splitting(self):
         p = 1000003
         assert factorize(p**3).factors == ((p, 3),)
+
+    def test_square_splits_without_rho(self, monkeypatch):
+        # Rho on the square of a 62-bit prime runs for tens of seconds; the
+        # perfect-square shortcut in _split_composite splits it at once.
+        def no_rho(n, c):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(arith, "_pollard_brent", no_rho)
+        p = 4611686018427388039
+        assert factorize(p * p).factors == ((p, 2),)
 
     def test_omega_counts_distinct_primes(self):
         assert factorize(1).omega() == 0

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,13 @@ def run_cli(capsys, *args):
     rc = main(list(args))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def usage_error(capsys, *args):
+    """The last stderr line of a command that must fail with its usage."""
+    rc, out, err = run_cli(capsys, *args)
+    assert (rc, out) == (1, "") and err.startswith(f"usage: klehmer {args[0]} ")
+    return err.splitlines()[-1]
 
 
 class TestClassify:
@@ -127,13 +135,17 @@ class TestCount:
         # The domain is checked before the ceiling ...
         (("count", "--limit", "0"), "limit must be >= 1, got 0"),
         (("count", "--limit", str(10**40)), "limit exceeds 2**127 - 1"),
-        # ... and the ceiling after every other argument is parsed.
-        (("count", "--limit", "1e9", "--k", "x"), "k must be an integer, got 'x'"),
+        # ... and argparse reports a malformed argument before any handler.
+        (("count", "--limit", "1e9", "--k", "x"),
+         "klehmer count: error: argument --k: must be an integer, got 'x'"),
         (("list", "--set", "lk-composites:x", "--limit", "1e9"),
-         "k must be an integer, got 'x'"),
+         "klehmer list: error: argument --set: k must be an integer, got 'x'"),
     ])
     def test_other_faults_before_the_ceiling(self, capsys, argv, message):
-        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+        if message.startswith("klehmer "):
+            assert usage_error(capsys, *argv) == message
+        else:
+            assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
     def test_bad_limit_is_usage_error(self, capsys):
         rc, _, _ = run_cli(capsys, "count", "--limit", "banana", "--k", "2")
@@ -190,11 +202,15 @@ class TestList:
         assert out == "n\n15\n85\n91\n"
 
     def test_carmichael_accepts_workers(self, capsys):
-        # The Korselt sieve runs in process; --workers is accepted and changes nothing.
-        argv = ("list", "--set", "carmichael", "--limit", "1e5", "--format", "csv")
-        one = run_cli(capsys, *argv)
-        assert run_cli(capsys, *argv, "--workers", "2") == one
-        assert one[0] == 0 and one[1].count("\n") == 17
+        # The Korselt sieve runs in process; --workers is accepted and changes
+        # nothing.  The benchmark's carmichael-alpha command lines pass it to both.
+        for argv, lines in (
+            (("list", "--set", "carmichael", "--limit", "1e5", "--format", "csv"), 17),
+            (("alpha", "--k", "1", "--limit", "1e4"), 8),
+        ):
+            one = run_cli(capsys, *argv)
+            assert run_cli(capsys, *argv, "--workers", "2") == one, argv
+            assert one[0] == 0 and one[1].count("\n") == lines, argv
 
     def test_unknown_set(self, capsys):
         rc, _, err = run_cli(capsys, "list", "--set", "mersenne", "--limit", "10")
@@ -275,8 +291,10 @@ class TestChernick:
 
     @pytest.mark.parametrize("flag", ["--m", "--m-max"])
     def test_bad_m_names_its_option(self, capsys, flag):
-        rc, out, err = run_cli(capsys, "chernick", "--k", "3", flag, "1e30")
-        assert (rc, out, err) == (1, "", f"error: invalid {flag[2:]} '1e30'\n")
+        assert usage_error(capsys, "chernick", "--k", "3", flag, "1e30") == (
+            f"klehmer chernick: error: argument {flag}: "
+            "must be an integer or a whole float up to 1e18, got '1e30'"
+        )
 
     @pytest.mark.parametrize("m_max", ["100001", "1e9", str(10**20)])
     def test_m_max_above_ceiling_is_exit_2(self, capsys, m_max):
@@ -386,14 +404,31 @@ class TestUsage:
     @pytest.mark.parametrize("argv, name, text", [
         (("classify", "abc"), "n", "abc"),
         (("classify", "1e3"), "n", "1e3"),
-        (("alpha-verify", "--k", "2", "--n", "abc"), "n", "abc"),
+        (("alpha-verify", "--k", "2", "--n", "abc"), "--n", "abc"),
         (("semiprime", "x", "5"), "p", "x"),
         (("semiprime", "5", "y"), "q", "y"),
         (("pseudo-base", "1e3"), "n", "1e3"),
     ])
     def test_non_integer_n_names_its_argument(self, capsys, argv, name, text):
-        assert run_cli(capsys, *argv) == (
-            1, "", f"error: {name} must be an integer, got {text!r}\n",
+        assert usage_error(capsys, *argv) == (
+            f"klehmer {argv[0]}: error: argument {name}: must be an integer, got {text!r}"
+        )
+
+    @pytest.mark.parametrize("argv, name, message", [
+        (("count", "--limit", "x"), "--limit",
+         "must be an integer or a whole float up to 1e18, got 'x'"),
+        (("count", "--limit", "1e19"), "--limit",
+         "must be an integer or a whole float up to 1e18, got '1e19'"),
+        (("count", "--limit", "10", "--k", "2,x"), "--k", "must be an integer, got 'x'"),
+        (("count", "--limit", "10", "--k", ","), "--k", "empty k list"),
+        (("list", "--set", "mersenne", "--limit", "10"), "--set",
+         "unknown set 'mersenne'"),
+        (("list", "--set", "lk-composites:x", "--limit", "10"), "--set",
+         "k must be an integer, got 'x'"),
+    ])
+    def test_malformed_argument_gets_usage(self, capsys, argv, name, message):
+        assert usage_error(capsys, *argv) == (
+            f"klehmer {argv[0]}: error: argument {name}: {message}"
         )
 
     def test_unknown_command(self, capsys):
@@ -537,6 +572,12 @@ def check_exit_contract(argv):
     assert "Traceback" not in err.getvalue(), argv
     if rc:
         assert out.getvalue() == "" and err.getvalue(), argv
+        # A malformed argument gets a usage block; anything else one line.
+        if err.getvalue().startswith("usage: "):
+            assert rc == 1, argv
+            assert re.match(r"klehmer( \S+)?: error: ", err.getvalue().splitlines()[-1]), argv
+        else:
+            assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), argv
 
 
 class TestFuzzedCommandLines:

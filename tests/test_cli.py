@@ -136,10 +136,13 @@ class TestCount:
         (("count", "--limit", "0"), "limit must be >= 1, got 0"),
         (("count", "--limit", str(10**40)), "limit exceeds 2**127 - 1"),
         # ... and argparse reports a malformed argument before any handler.
-        (("count", "--limit", "1e9", "--k", "x"),
-         "klehmer count: error: argument --k: must be an integer, got 'x'"),
-        (("list", "--set", "lk-composites:x", "--limit", "1e9"),
-         "klehmer list: error: argument --set: k must be an integer, got 'x'"),
+        # These ids name the fault, as they did when the handlers reported it.
+        pytest.param(("count", "--limit", "1e9", "--k", "x"),
+                     "klehmer count: error: argument --k: must be an integer, got 'x'",
+                     id="argv2-k must be an integer, got 'x'"),
+        pytest.param(("list", "--set", "lk-composites:x", "--limit", "1e9"),
+                     "klehmer list: error: argument --set: k must be an integer, got 'x'",
+                     id="argv3-k must be an integer, got 'x'"),
     ])
     def test_other_faults_before_the_ceiling(self, capsys, argv, message):
         if message.startswith("klehmer "):

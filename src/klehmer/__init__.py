@@ -9,26 +9,31 @@ alpha sequence (least Carmichael number outside L_k) at bulk scale.
 from .arith import *
 from .carmichael import *
 from .lehmer import *
-from .sieve import *
 
-from . import arith, carmichael, lehmer, sieve
+from . import arith, carmichael, lehmer
 
-_CLI_NAMES = ("ClassificationReport", "classification_report", "emit_bfile")
+# Loaded on first use: the sieve imports numpy, which the per-number API
+# never needs, and `python -m klehmer.cli` warns if cli is imported.
+_LAZY = {
+    **dict.fromkeys(("ClassificationReport", "classification_report", "emit_bfile"), "cli"),
+    **dict.fromkeys((
+        "SieveSegment", "CountTable", "base_primes", "totient_sieve", "classify_range",
+        "count_table", "enumerate_Lk_composites", "enumerate_carmichael", "alpha_search",
+    ), "sieve"),
+}
 
 __all__ = [
     *arith.__all__,
     *carmichael.__all__,
-    *_CLI_NAMES,
     *lehmer.__all__,
-    *sieve.__all__,
+    *_LAZY,
 ]
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # Loaded on first use: `python -m klehmer.cli` warns if it is imported.
-    if name not in _CLI_NAMES:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import cli
-    return getattr(cli, name)
+    from importlib import import_module
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

@@ -15,6 +15,7 @@ from functools import cached_property
 
 __all__ = [
     "MAX_NATURAL",
+    "LimitExceededError",
     "FactoredInteger",
     "is_prime",
     "factorize",
@@ -28,6 +29,11 @@ __all__ = [
 # Upper bound of the supported domain.  Wide enough for a product of two
 # 64-bit values, and for every alpha-sequence entry handled here.
 MAX_NATURAL = 2**127 - 1
+
+
+class LimitExceededError(Exception):
+    """Requested bound is above the allowed maximum."""
+
 
 # Witness policy: below each bound, the listed Miller-Rabin bases decide
 # primality with no error (Jaeschke / Sinclair verified sets, cf. OEIS

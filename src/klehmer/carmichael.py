@@ -8,8 +8,10 @@ agree everywhere (the suite checks this exhaustively); primes and 1
 are never Carmichael and return False from all three.
 
 Also here: the Chernick product construction with its Lehmer-index
-classification, and the explicit Fermat-pseudoprime base that every
-composite member of L_inf admits.
+classification, the explicit Fermat-pseudoprime base that every
+composite member of L_inf admits, and the direct check of a claimed
+alpha(k) entry (a Carmichael number outside L_k) from one factorization,
+with the record and errors that the sieve's alpha search shares.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .lehmer import LehmerIndex, lehmer_index
 __all__ = [
     "ChernickCandidate",
     "CarmichaelVerdict",
+    "AlphaRecord",
+    "AlphaNotFound",
+    "VerificationFailure",
+    "NotCarmichaelError",
+    "LehmerMembershipError",
     "korselt_test",
     "lambda_test",
     "radical_korselt_test",
@@ -40,7 +47,20 @@ __all__ = [
     "chernick_factors",
     "pseudoprime_base",
     "fermat_test",
+    "verify_alpha_entry",
 ]
+
+
+class VerificationFailure(Exception):
+    """A claimed alpha-table property did not hold."""
+
+
+class NotCarmichaelError(VerificationFailure):
+    """The value under verification is not a Carmichael number."""
+
+
+class LehmerMembershipError(VerificationFailure):
+    """The value under verification lies in L_k although it must not."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +96,29 @@ class ChernickCandidate:
     is_carmichael: bool
     guaranteed_index_k: bool
     observed_index: LehmerIndex | None
+
+
+@dataclass(frozen=True)
+class AlphaRecord:
+    """A Carmichael number outside L_k: alpha(k) when found by search.
+
+    ``bound`` is the exhaustive search limit, or 0 when the value was
+    checked directly (direct checks do not establish minimality).
+    """
+
+    k: int
+    n: int
+    omega: int
+    in_next: bool
+    bound: int
+
+
+@dataclass(frozen=True)
+class AlphaNotFound:
+    """Search outcome: no Carmichael number outside L_k up to ``bound``."""
+
+    k: int
+    bound: int
 
 
 def korselt_test(n) -> bool:
@@ -183,3 +226,30 @@ def fermat_test(n, b) -> bool:
     n = _as_natural(n, minimum=2)
     b = _as_natural(b, name="b")
     return pow(b, n - 1, n) == 1
+
+
+def _alpha_record(k: int, f: FactoredInteger, bound: int) -> AlphaRecord | None:
+    """The record of the Carmichael number f for k, or None if f is in L_k."""
+    idx = lehmer_index(f)
+    if idx <= k:
+        return None
+    return AlphaRecord(k=k, n=f.value, omega=f.omega(), in_next=idx <= k + 1, bound=bound)
+
+
+def verify_alpha_entry(k: int, n) -> AlphaRecord:
+    """Check a claimed alpha(k) value directly, with no search.
+
+    Confirms (from n's factorization, the only one it needs) that n is a
+    Carmichael number and not in L_k, and reports its distinct-prime count
+    and whether it lands in L_{k+1}.  Minimality is NOT established;
+    ``bound`` is 0 to say so.  Failures raise NotCarmichaelError /
+    LehmerMembershipError.
+    """
+    k = _as_natural(k, minimum=1, name="k")
+    f = factorize(n)
+    if not korselt_test(f):
+        raise NotCarmichaelError(f"{f.value} fails Korselt's criterion")
+    record = _alpha_record(k, f, bound=0)
+    if record is None:
+        raise LehmerMembershipError(f"{f.value} lies in L_{k}")
+    return record

@@ -16,7 +16,8 @@ and a well-formed value outside the domain (such as a p that is not
 prime) gets one "error: ..." line.  The library sieves bulk ranges in
 fixed segments of 10^6 values, one per process at a time, and takes any
 limit below 3*10^9; the CLI caps a bulk --limit at 10^7, or 10^8 with
---allow-large.
+--allow-large.  Only the bulk commands count, list and alpha import the
+sieve, and with it numpy; the per-number commands never load it.
 """
 
 from __future__ import annotations
@@ -31,27 +32,19 @@ import sys
 from dataclasses import dataclass
 
 from .arith import (
+    LimitExceededError,
     _as_natural,
     carmichael_lambda,
     factorize,
     radical,
 )
-from .carmichael import chernick, korselt_test, pseudoprime_base, fermat_test
+from .carmichael import (AlphaNotFound, VerificationFailure, chernick, fermat_test,
+                         korselt_test, pseudoprime_base, verify_alpha_entry)
 from .lehmer import (
     LehmerIndex,
     lehmer_index,
     semiprime_decompose,
     semiprime_in_Lk,
-)
-from .sieve import (
-    LimitExceededError,
-    VerificationFailure,
-    alpha_search,
-    AlphaNotFound,
-    count_table,
-    enumerate_carmichael,
-    enumerate_Lk_composites,
-    verify_alpha_entry,
 )
 
 __all__ = [
@@ -318,6 +311,7 @@ def _cmd_classify(args):
 
 
 def _cmd_count(args):
+    from .sieve import count_table
     table = count_table(_bulk_limit(args, args.limit), args.k, workers=args.workers)
     rows = [
         {"k": _fmt_k(k), "X": power, "count": table.count(k, power)}
@@ -328,6 +322,7 @@ def _cmd_count(args):
 
 
 def _cmd_list(args):
+    from .sieve import enumerate_carmichael, enumerate_Lk_composites
     name, k = args.set_name
     limit = _bulk_limit(args, args.limit)
     if k is not None:
@@ -358,6 +353,7 @@ def _alpha_payload(record) -> dict:
 
 
 def _cmd_alpha(args):
+    from .sieve import alpha_search
     record = alpha_search(args.k, _bulk_limit(args, args.limit))
     payload = _alpha_payload(record)
     return payload, _ALPHA_HEADER, [payload]

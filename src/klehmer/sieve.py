@@ -1,8 +1,10 @@
 """Bulk classification by segmented sieving.
 
 Reproduces the counting table C_k(10^j) = #{n <= 10^j : phi(n) | (n-1)^k},
-enumerates L_k composites and Carmichael numbers, and searches/verifies
-the alpha sequence (smallest Carmichael number outside L_k).
+enumerates L_k composites and Carmichael numbers, and searches the alpha
+sequence (smallest Carmichael number outside L_k).  Checking one claimed
+alpha entry is per-number work, in carmichael.verify_alpha_entry; this is
+the one module that imports numpy.
 
 The bulk route never factors anything and sieves odd n only (even n > 2
 lie outside every L_k, and no even n is a Carmichael number): a segmented
@@ -49,19 +51,15 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import _as_natural, factorize
-from .carmichael import korselt_test
-from .lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, _power_index, lehmer_index
+from .arith import LimitExceededError, _as_natural, factorize
+from .carmichael import AlphaNotFound, AlphaRecord, _alpha_record
+# Imported, not exported: bench/spans.py traces it as sieve.verify_alpha_entry.
+from .carmichael import verify_alpha_entry
+from .lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, _power_index
 
 __all__ = [
     "SieveSegment",
     "CountTable",
-    "AlphaRecord",
-    "AlphaNotFound",
-    "LimitExceededError",
-    "VerificationFailure",
-    "NotCarmichaelError",
-    "LehmerMembershipError",
     "base_primes",
     "totient_sieve",
     "classify_range",
@@ -69,7 +67,6 @@ __all__ = [
     "enumerate_Lk_composites",
     "enumerate_carmichael",
     "alpha_search",
-    "verify_alpha_entry",
 ]
 
 _DEFAULT_SEGMENT = 1_000_000
@@ -92,22 +89,6 @@ _BYTES_PER_VALUE = 12
 # at _BYTES_PER_VALUE each), so hi - lo up to twice it; bulk segments are
 # _DEFAULT_SEGMENT values, far below.
 _SIEVE_MAX_ODD = (512 << 20) // _BYTES_PER_VALUE
-
-
-class LimitExceededError(Exception):
-    """Requested bound is above the allowed maximum."""
-
-
-class VerificationFailure(Exception):
-    """A claimed alpha-table property did not hold."""
-
-
-class NotCarmichaelError(VerificationFailure):
-    """The value under verification is not a Carmichael number."""
-
-
-class LehmerMembershipError(VerificationFailure):
-    """The value under verification lies in L_k although it must not."""
 
 
 @dataclass
@@ -143,32 +124,14 @@ class CountTable:
         return self.counts[k][self.powers.index(power)]
 
 
-@dataclass(frozen=True)
-class AlphaRecord:
-    """A Carmichael number outside L_k: alpha(k) when found by search.
-
-    ``bound`` is the exhaustive search limit, or 0 when the value was
-    checked directly (direct checks do not establish minimality).
-    """
-
-    k: int
-    n: int
-    omega: int
-    in_next: bool
-    bound: int
-
-
-@dataclass(frozen=True)
-class AlphaNotFound:
-    """Search outcome: no Carmichael number outside L_k up to ``bound``."""
-
-    k: int
-    bound: int
-
-
 def base_primes(limit: int) -> np.ndarray:
-    """All primes <= limit."""
+    """All primes <= limit.  Raises LimitExceededError, before allocating,
+    above 2 * _SIEVE_MAX_ODD, the largest hi - lo of one totient_sieve."""
     limit = _as_natural(limit, name="limit")
+    if limit > 2 * _SIEVE_MAX_ODD:
+        raise LimitExceededError(
+            f"limit {limit} is too large for one sieve; use limit <= {2 * _SIEVE_MAX_ODD}"
+        )
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -767,33 +730,7 @@ def alpha_search(k: int, limit) -> AlphaRecord | AlphaNotFound:
     k = _as_natural(k, minimum=1, name="k")
     limit = _check_limit(limit)
     for n in _carmichael_numbers(limit):
-        f = factorize(n)
-        idx = lehmer_index(f)
-        if not idx <= k:
-            return AlphaRecord(
-                k=k,
-                n=n,
-                omega=f.omega(),
-                in_next=idx <= k + 1,
-                bound=limit,
-            )
+        record = _alpha_record(k, factorize(n), bound=limit)
+        if record is not None:
+            return record
     return AlphaNotFound(k=k, bound=limit)
-
-
-def verify_alpha_entry(k: int, n) -> AlphaRecord:
-    """Check a claimed alpha(k) value directly, with no search.
-
-    Confirms (from n's factorization, the only one it needs) that n is a
-    Carmichael number and not in L_k, and reports its distinct-prime count and whether it lands
-    in L_{k+1}.  Minimality is NOT established; ``bound`` is 0 to say so.
-    Failures raise NotCarmichaelError / LehmerMembershipError.
-    """
-    k = _as_natural(k, minimum=1, name="k")
-    f = factorize(n)
-    n = f.value
-    if not korselt_test(f):
-        raise NotCarmichaelError(f"{n} fails Korselt's criterion")
-    idx = lehmer_index(f)
-    if idx <= k:
-        raise LehmerMembershipError(f"{n} lies in L_{k}")
-    return AlphaRecord(k=k, n=n, omega=f.omega(), in_next=idx <= k + 1, bound=0)

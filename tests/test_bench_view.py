@@ -48,14 +48,19 @@ def test_sieve_figures_read_a_real_segment(spans):
 # bench/run.py checks these layers in traced runs (REQUIRED and BYPASS):
 # the count must reach the totient sieve through the name spans.py swaps,
 # and the Korselt scan and the per-number path must never call it.
+# alpha-verify reaches its traced name only through the binding that
+# klehmer.sieve imports from klehmer.carmichael and keeps for spans.py.
 @pytest.mark.parametrize("argv, sieved", [
     (["count", "--limit", "1e3"], True),
     (["list", "--set", "carmichael", "--limit", "1e4"], False),
     (["alpha", "--k", "2", "--limit", "1e4"], False),
     (["classify", "561"], False),
-], ids=["count", "list-carmichael", "alpha", "classify"])
+    (["alpha-verify", "--k", "4", "--n", "41471521"], False),
+], ids=["count", "list-carmichael", "alpha", "classify", "alpha-verify"])
 def test_totient_sieve_spans_per_command(spans, capsys, argv, sieved):
     with spans.instrument(spans.Tracer()) as tracer:
         assert cli.main(argv) == 0
     capsys.readouterr()
     assert (spans.calls(tracer.spans, "sieve.totient_sieve") > 0) == sieved
+    verified = spans.calls(tracer.spans, "sieve.verify_alpha_entry")
+    assert verified == (argv[0] == "alpha-verify")

@@ -608,14 +608,17 @@ class TestModuleEntryPoints:
     """`python -m klehmer.cli` and `python -m klehmer` behave like main()."""
 
     @staticmethod
-    def run_module(module, *args, flags=()):
+    def run_python(*args):
         src = str(Path(klehmer.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, *flags, "-m", module, *args],
+            [sys.executable, *args],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    def run_module(self, module, *args, flags=()):
+        return self.run_python(*flags, "-m", module, *args)
 
     def test_docstrings_stripped(self):
         # python -OO drops every docstring; the CLI must not need them.
@@ -633,6 +636,27 @@ class TestModuleEntryPoints:
         done = self.run_module(module, "count", "--limit", "1e8", "--k", "2")
         assert (done.returncode, done.stdout) == (2, "")
         assert "exceeds" in done.stderr
+
+    def test_per_number_commands_leave_numpy_unloaded(self):
+        # Only the bulk commands import the sieve, and with it numpy.
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import klehmer, klehmer.cli",
+            "def run(*argv):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert klehmer.cli.main(list(argv)) == 0, argv",
+            "    return 'numpy' in sys.modules",
+            "assert 'numpy' not in sys.modules",
+            "for argv in (('classify', '561'),",
+            "             ('alpha-verify', '--k', '9', '--n', '330019822807208371201'),",
+            "             ('semiprime', '7', '13', '--k', '3'),",
+            "             ('pseudo-base', '561'),",
+            "             ('chernick', '--k', '3', '--m', '1')):",
+            "    assert not run(*argv), argv",
+            "assert run('count', '--limit', '1e2')",
+        ])
+        done = self.run_python("-c", script)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 # Whole stdout of one command per format not pinned above, including the

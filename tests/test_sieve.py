@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klehmer.arith import euler_phi, factorize, is_prime
-from klehmer.carmichael import korselt_test
+from klehmer.arith import LimitExceededError, euler_phi, factorize, is_prime
+from klehmer.carmichael import (
+    AlphaNotFound,
+    LehmerMembershipError,
+    NotCarmichaelError,
+    korselt_test,
+    verify_alpha_entry,
+)
 from klehmer.lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, _power_index, in_Lk, lehmer_index
 from klehmer.sieve import (
     _BYTES_PER_VALUE,
@@ -16,10 +22,6 @@ from klehmer.sieve import (
     _LOOP_HITS,
     _PATTERN_PERIOD,
     _TOTIENT_PERIOD,
-    AlphaNotFound,
-    LehmerMembershipError,
-    LimitExceededError,
-    NotCarmichaelError,
     _classify_arrays,
     _korselt_scan,
     _histogram_scan,
@@ -33,7 +35,6 @@ from klehmer.sieve import (
     enumerate_carmichael,
     enumerate_Lk_composites,
     totient_sieve,
-    verify_alpha_entry,
 )
 
 from conftest import segments_of, sieve_phi, sieve_prime_mask, trial_factorize
@@ -753,6 +754,17 @@ class TestBasePrimes:
         assert base_primes(1).size == 0
         with pytest.raises(ValueError):
             base_primes(-1)
+
+    def test_cap_raises_before_allocating(self, monkeypatch):
+        # The cap is totient_sieve's largest hi - lo; with a small one
+        # patched in, a 2**100 limit must raise, never reach np.ones.
+        cap = 500
+        monkeypatch.setattr("klehmer.sieve._SIEVE_MAX_ODD", cap)
+        assert base_primes(2 * cap).size == 168
+        for limit in (2 * cap + 1, 2**100):
+            with pytest.raises(LimitExceededError) as err:
+                base_primes(limit)
+            assert str(2 * cap) in str(err.value)
 
 
 class TestSegmentMemory:

@@ -40,8 +40,8 @@ class LimitExceededError(Exception):
 # A014233).  Above 2**64 there is no fixed proven set; a base-2 strong
 # probable prime test combined with a strong Lucas test (Selfridge
 # parameters) is used instead, which has no known composite passing it.
+# is_prime settles every n < 67^2 by trial division before it reads this.
 _WITNESS_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (2_047, (2,)),
     (1_373_653, (2, 3)),
     (9_080_191, (31, 73)),
     (25_326_001, (2, 3, 5)),

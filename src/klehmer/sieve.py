@@ -82,7 +82,7 @@ _INT64_SAFE_HI = 3_000_000_000
 # _histogram_scan, _lk_scan) or a Korselt scan 2.4 (6.6 on the segment
 # from 2, where most blocks of the hit search reach first) per value of
 # hi - lo.  12 is at least 27% above each of these peaks.  A scan of many
-# segments is charged once, for its longest.
+# segments allocates its buffers once, for its longest.
 _BYTES_PER_VALUE = 12
 
 # A direct totient_sieve call sieves at most this many odd values (512 MiB
@@ -455,28 +455,15 @@ def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return c.seg.phi, _dense_index(c)
 
 
-def _segment_bounds(
-    lo: int, hi: int, cuts: tuple[int, ...] = ()
-) -> list[tuple[int, int]]:
-    """Split [lo, hi) into the segments every bulk path runs on, also cut at
-    each of ``cuts`` inside the range.
-
-    The one place that picks the segment size: _DEFAULT_SEGMENT values,
-    read at call time.  Results never depend on the size, only speed and
-    peak memory do.
+def _segment_bounds(lo: int, hi: int, cuts: tuple[int, ...] = ()) -> list[tuple[int, int]]:
+    """The segments every bulk path runs on, between consecutive edges of
+    [lo, hi): lo + i * _DEFAULT_SEGMENT (read at call time, the one place
+    that picks the segment size), each of ``cuts`` inside the range, and
+    hi.  Results never depend on the size, only speed and peak memory do.
     """
-    marks = sorted({c for c in cuts if lo < c < hi})
-    bounds = []
-    start = lo
-    while start < hi:
-        end = min(start + _DEFAULT_SEGMENT, hi)
-        for c in marks:
-            if start < c < end:
-                end = c
-                break
-        bounds.append((start, end))
-        start = end
-    return bounds
+    edges = sorted({*range(lo, hi, _DEFAULT_SEGMENT),
+                    *(c for c in cuts if lo < c < hi), hi})
+    return list(zip(edges, edges[1:]))
 
 
 def _listed(scan, bounds) -> list:
@@ -539,17 +526,11 @@ def _histogram_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
 
 
 def _normalize_ks(ks) -> tuple:
-    seen = []
-    for k in ks:
-        if k == math.inf:
-            key = math.inf
-        else:
-            key = _as_natural(k, minimum=1, name="k")
-        if key not in seen:
-            seen.append(key)
-    if not seen:
+    keys = {math.inf if k == math.inf else _as_natural(k, minimum=1, name="k")
+            for k in ks}
+    if not keys:
         raise ValueError("at least one k is required")
-    return tuple(sorted(seen, key=lambda v: (v == math.inf, v)))
+    return tuple(sorted(keys))
 
 
 def count_table(limit, ks=(2, 3, 4, 5, math.inf), *, workers: int = 1) -> CountTable:
@@ -559,6 +540,8 @@ def count_table(limit, ks=(2, 3, 4, 5, math.inf), *, workers: int = 1) -> CountT
     L_inf) is always computed alongside the requested ks; requested k
     beyond 127 count as inf.  Deterministic for any worker count.
     Raises LimitExceededError for a limit of _INT64_SAFE_HI or more.
+    Each p + 1 is a segment edge, where the running histogram's cumulative
+    sum over indexes 1..K_CAP holds C_k(p) at entry min(k, K_CAP) - 1.
     """
     limit = _check_limit(limit)
     workers = _as_natural(workers, minimum=1, name="workers")
@@ -572,23 +555,13 @@ def count_table(limit, ks=(2, 3, 4, 5, math.inf), *, workers: int = 1) -> CountT
     hists = _map_scans(_histogram_scan, bounds, workers)
 
     running = np.zeros(K_CAP + 1, dtype=np.int64)
-    snapshots = {}
-    want = {p + 1 for p in powers}
-    for (lo, hi), hist in zip(bounds, hists):
+    cumulative = []
+    for (_, hi), hist in zip(bounds, hists):
         running += hist
-        if hi in want:
-            snapshots[hi - 1] = running.copy()
-
-    counts: dict = {}
-    for k in requested + ((math.inf,) if math.inf not in requested else ()):
-        row = []
-        for p in powers:
-            snap = snapshots[p]
-            if k == math.inf:
-                row.append(int(snap[1:].sum()))
-            else:
-                row.append(int(snap[1 : min(k, K_CAP) + 1].sum()))
-        counts[k] = tuple(row)
+        if hi - 1 in powers:
+            cumulative.append(np.cumsum(running[1:]).tolist())
+    counts = {k: tuple(row[min(k, K_CAP) - 1] for row in cumulative)
+              for k in (*requested, math.inf)}
     return CountTable(limit=limit, ks=requested, powers=powers, counts=counts)
 
 

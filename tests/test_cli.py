@@ -111,6 +111,13 @@ class TestCount:
         assert rows[(2, 1000)] == 170
         assert rows[("inf", 1000)] == 188
 
+    def test_rows_follow_ascending_k(self, capsys):
+        rc, out, _ = run_cli(capsys, "count", "--limit", "100", "--k", "inf,200,5,2,2",
+                             "--format", "csv")
+        assert rc == 0
+        ks = [row["k"] for row in csv.DictReader(io.StringIO(out))]
+        assert ks == ["2", "2", "5", "5", "200", "200", "inf", "inf"]
+
     def test_scientific_limit(self, capsys):
         rc, out, _ = run_cli(capsys, "count", "--limit", "1e2", "--k", "2",
                              "--format", "csv")

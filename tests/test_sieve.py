@@ -437,6 +437,9 @@ class TestCountTable:
         expected = np.bincount(index, minlength=K_CAP + 1)
         assert np.array_equal(next(_histogram_scan([(lo, hi)])), expected)
 
+    def test_ks_ascend_once_each_with_inf_last(self):
+        assert count_table(1000, (math.inf, 200, 5, 2, 2)).ks == (2, 5, 200, math.inf)
+
     def test_huge_k_counts_as_inf(self):
         table = count_table(1000, (500,))
         assert table.counts[500] == table.counts[math.inf]
@@ -768,12 +771,12 @@ class TestBasePrimes:
 
 
 class TestSegmentMemory:
-    """Measured peaks stay under the per-value sizes the budget assumes."""
+    """Measured peaks stay under _BYTES_PER_VALUE per value."""
 
     LO, HI = 10**7, 10**7 + 200_000
 
-    # (run, bytes per value, values charged): the totient sieve is charged
-    # per odd value it sieves, a bulk segment per value of the range.
+    # (run, bytes per value, step of the values counted): the totient sieve
+    # is bounded per odd value it sieves, a bulk segment per value of the range.
     # totient_sieve_odd starts the window on an odd lo, which holds as many
     # odd values as the even-started window.
     @pytest.mark.parametrize("run, per_value, step", [

@@ -118,9 +118,9 @@ MUTANTS = (
     Mutant("lucas-square-check", ARITH,
            "    if r * r == n:\n        return False\n", "",
            (f"{T_ARITH}::TestIsPrime::test_perfect_squares_above_64_bits",),
-           survives="a square that passes the base-2 strong test is m^2 with m a "
-                    "squarefree product of Wieferich primes, and with the two known, "
-                    "1093 and 3511, every such square lies below 2^64"),
+           survives="a square that passes the base-2 strong test is m^2 with every "
+                    "prime of m a Wieferich prime, and with the two known, 1093 and "
+                    "3511, every such square that passes lies below 2^64"),
     # The CLI.
     Mutant("cli-ceiling", "src/klehmer/cli.py",
            "10**8 if args.allow_large else 10**7", "10**8 if args.allow_large else 10**8",

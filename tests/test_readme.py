@@ -11,7 +11,7 @@ def test_python_examples():
     # Each ```python block up to its closing fence, which a plain
     # doctest.testfile would read as part of the last expected value.
     text = README.read_text()
-    parser, runner, report = doctest.DocTestParser(), doctest.DocTestRunner(), []
+    parser, runner, report = doctest.DocTestParser(), doctest.DocTestRunner(verbose=False), []
     attempted = 0
     for block in re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S):
         lineno = text.count("\n", 0, block.start(1))

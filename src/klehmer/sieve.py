@@ -455,7 +455,9 @@ def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return c.seg.phi, _dense_index(c)
 
 
-def _segment_bounds(lo: int, hi: int, cuts: tuple[int, ...] = ()) -> list[tuple[int, int]]:
+def _segment_bounds(
+    lo: int, hi: int, cuts: tuple[int, ...] = ()
+) -> list[tuple[int, int]]:
     """The segments every bulk path runs on, between consecutive edges of
     [lo, hi): lo + i * _DEFAULT_SEGMENT (read at call time, the one place
     that picks the segment size), each of ``cuts`` inside the range, and

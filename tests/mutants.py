@@ -10,16 +10,11 @@ killed, survived or timeout and the seconds each mutant took, and exits 1
 if a mutant that states no reason to survive is not killed.
 
 A script beside the tests, not a test module, so the suite never collects
-it.  From the repository root:
-
-    python tests/mutants.py                     # every mutant
-    python tests/mutants.py count-cuts ks-order # only these
-    python tests/mutants.py --timeout 120
+it.  From the repository root: python tests/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import signal
@@ -31,6 +26,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Seconds each mutant's tests may take.
+TIMEOUT = 60.0
 
 
 class Mutant(NamedTuple):
@@ -86,7 +84,7 @@ MUTANTS = (
     # The Korselt scan.
     Mutant("korselt-pad", SIEVE,
            "        buf[length:size] = 0\n", "",
-           (f"{T_SIEVE}::TestKorseltResidueOracle::test_short_last_segment",)),
+           (f"{T_SIEVE}::TestKorseltResidueOracle::test_pad_ignores_buffer_garbage",)),
     Mutant("hit-steps", SIEVE,
            "_HIT_STEPS = np.arange(_LOOP_HITS)", "_HIT_STEPS = np.arange(_LOOP_HITS - 1)",
            (f"{T_SIEVE}::TestKorseltResidueOracle::test_windows_around_each_stride",)),
@@ -158,15 +156,15 @@ def _pytest(root: Path, tests, timeout: float) -> int | None:
         return None
 
 
-def _check_fragments(mutants) -> None:
-    for m in mutants:
+def _check_fragments() -> None:
+    for m in MUTANTS:
         found = (ROOT / m.path).read_text().count(m.old)
         if found != 1:
             raise SystemExit(f"{m.name}: fragment occurs {found} times in {m.path}")
 
 
-def _baseline(mutants, timeout: float) -> None:
-    tests = list(dict.fromkeys(t for m in mutants for t in m.tests))
+def _baseline() -> None:
+    tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         _copy(root)
@@ -177,20 +175,20 @@ def _baseline(mutants, timeout: float) -> None:
         if not Path(where).is_relative_to(root):
             raise SystemExit(f"the copy imports klehmer from {where}, not from itself")
         start = time.perf_counter()
-        rc = _pytest(root, tests, timeout * len(mutants))
+        rc = _pytest(root, tests, TIMEOUT * len(MUTANTS))
         if rc != 0:
             raise SystemExit(f"unmutated copy: pytest exit {rc} on the named tests")
     print(f"unmutated: {len(tests)} tests pass, {time.perf_counter() - start:.1f} s")
 
 
-def _run(m: Mutant, timeout: float) -> tuple[str, float]:
+def _run(m: Mutant) -> tuple[str, float]:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         _copy(root)
         path = root / m.path
         path.write_text(path.read_text().replace(m.old, m.new))
         start = time.perf_counter()
-        rc = _pytest(root, m.tests, timeout)
+        rc = _pytest(root, m.tests, TIMEOUT)
         seconds = time.perf_counter() - start
     if rc is None:
         return "timeout", seconds
@@ -201,23 +199,12 @@ def _run(m: Mutant, timeout: float) -> tuple[str, float]:
     return ("killed" if rc == 1 else f"error {rc}"), seconds
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0] if __doc__ else None)
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=60.0,
-                        help="seconds each mutant's tests may take (default 60)")
-    args = parser.parse_args(argv)
-    known = {m.name for m in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    mutants = [m for m in MUTANTS if not args.names or m.name in args.names]
-
-    _check_fragments(mutants)
-    _baseline(mutants, args.timeout)
+def main() -> int:
+    _check_fragments()
+    _baseline()
     failed = []
-    for m in mutants:
-        outcome, seconds = _run(m, args.timeout)
+    for m in MUTANTS:
+        outcome, seconds = _run(m)
         ok = outcome == "killed" or (outcome == "survived" and m.survives)
         note = f"  ({m.survives})" if m.survives else ""
         print(f"{outcome:9} {seconds:6.1f} s  {m.name:22} {m.path}{note}", flush=True)
@@ -226,7 +213,7 @@ def main(argv=None) -> int:
     if failed:
         print(f"not killed: {', '.join(failed)}")
         return 1
-    print(f"all {len(mutants)} mutants killed or survive for a stated reason")
+    print(f"all {len(MUTANTS)} mutants killed or survive for a stated reason")
     return 0
 
 

@@ -691,6 +691,20 @@ class TestKorseltResidueOracle:
             got = enumerate_carmichael(41_040)
         assert got == korselt_residue_product_int64(2, 41_041) == korselt_by_trial_division(2, 41_041)
 
+    def test_pad_ignores_buffer_garbage(self, monkeypatch):
+        # Each fresh uint32 buffer reads n = 3 + 2i at index i, the n of the
+        # segment from 2, so an unzeroed pad entry past hi reads as a hit.
+        empty = np.empty
+
+        def odd_n(shape, dtype=float):
+            buf = empty(shape, dtype)
+            if np.dtype(dtype) == np.uint32:
+                buf[...] = (3 + 2 * np.arange(buf.size, dtype=np.uint32)).reshape(buf.shape)
+            return buf
+
+        monkeypatch.setattr(np, "empty", odd_n)
+        assert enumerate_carmichael(2000) == [561, 1105, 1729]
+
 
 class TestAlphaSearch:
     def test_examples(self):

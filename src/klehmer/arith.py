@@ -110,6 +110,15 @@ class FactoredInteger:
         if prod != self.value:
             raise ValueError(f"factors recompose to {prod}, not {self.value}")
 
+    @classmethod
+    def _proven(cls, value: int, factors: tuple[tuple[int, int], ...]) -> "FactoredInteger":
+        """The record of factors that already hold every invariant above,
+        their primes proven where they were found: no check is repeated."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factors", factors)
+        return self
+
     def omega(self) -> int:
         """Number of distinct prime factors (d(n))."""
         return len(self.factors)
@@ -139,7 +148,7 @@ class FactoredInteger:
                 counts[p] = counts.get(p, 0) + e - 1
             for q, d in factorize(p - 1).factors:
                 counts[q] = counts.get(q, 0) + d
-        return FactoredInteger(euler_phi(self), tuple(sorted(counts.items())))
+        return FactoredInteger._proven(euler_phi(self), tuple(sorted(counts.items())))
 
     def __iter__(self):
         return iter(self.factors)
@@ -297,7 +306,9 @@ def factorize(n) -> FactoredInteger:
 
     Trial division by primes < 4096, then Brent's cycle-finding rho on
     whatever survives, recursing until all cofactors pass is_prime.
-    Rejects 0; factorize(1) has an empty factor list.
+    Rejects 0; factorize(1) has an empty factor list.  Each listed prime
+    is proven once, where it is found: by trial division, as a cofactor
+    below 4093^2 with no prime factor up to 4093, or by is_prime.
     """
     n = _as_natural(n, minimum=1)
     counts: dict[int, int] = {}
@@ -324,7 +335,7 @@ def factorize(n) -> FactoredInteger:
                 g = _split_composite(c)
                 stack.append(g)
                 stack.append(c // g)
-    return FactoredInteger(n, tuple(sorted(counts.items())))
+    return FactoredInteger._proven(n, tuple(sorted(counts.items())))
 
 
 def _coerce_factored(f) -> FactoredInteger:

@@ -30,7 +30,8 @@ which enumerate_carmichael lists and alpha_search walks: it plans once
 (base primes, strides, one reused uint32 product buffer), and each
 segment copies the tiled product of 3, 5, 7, 11 and 13, multiplies in
 the larger primes by strided passes or one scatter, and searches for
-hits block by block.  The count, the L_k lists and classify_range consume
+hits only in the blocks whose largest product reaches the block's own
+first n.  The count, the L_k lists and classify_range consume
 one classify scan, which also plans once (the walk's step table, cached
 per limit, and rem, phi and two masks that every segment reuses),
 and each segment yields its prime mask and the few composites that the
@@ -79,8 +80,8 @@ _INT64_SAFE_HI = 3_000_000_000
 # 8.1-8.6 per odd value it sieves (9.4 on a first call near
 # _INT64_SAFE_HI, which builds the step table of its 5570 base primes); a
 # classify scan of one segment at most 7.8 (_classify_arrays,
-# _histogram_scan, _lk_scan) or a Korselt scan 2.4 (6.6 on the segment
-# from 2, where most blocks of the hit search reach first) per value of
+# _histogram_scan, _lk_scan) or a Korselt scan 2.2-2.4 (3.25 on the
+# segment from 2, where Carmichael numbers are densest) per value of
 # hi - lo.  12 is at least 27% above each of these peaks.  A scan of many
 # segments allocates its buffers once, for its longest.
 _BYTES_PER_VALUE = 12
@@ -601,12 +602,14 @@ def enumerate_Lk_composites(limit, k: int, *, workers: int = 1) -> list[int]:
 _LOOP_HITS = 8
 _HIT_STEPS = np.arange(_LOOP_HITS)
 
-# prod == n needs prod >= first, so the hit search takes the maximum of
-# each _BLOCK entries and compares prod == n only in the blocks that reach
-# first.  Per 10^6 segment near 4e7: 0.14-0.18 ms at 4096, 0.11-0.14 ms at
-# 1024-2048, 0.20-0.24 ms at 8192 and 0.31-0.36 ms at 16384, against
-# 0.18-0.27 ms for a full bool compare and flatnonzero; whole scans to 5e7
-# did not tell 1024, 2048 and 4096 apart.
+# prod == n needs prod >= n, at least the first n of n's block, so the
+# hit search takes the maximum of each _BLOCK entries and compares
+# prod == n only in the blocks whose maximum reaches their own first n.
+# Whole 10^6 segments (medians of 41): near 4e7, 0.53-0.74 ms at every
+# size from 1024 to 16384; from 2, 0.69-0.80 ms at 1024-4096 against
+# 3.1-3.3 ms at 8192-16384; whole scans to 5e7 did not tell them apart.
+# With one bar per segment, the search near 4e7 took 0.14-0.18 ms at 4096
+# against 0.18-0.27 ms for a full bool compare and flatnonzero.
 _BLOCK = 4096
 _BLOCK_STEPS = np.arange(0, 2 * _BLOCK, 2, dtype=np.uint32)
 
@@ -623,16 +626,18 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     multiplies prod by p at those n, p itself excepted: prod == n exactly
     when n is a product of two or more distinct primes that all pass.
     prod is a product of distinct primes of n, so it divides n < hi < 2^32
-    (uint32 cannot overflow) and can equal n only where prod >= first.
+    (uint32 cannot overflow) and can equal n only where prod >= n.
 
     The plan is made once per scan: the base primes up to sqrt of the last
-    hi, their strides and one uint32 buffer that every segment reuses.  A
+    hi, their strides, one uint32 buffer that every segment reuses and the
+    offsets of its blocks of _BLOCK entries.  A
     prime p never hits a segment below p^2, since n = p (mod p(p-1)) with
     n != p forces n >= p + p(p-1) = p^2, so that one prime list is exact
     for every segment.  In a segment, _TILED_PRIMES come from the tiled
     pattern (n = p divided out again), the primes with more than
     _LOOP_HITS hits take one strided multiply each and the rest one
-    np.multiply.at; hits are then searched block by block (_BLOCK).
+    np.multiply.at.  Each block is then checked against its own first n:
+    prod == n is compared only in the blocks whose largest prod reaches it.
     """
     if not bounds:  # limit 1 leaves no segment
         return
@@ -646,6 +651,8 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     first_hit = (p * p - 1) // 2
     longest = max(len(range(max(lo, 2) | 1, hi, 2)) for lo, hi in bounds)
     buf = np.empty(-(-longest // _BLOCK) * _BLOCK, dtype=np.uint32)
+    # Block b's first n lies this far above the segment's first n.
+    block_offset = np.arange(0, 2 * buf.size, 2 * _BLOCK, dtype=np.uint32)
 
     for lo, hi in bounds:
         first = max(lo, 2) | 1  # prod starts at 1, so n = 1 would pass
@@ -673,9 +680,10 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
         # The last block's pad may hold np.empty garbage or stale products.
         buf[length:size] = 0
         blocks = buf[:size].reshape(-1, _BLOCK)
-        rows = np.flatnonzero(blocks.max(axis=1) >= first).astype(np.uint32)
         # n < hi + 2 * _BLOCK < 2^32 stays inside uint32.
-        n = rows[:, None] * np.uint32(2 * _BLOCK) + (first + _BLOCK_STEPS)
+        bar = block_offset[: size // _BLOCK] + np.uint32(first)
+        rows = np.flatnonzero(blocks.max(axis=1) >= bar)
+        n = bar[rows, None] + _BLOCK_STEPS
         yield n[blocks[rows] == n]
 
 

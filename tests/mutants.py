@@ -70,6 +70,9 @@ MUTANTS = (
     Mutant("walk-top-power", SIEVE,
            "while q < (root + 1) ** 2:", "while q * p < (root + 1) ** 2:",
            (f"{T_SIEVE}::TestTiledTotientPatterns::test_windows_at_tiled_prime_powers",)),
+    Mutant("walk-start", SIEVE,
+           "start = -first * half % pe", "start = first * half % pe",
+           (f"{T_SIEVE}::TestTotientSieve::test_first_ten",)),
     Mutant("large-prime-fold", SIEVE,
            "    np.maximum(rem, 1, out=rem)\n", "",
            (f"{T_SIEVE}::TestTotientSieve::test_first_ten",)),
@@ -77,6 +80,9 @@ MUTANTS = (
     Mutant("filter-residue", SIEVE,
            "out[(1 - first) * pow(2, -1, q) % q :: q]",
            "out[(first - 1) * pow(2, -1, q) % q :: q]",
+           (f"{T_SIEVE}::TestExclusionFilter::test_matches_linear_iteration",)),
+    Mutant("exclusion-bound", SIEVE,
+           "np.uint32(0xFFFFFFFF // q)", "np.uint32(0xFFFFFFFF // 3)",
            (f"{T_SIEVE}::TestExclusionFilter::test_matches_linear_iteration",)),
     Mutant("one-squaring-fewer", SIEVE,
            "range((top_cut - 1).bit_length())", "range((top_cut - 1).bit_length() - 1)",
@@ -88,6 +94,15 @@ MUTANTS = (
     Mutant("hit-steps", SIEVE,
            "_HIT_STEPS = np.arange(_LOOP_HITS)", "_HIT_STEPS = np.arange(_LOOP_HITS - 1)",
            (f"{T_SIEVE}::TestKorseltResidueOracle::test_windows_around_each_stride",)),
+    Mutant("loop-split", SIEVE,
+           "np.searchsorted(loop_bound, length)", "np.searchsorted(loop_bound, length // 2)",
+           (f"{T_SIEVE}::TestKorseltResidueOracle::test_matches_reference",)),
+    Mutant("block-bar-up", SIEVE,
+           "blocks.max(axis=1) >= bar", "blocks.max(axis=1) >= bar + 2 * _BLOCK",
+           (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",)),
+    Mutant("block-bar-strict", SIEVE,
+           "blocks.max(axis=1) >= bar", "blocks.max(axis=1) > bar",
+           (f"{T_SIEVE}::TestKorseltResidueOracle::test_hit_at_a_block_edge",)),
     Mutant("korselt-tiled-prime", SIEVE,
            "buf[(t - first) // 2] //= t", "buf[(t - first) // 2] //= 1",
            (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",)),

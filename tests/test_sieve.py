@@ -17,6 +17,7 @@ from klehmer.carmichael import (
 )
 from klehmer.lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, _power_index, in_Lk, lehmer_index
 from klehmer.sieve import (
+    _BLOCK,
     _BYTES_PER_VALUE,
     _INT64_SAFE_HI,
     _LOOP_HITS,
@@ -667,6 +668,22 @@ class TestKorseltResidueOracle:
         assert (next(_korselt_scan([(first, long)])).tolist()
                 == korselt_residue_product_int64(first, long))
 
+    # A Carmichael number c at odd index i of a segment of 10^6 values:
+    # the first and the last n of block 0, the same of block 1, and the
+    # first and the last n of the last block.  Each block is searched only
+    # where its maximum reaches its own first n.
+    @pytest.mark.parametrize("c, i", [
+        (c, i) for c in (561, 41_041, 825_265, 41_471_521)
+        for i in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1,
+                  (10**6 // 2 - 1) // _BLOCK * _BLOCK, 10**6 // 2 - 1)
+        if c - 2 * i >= 3
+    ])
+    def test_hit_at_a_block_edge(self, c, i):
+        lo = c - 2 * i
+        got = next(_korselt_scan([(lo, lo + 10**6)])).tolist()
+        assert c in got
+        assert got == korselt_residue_product_int64(lo, lo + 10**6)
+
     def test_small_segments_around_the_tiled_primes(self):
         # The n = 3, 5, 7, 11, 13 that the tiled pattern must skip fall in
         # different segments of each scan from lo with segments of 1..40.
@@ -808,6 +825,19 @@ class TestSegmentMemory:
         finally:
             tracemalloc.stop()
         assert peak <= per_value * len(range(self.LO, self.HI, step))
+
+    def test_korselt_segment_from_2(self):
+        # Below 10^6 most blocks hold a product above the segment's first n,
+        # 3, but only the blocks with a Carmichael number reach their own.
+        lo, hi = 2, 10**6 + 2
+        tracemalloc.start()
+        try:
+            found = next(_korselt_scan([(lo, hi)]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found.size == 43
+        assert peak <= 4 * (hi - lo)
 
     def test_korselt_scan_charged_once(self):
         # A scan of 50 segments holds one plan and one buffer, sized by the

@@ -827,8 +827,9 @@ class TestSegmentMemory:
         assert peak <= per_value * len(range(self.LO, self.HI, step))
 
     def test_korselt_segment_from_2(self):
-        # Below 10^6 most blocks hold a product above the segment's first n,
-        # 3, but only the blocks with a Carmichael number reach their own.
+        # Most blocks below 10^6 hold a product above the segment's first n,
+        # 3; only block 0 and the blocks that hold a Carmichael number reach
+        # their own first n (a proper divisor of an odd n is at most n / 3).
         lo, hi = 2, 10**6 + 2
         tracemalloc.start()
         try:

@@ -11,13 +11,15 @@ lie outside every L_k, and no even n is a Carmichael number): a segmented
 uint32 totient sieve over the odd n supplies phi(n).  It copies the first
 level of 3, 5, 7, 11 and 13 from two tiled patterns (the product of their
 inverses mod 2^32, which divides them out of the remainder exactly, and
-the product of their p - 1); then one loop over the odd base primes
+the product of their p - 1); then a walk over the odd base primes
 multiplies in p - 1 at the multiples of every other p and p at the
 multiples of each higher power, dividing p out of the remainder by a
-multiply with p^-1 mod 2^32.  An odd n > 1 is prime exactly
-when phi(n) = n - 1, so the primes get index 1 from that compare alone.
-Every other odd n is settled in two steps.  First, an exclusion filter
-drops the odd n with q | phi(n) but q not dividing n-1 for some q in
+multiply with p^-1 mod 2^32.  The steps that hit a segment often take
+strided multiplies, and the rest share a few np.multiply.at scatters, so
+the walk pays numpy's call overhead on few steps.  An odd n > 1 is prime
+exactly when phi(n) = n - 1, so the primes get index 1 from that compare
+alone.  Every other odd n is settled in two steps.  First, an exclusion
+filter drops the odd n with q | phi(n) but q not dividing n-1 for some q in
 {3, 5, 7} (~72% of them near 10^7); only the composites left go to
 int64, where j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j
 at least every bitlength(phi) - 1 (no prime exponent of phi(n) exceeds
@@ -33,7 +35,9 @@ the larger primes by strided passes or one scatter, and searches for
 hits only in the blocks whose largest product reaches the block's own
 first n.  The count, the L_k lists and classify_range consume
 one classify scan, which also plans once (the walk's step table, cached
-per limit, and rem, phi and two masks that every segment reuses),
+per limit, and rem, phi and two masks that every segment reuses; its
+segments are half as long as the Korselt scan's, so that rem and phi
+together fill the 2 MB that the Korselt scan's one buffer does),
 and each segment yields its prime mask and the few composites that the
 iteration settles, so only classify_range builds a per-n index.  With a
 worker pool each worker scans one contiguous run of segments; results are
@@ -70,6 +74,10 @@ __all__ = [
     "alpha_search",
 ]
 
+# A segment of _DEFAULT_SEGMENT values holds half as many odd n, so one
+# uint32 buffer over them takes 2 MB, the L2 cache of one core on the
+# 2-core machine measured; _segment_bounds gives a scan of more buffers
+# shorter segments.
 _DEFAULT_SEGMENT = 1_000_000
 
 # acc * (n-1) must stay inside int64: hi^2 < 2^63 caps hi at ~3.03e9.
@@ -77,18 +85,19 @@ _INT64_SAFE_HI = 3_000_000_000
 
 # Peak bytes (tracemalloc on 10^6 segments at 10^7, 9.9e7 and just below
 # _INT64_SAFE_HI, checked by the tests): a direct totient_sieve call
-# 8.1-8.6 per odd value it sieves (9.4 on a first call near
-# _INT64_SAFE_HI, which builds the step table of its 5570 base primes); a
-# classify scan of one segment at most 7.8 (_classify_arrays,
-# _histogram_scan, _lk_scan) or a Korselt scan 2.2-2.4 (3.25 on the
-# segment from 2, where Carmichael numbers are densest) per value of
-# hi - lo.  12 is at least 27% above each of these peaks.  A scan of many
-# segments allocates its buffers once, for its longest.
+# 8.9-9.7 per odd value it sieves, rem and phi plus one run of the walk's
+# scatter (10.3 on a first call near _INT64_SAFE_HI, which builds the step
+# table of its 5571 base primes); a classify scan of one segment, of 10^6
+# or 5*10^5 values, at most 7.6 (_classify_arrays, _histogram_scan,
+# _lk_scan) or a Korselt scan 2.2-2.4 (3.25 on the segment from 2, where
+# Carmichael numbers are densest) per value of hi - lo.  12 is at least
+# 16% above each of these peaks.  A scan of many segments allocates its
+# buffers once, for its longest.
 _BYTES_PER_VALUE = 12
 
 # A direct totient_sieve call sieves at most this many odd values (512 MiB
-# at _BYTES_PER_VALUE each), so hi - lo up to twice it; bulk segments are
-# _DEFAULT_SEGMENT values, far below.
+# at _BYTES_PER_VALUE each), so hi - lo up to twice it; bulk segments are at
+# most _DEFAULT_SEGMENT values, far below.
 _SIEVE_MAX_ODD = (512 << 20) // _BYTES_PER_VALUE
 
 
@@ -274,6 +283,46 @@ def _check_range(lo, hi) -> tuple[int, int]:
     return lo, hi
 
 
+# A walk step that hits a segment more than _WALK_LOOP_HITS times keeps its
+# two strided multiplies; below that a multiply costs numpy's call
+# overhead more than its arithmetic, so the other steps share np.multiply.at
+# scatters.  These go in runs of consecutive steps with at most a
+# _WALK_RUN_SHARE-th of the segment's odd values in hits, so that a run's
+# int64 positions and uint32 factors stay inside the _BYTES_PER_VALUE
+# charge.  On count_table(10**7), 125 to 1000 hits and shares of 8 or 16
+# did not tell apart.
+_WALK_LOOP_HITS = 250
+_WALK_RUN_SHARE = 16
+
+
+def _scatter_steps(rem: np.ndarray, phi: np.ndarray, start: np.ndarray, pe: np.ndarray,
+                   count: np.ndarray, inv: np.ndarray, factor: np.ndarray) -> None:
+    """rem[start::pe] *= inv and phi[start::pe] *= factor for each walk
+    step, which hits ``count`` <= _WALK_LOOP_HITS times, by np.multiply.at
+    over runs of consecutive steps.  It is unbuffered, so an entry that two
+    of the steps hit gets both factors."""
+    cap = max(rem.size // _WALK_RUN_SHARE, _WALK_LOOP_HITS)
+    ends = np.cumsum(count)
+    # Each run takes the most steps whose hits fit in cap, at least one.
+    edges = [0]
+    while edges[-1] < ends.size:
+        a = edges[-1]
+        edges.append(np.searchsorted(ends, ends[a] - count[a] + cap, side="right"))
+    for a, b in zip(edges, edges[1:]):
+        s, h, c = start[a:b], pe[a:b], count[a:b]
+        # A cumulative sum over the repeated strides, where each step's
+        # first entry holds the jump from the previous step's last hit.
+        where = np.repeat(h, c)
+        jump = s.copy()
+        jump[1:] -= s[:-1] + h[:-1] * (c[:-1] - 1)
+        where[np.cumsum(c) - c] = jump
+        np.cumsum(where, out=where)
+        np.multiply.at(rem, where, np.repeat(inv[a:b], c))
+        np.multiply.at(phi, where, np.repeat(factor[a:b], c))
+        # Freed before the next run's positions are built, not after.
+        del where
+
+
 def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveSegment:
     """Exact totients of the odd n in [lo, hi) by a segmented sieve.
 
@@ -284,8 +333,10 @@ def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveS
     powers p^e < hi, from p^2 for _TILED_PRIMES and from p for the rest
     (_walk_steps): at the multiples of p^e, phi picks up one factor of p
     (p - 1 at the first level) and rem loses one, by a multiply with p^-1
-    mod 2^32.  Whatever remains in rem is 1 or a single prime above
-    sqrt(hi), contributing rem - 1.  Raises LimitExceededError, before
+    mod 2^32.  A step that hits more than _WALK_LOOP_HITS of the odd n
+    takes one strided multiply on rem and one on phi; the others go
+    through _scatter_steps.  Whatever remains in rem is 1 or a single
+    prime above sqrt(hi), contributing rem - 1.  Raises LimitExceededError, before
     allocating anything, when [lo, hi) holds more than _SIEVE_MAX_ODD odd
     values; the message names the largest workable hi - lo.
 
@@ -324,9 +375,14 @@ def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveS
     pe, half, inv, factor = plan.steps
     start = -first * half % pe
     hit = np.flatnonzero(start < length)
-    for i, h, v, f in zip(start[hit], pe[hit], inv[hit], factor[hit]):
+    start, pe, inv, factor = start[hit], pe[hit], inv[hit], factor[hit]
+    count = (length - 1 - start) // pe + 1
+    looped = count > _WALK_LOOP_HITS
+    for i, h, v, f in zip(start[looped], pe[looped], inv[looped], factor[looped]):
         rem[i::h] *= v
         phi[i::h] *= f
+    few = ~looped
+    _scatter_steps(rem, phi, start[few], pe[few], count[few], inv[few], factor[few])
 
     # rem is 1 or the one prime above sqrt(hi), so rem - 1 clamped at 1
     # is exactly that prime's factor of phi.
@@ -457,14 +513,18 @@ def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _segment_bounds(
-    lo: int, hi: int, cuts: tuple[int, ...] = ()
+    lo: int, hi: int, cuts: tuple[int, ...] = (), buffers: int = 1
 ) -> list[tuple[int, int]]:
     """The segments every bulk path runs on, between consecutive edges of
-    [lo, hi): lo + i * _DEFAULT_SEGMENT (read at call time, the one place
-    that picks the segment size), each of ``cuts`` inside the range, and
-    hi.  Results never depend on the size, only speed and peak memory do.
+    [lo, hi): lo + i * size, each of ``cuts`` inside the range, and hi.
+    The one place that picks the size: a scan that holds ``buffers``
+    uint32 buffers over a segment's odd n (1 for the Korselt scan, rem and
+    phi for a classify scan) takes _DEFAULT_SEGMENT // buffers values,
+    read at call time, so that its buffers fill 2 MB together.  Results
+    never depend on the size, only speed and peak memory do.
     """
-    edges = sorted({*range(lo, hi, _DEFAULT_SEGMENT),
+    size = max(_DEFAULT_SEGMENT // buffers, 1)
+    edges = sorted({*range(lo, hi, size),
                     *(c for c in cuts if lo < c < hi), hi})
     return list(zip(edges, edges[1:]))
 
@@ -511,7 +571,7 @@ def classify_range(lo: int, hi: int) -> Iterator[tuple[int, LehmerIndex]]:
     agrees with lehmer_index everywhere.
     """
     lo, hi = _check_range(lo, hi)
-    for c in _classify_scan(_segment_bounds(lo, hi)):
+    for c in _classify_scan(_segment_bounds(lo, hi, buffers=2)):
         index = _dense_index(c)
         for i, ix in enumerate(index.tolist()):
             yield c.seg.lo + i, (LehmerIndex(ix) if ix else NOT_IN_LINF)
@@ -554,7 +614,7 @@ def count_table(limit, ks=(2, 3, 4, 5, math.inf), *, workers: int = 1) -> CountT
     requested = _normalize_ks(ks)
     powers = tuple(10**i for i in range(1, j + 1))
 
-    bounds = _segment_bounds(1, limit + 1, cuts=tuple(p + 1 for p in powers))
+    bounds = _segment_bounds(1, limit + 1, cuts=tuple(p + 1 for p in powers), buffers=2)
     hists = _map_scans(_histogram_scan, bounds, workers)
 
     running = np.zeros(K_CAP + 1, dtype=np.int64)
@@ -584,7 +644,7 @@ def enumerate_Lk_composites(limit, k: int, *, workers: int = 1) -> list[int]:
     limit = _check_limit(limit)
     k = _as_natural(k, minimum=1, name="k")
     workers = _as_natural(workers, minimum=1, name="workers")
-    bounds = _segment_bounds(1, limit + 1)
+    bounds = _segment_bounds(1, limit + 1, buffers=2)
     chunks = _map_scans(functools.partial(_lk_scan, k=k), bounds, workers)
     out: list[int] = []
     for chunk in chunks:

@@ -2,9 +2,10 @@
 
 Each entry of MUTANTS replaces one exact source fragment, which must occur
 once in its file, and names the test ids that must then fail.  The runner
-copies src/ and tests/ (with pyproject.toml, for the pytest settings) to a
-temporary directory and first runs every named id there, unmutated: all
-must pass.  Then each mutant gets a fresh copy with its one fragment
+copies src/, tests/, bench/, demos/ and README.md (with pyproject.toml,
+for the pytest settings) to a temporary directory, so that any test of the
+suite can guard a mutant, and first runs every named id there, unmutated:
+all must pass.  Then each mutant gets a fresh copy with its one fragment
 replaced, and its ids run with a per-mutant timeout.  The runner prints
 killed, survived or timeout and the seconds each mutant took, and exits 1
 if a mutant that states no reason to survive is not killed.
@@ -56,6 +57,10 @@ MUTANTS = (
            "tuple(sorted(keys))", "tuple(keys)",
            (f"{T_SIEVE}::TestCountTable::test_ks_ascend_once_each_with_inf_last",
             "tests/test_cli.py::TestCount::test_rows_follow_ascending_k")),
+    Mutant("classify-segment", SIEVE,
+           "size = max(_DEFAULT_SEGMENT // buffers, 1)", "size = _DEFAULT_SEGMENT",
+           (f"{T_SIEVE}::TestSegmentMemory::test_count_scan_in_half_segments",
+            "tests/test_cli.py::TestCount::test_memory_variable_is_ignored")),
     Mutant("pool-run-order", SIEVE,
            "runs[(a + b - 2 * lo) * size // (2 * total)]",
            "runs[size - 1 - (a + b - 2 * lo) * size // (2 * total)]",
@@ -73,6 +78,15 @@ MUTANTS = (
     Mutant("walk-start", SIEVE,
            "start = -first * half % pe", "start = first * half % pe",
            (f"{T_SIEVE}::TestTotientSieve::test_first_ten",)),
+    Mutant("walk-hit-count", SIEVE,
+           "count = (length - 1 - start) // pe + 1", "count = (length - 1 - start) // pe",
+           (f"{T_SIEVE}::TestWalkScatter::test_step_at_the_loop_threshold",)),
+    Mutant("walk-run-head", SIEVE,
+           "h[:-1] * (c[:-1] - 1)", "h[:-1] * c[:-1]",
+           (f"{T_SIEVE}::TestWalkScatter::test_scatter_cut_into_runs",)),
+    Mutant("walk-last-run", SIEVE,
+           "for a, b in zip(edges, edges[1:]):", "for a, b in zip(edges, edges[1:-1]):",
+           (f"{T_SIEVE}::TestWalkScatter::test_scatter_cut_into_runs",)),
     Mutant("large-prime-fold", SIEVE,
            "    np.maximum(rem, 1, out=rem)\n", "",
            (f"{T_SIEVE}::TestTotientSieve::test_first_ten",)),
@@ -142,10 +156,12 @@ MUTANTS = (
 
 
 def _copy(dest: Path) -> None:
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "bench", "demos"):
+        # bench/out holds benchmark records, which no test reads.
         shutil.copytree(ROOT / name, dest / name,
-                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-    shutil.copy(ROOT / "pyproject.toml", dest)
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", "out"))
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, dest)
 
 
 def _env(root: Path) -> dict[str, str]:

@@ -174,8 +174,10 @@ class TestCount:
 
     @pytest.mark.parametrize("value", ["1", "zero"])
     def test_memory_variable_is_ignored(self, capsys, monkeypatch, value):
-        # Bulk segments are always 10^6 values; no environment variable,
-        # however malformed, shrinks them or stops a command.
+        # Korselt segments are always 10^6 values and classify segments
+        # 5 * 10^5; no environment variable, however malformed, changes
+        # them or stops a command.
+        from klehmer import sieve
         from klehmer.sieve import _segment_bounds
 
         commands = (("count", "--limit", "1e6", "--format", "csv"),
@@ -183,8 +185,18 @@ class TestCount:
         default = [run_cli(capsys, *command) for command in commands]
         monkeypatch.setenv("KLEHMER_MEMORY_MIB", value)
         assert _segment_bounds(1, 10**6 + 1) == [(1, 10**6 + 1)]
+        scanned = []
+        scan = sieve._classify_scan
+        monkeypatch.setattr(sieve, "_classify_scan",
+                            lambda bounds: scanned.append(bounds) or scan(bounds))
         assert [run_cli(capsys, *command) for command in commands] == default
         assert all(rc == 0 for rc, _, _ in default)
+        # The count's segments end at each 10^j + 1 and at 5 * 10^5 + 1.
+        assert scanned == [
+            [(1, 11), (11, 101), (101, 1001), (1001, 10_001), (10_001, 100_001),
+             (100_001, 500_001), (500_001, 10**6 + 1)],
+            [(1, 500_001), (500_001, 10**6 + 1)],
+        ]
 
 
 class TestList:

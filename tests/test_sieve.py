@@ -19,16 +19,21 @@ from klehmer.lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, _power_index, in_Lk,
 from klehmer.sieve import (
     _BLOCK,
     _BYTES_PER_VALUE,
+    _DEFAULT_SEGMENT,
     _INT64_SAFE_HI,
     _LOOP_HITS,
     _PATTERN_PERIOD,
+    _TILED_PRIMES,
     _TOTIENT_PERIOD,
+    _WALK_LOOP_HITS,
+    _WALK_RUN_SHARE,
     _classify_arrays,
     _korselt_scan,
     _histogram_scan,
     _lehmer_indexes,
     _lk_scan,
     _segment_bounds,
+    _walk_steps,
     alpha_search,
     base_primes,
     classify_range,
@@ -187,6 +192,81 @@ class TestUint32TotientSieve:
         lo, hi = 2**31 - 10_000, 2**31 + 10_000
         phi = totient_sieve(lo, hi).phi
         assert phi.tolist() == [euler_phi(factorize(n)) for n in range(lo | 1, hi, 2)]
+
+
+def scattered_hits(lo: int, hi: int) -> int:
+    """How many hits the walk's steps of at most _WALK_LOOP_HITS hits make
+    on the odd n in [lo, hi), counted from the conftest prime mask."""
+    first, total = lo | 1, 0
+    for p in np.flatnonzero(sieve_prime_mask(math.isqrt(hi - 1)))[1:].tolist():
+        pe = p * p if p in _TILED_PRIMES else p
+        while pe < hi:
+            # The first odd multiple of pe at or above first.
+            m = -(-first // pe) * pe
+            m += pe * (m % 2 == 0)
+            hits = len(range(m, hi, 2 * pe))
+            total += hits if hits <= _WALK_LOOP_HITS else 0
+            pe *= p
+    return total
+
+
+class TestWalkScatter:
+    """The walk's strided steps and its np.multiply.at runs, against the
+    int64 reference: at the loop threshold, across runs, and where two
+    scattered steps hit one n."""
+
+    @pytest.mark.parametrize("pe", [1009, 31**2])
+    @pytest.mark.parametrize("hits", [_WALK_LOOP_HITS, _WALK_LOOP_HITS + 1])
+    def test_step_at_the_loop_threshold(self, pe, hits):
+        # From an odd multiple of pe near 10^7 to just past its hits-th.
+        first = pe * (10**7 // pe | 1)
+        for lo, hi in ((first, first + 2 * pe * (hits - 1) + 1),
+                       (first - 1, first + 2 * pe * (hits - 1) + 2)):
+            assert len(range(first, hi, 2 * pe)) == hits
+            assert pe <= math.isqrt(hi - 1)
+            assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (99 * 10**6, 99 * 10**6 + _DEFAULT_SEGMENT // 2),
+        (10**7 - 12_345, 10**7 + 543_210),
+    ])
+    def test_scatter_cut_into_runs(self, lo, hi):
+        # More scattered hits than one run holds, so at least two runs.
+        length = len(range(lo | 1, hi, 2))
+        assert scattered_hits(lo, hi) > 2 * max(length // _WALK_RUN_SHARE, _WALK_LOOP_HITS)
+        assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1, 20_001), (123_456, 180_001), (10**7 + 1, 10**7 + 40_000),
+        (_INT64_SAFE_HI - 40_001, _INT64_SAFE_HI),
+    ])
+    def test_runs_at_the_smallest_cap(self, monkeypatch, lo, hi):
+        # A share above the length cuts runs of at most _WALK_LOOP_HITS
+        # hits, so most steps head a run of their own.
+        monkeypatch.setattr("klehmer.sieve._WALK_RUN_SHARE", hi)
+        assert scattered_hits(lo, hi) > 4 * _WALK_LOOP_HITS
+        assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
+
+    @pytest.mark.parametrize("n, p, q", [
+        (3 * 1009 * 1013, 1009, 1013),
+        (3 * 1009**2, 1009, 1009**2),
+        (1301 * 1303 * 1307, 1303, 1307),
+    ])
+    def test_two_scattered_steps_hit_one_n(self, n, p, q):
+        # p and q divide n, each hits the window once and lies below
+        # sqrt(hi), so both steps are scattered onto n's entry.
+        lo, hi = n - 1000, n + 1000
+        assert p <= math.isqrt(hi - 1) and n % p == n % q == 0
+        assert len(range(lo | 1, hi, 2)) < p
+        seg = totient_sieve(lo, hi)
+        assert seg.phi[(n - seg.first) // 2] == euler_phi(factorize(n))
+        assert np.array_equal(seg.phi, totient_sieve_int64(lo, hi))
+
+    @pytest.mark.slow
+    def test_segment_ending_at_the_int64_ceiling(self):
+        lo, hi = _INT64_SAFE_HI - 10**6, _INT64_SAFE_HI
+        assert scattered_hits(lo, hi) > 2 * (len(range(lo | 1, hi, 2)) // _WALK_RUN_SHARE)
+        assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
 
 
 class TestTiledTotientPatterns:
@@ -854,6 +934,32 @@ class TestSegmentMemory:
             tracemalloc.stop()
         assert len(found) == 105
         assert peak <= _BYTES_PER_VALUE * size
+
+    @pytest.mark.slow
+    def test_direct_sieve_below_the_int64_ceiling(self):
+        # The densest scatter: 10^6 values over the 5571 base primes below
+        # sqrt(_INT64_SAFE_HI), with the step table built inside the call.
+        lo, hi = _INT64_SAFE_HI - 10**6, _INT64_SAFE_HI
+        _walk_steps.cache_clear()
+        tracemalloc.start()
+        try:
+            totient_sieve(lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _BYTES_PER_VALUE * len(range(lo | 1, hi, 2))
+
+    def test_count_scan_in_half_segments(self):
+        # A classify scan takes segments of _DEFAULT_SEGMENT // 2 values,
+        # so its plan, charged for that length, is all the count holds.
+        tracemalloc.start()
+        try:
+            table = count_table(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.count(math.inf, 10**7) == 670225
+        assert peak <= _BYTES_PER_VALUE * _DEFAULT_SEGMENT // 2
 
     def test_count_scan_charged_once(self):
         # A count of 5 segments holds one plan: the rem and phi buffers and

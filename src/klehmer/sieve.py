@@ -27,17 +27,16 @@ it).  A nonzero result certifies n is outside L_inf, and a zero puts n
 in L_(2^j); so only the ~0.07% of odd n that survive both (composites,
 and n = 1) take lehmer_index's own iteration acc <- acc * (n-1) mod
 phi(n), which reaches zero within 2^j <= 32 steps.  Carmichael numbers
-come from one ascending Korselt scan,
-which enumerate_carmichael lists and alpha_search walks: it plans once
-(base primes, strides, one reused uint32 product buffer), and each
-segment copies the tiled product of 3, 5, 7, 11 and 13, multiplies in
-the larger primes by strided passes or one scatter, and searches for
-hits only in the blocks whose largest product reaches the block's own
-first n.  The count, the L_k lists and classify_range consume
-one classify scan, which also plans once (the walk's step table, cached
-per limit, and rem, phi and two masks that every segment reuses; its
-segments are half as long as the Korselt scan's, so that rem and phi
-together fill the 2 MB that the Korselt scan's one buffer does),
+come from one ascending Korselt scan, which enumerate_carmichael lists
+and alpha_search walks: it plans once (base primes, strides, one reused
+uint8 buffer), and each segment adds floor(8 log2 p) into one byte per
+odd n for every prime p that passes there (3, 5, 7, 11 and 13 from a
+tiled pattern), and searches only the blocks whose largest byte reaches
+floor(8 log2 n) - 9 at the block's own first n.  The count, the L_k
+lists and classify_range consume one classify scan, which also plans
+once (the walk's step table, cached per limit, and rem, phi and two
+masks that every segment reuses, in segments an eighth as long as the
+Korselt scan's, so that both fill 2 MB),
 and each segment yields its prime mask and the few composites that the
 iteration settles, so only classify_range builds a per-n index.  With a
 worker pool each worker scans one contiguous run of segments; results are
@@ -75,10 +74,10 @@ __all__ = [
 ]
 
 # A segment of _DEFAULT_SEGMENT values holds half as many odd n, so one
-# uint32 buffer over them takes 2 MB, the L2 cache of one core on the
-# 2-core machine measured; _segment_bounds gives a scan of more buffers
-# shorter segments.
-_DEFAULT_SEGMENT = 1_000_000
+# byte over each of them takes 2 MB, the L2 cache of one core on the
+# 2-core machine measured; _segment_bounds gives a scan of more bytes per
+# odd n shorter segments.
+_DEFAULT_SEGMENT = 4_000_000
 
 # acc * (n-1) must stay inside int64: hi^2 < 2^63 caps hi at ~3.03e9.
 _INT64_SAFE_HI = 3_000_000_000
@@ -89,10 +88,11 @@ _INT64_SAFE_HI = 3_000_000_000
 # scatter (10.3 on a first call near _INT64_SAFE_HI, which builds the step
 # table of its 5571 base primes); a classify scan of one segment, of 10^6
 # or 5*10^5 values, at most 7.6 (_classify_arrays, _histogram_scan,
-# _lk_scan) or a Korselt scan 2.2-2.4 (3.25 on the segment from 2, where
-# Carmichael numbers are densest) per value of hi - lo.  12 is at least
-# 16% above each of these peaks.  A scan of many segments allocates its
-# buffers once, for its longest.
+# _lk_scan) or a Korselt scan 0.55-0.83 (0.83 on 10^6 values just below
+# _INT64_SAFE_HI, whose plan holds 5571 base primes; 4*10^6 values take
+# 0.55-0.64) per value of hi - lo.  12 is at least 16% above each of these
+# peaks.  A scan of many segments allocates its buffers once, for its
+# longest.
 _BYTES_PER_VALUE = 12
 
 # A direct totient_sieve call sieves at most this many odd values (512 MiB
@@ -154,15 +154,20 @@ def base_primes(limit: int) -> np.ndarray:
 
 # 3, 5, 7, 11 and 13 enter both sieves from cached patterns, which each
 # segment copies (_fill_tiled) instead of taking a strided pass per prime.
-# Their product in the Korselt scan repeats with period lcm(p(p-1)/2) =
-# 30030 in odd-index space (each entry at most 15015 and a divisor of n):
-# per 10^6 segment near 4e7, 0.08 ms against 0.09 ms for np.ones plus
-# 0.26-0.33 ms for the five passes.  Adding 17 makes that period 2 042 040
-# (8 MB) and lost.  Their first level in the totient sieve (which of them
-# divide n) repeats with period 3*5*7*11*13 = 15015.
+# Their log weights in the Korselt scan repeat with period lcm(p(p-1)/2) =
+# 30030 in odd-index space, 30 KB of uint8.  As a uint32 product, a copy
+# took 0.08 ms per 10^6 segment near 4e7 against 0.09 ms for np.ones plus
+# 0.26-0.33 ms for the five passes; adding 17 made the period 2 042 040
+# and lost.  Their first level in the totient sieve (which of them divide
+# n) repeats with period 3*5*7*11*13 = 15015.
 _TILED_PRIMES = (3, 5, 7, 11, 13)
 _PATTERN_PERIOD = math.lcm(*(p * (p - 1) // 2 for p in _TILED_PRIMES))
 _TOTIENT_PERIOD = math.prod(_TILED_PRIMES)
+
+
+def _log_weight(p: int) -> int:
+    """floor(8 log2 p), exactly: p^8 has floor(8 log2 p) + 1 bits."""
+    return (p**8).bit_length() - 1
 
 
 @functools.cache
@@ -175,12 +180,12 @@ def _inverse32(p: int) -> np.uint32:
 
 @functools.cache
 def _tiled_pattern() -> np.ndarray:
-    """The product _TILED_PRIMES contribute to the Korselt scan at the odd
-    n = 2j + 1, by j mod _PATTERN_PERIOD; n = p itself is included."""
-    pattern = np.ones(_PATTERN_PERIOD, dtype=np.uint32)
+    """The log weights _TILED_PRIMES contribute to the Korselt scan at the
+    odd n = 2j + 1, by j mod _PATTERN_PERIOD; n = p itself is included."""
+    pattern = np.zeros(_PATTERN_PERIOD, dtype=np.uint8)
     for p in _TILED_PRIMES:
         # n = p (mod p(p-1)) for n = 2j + 1 is j = (p-1)/2 (mod p(p-1)/2).
-        pattern[(p - 1) // 2 :: p * (p - 1) // 2] *= p
+        pattern[(p - 1) // 2 :: p * (p - 1) // 2] += _log_weight(p)
     pattern.flags.writeable = False
     return pattern
 
@@ -517,11 +522,12 @@ def _segment_bounds(
 ) -> list[tuple[int, int]]:
     """The segments every bulk path runs on, between consecutive edges of
     [lo, hi): lo + i * size, each of ``cuts`` inside the range, and hi.
-    The one place that picks the size: a scan that holds ``buffers``
-    uint32 buffers over a segment's odd n (1 for the Korselt scan, rem and
-    phi for a classify scan) takes _DEFAULT_SEGMENT // buffers values,
-    read at call time, so that its buffers fill 2 MB together.  Results
-    never depend on the size, only speed and peak memory do.
+    The one place that picks the size: a scan whose buffers take
+    ``buffers`` bytes per odd n of a segment (1 for the Korselt scan's
+    uint8 log sums, 8 for a classify scan's uint32 rem and phi) takes
+    _DEFAULT_SEGMENT // buffers values, read at call time, so that its
+    buffers fill 2 MB together.  Results never depend on the size, only
+    speed and peak memory do.
     """
     size = max(_DEFAULT_SEGMENT // buffers, 1)
     edges = sorted({*range(lo, hi, size),
@@ -542,8 +548,10 @@ def _map_scans(scan, bounds: list[tuple[int, int]], workers: int) -> Iterator:
     results as a list.
     """
     # A fork-based pool starts all of its workers up front, so never ask
-    # for more than there are segments or cores.
-    size = min(workers, len(bounds), os.cpu_count() or 1)
+    # for more than there are segments or CPUs this process may run on.
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count()
+    size = min(workers, len(bounds), cpus or 1)
     if size <= 1:
         yield from scan(bounds)
         return
@@ -571,7 +579,7 @@ def classify_range(lo: int, hi: int) -> Iterator[tuple[int, LehmerIndex]]:
     agrees with lehmer_index everywhere.
     """
     lo, hi = _check_range(lo, hi)
-    for c in _classify_scan(_segment_bounds(lo, hi, buffers=2)):
+    for c in _classify_scan(_segment_bounds(lo, hi, buffers=8)):
         index = _dense_index(c)
         for i, ix in enumerate(index.tolist()):
             yield c.seg.lo + i, (LehmerIndex(ix) if ix else NOT_IN_LINF)
@@ -614,7 +622,7 @@ def count_table(limit, ks=(2, 3, 4, 5, math.inf), *, workers: int = 1) -> CountT
     requested = _normalize_ks(ks)
     powers = tuple(10**i for i in range(1, j + 1))
 
-    bounds = _segment_bounds(1, limit + 1, cuts=tuple(p + 1 for p in powers), buffers=2)
+    bounds = _segment_bounds(1, limit + 1, cuts=tuple(p + 1 for p in powers), buffers=8)
     hists = _map_scans(_histogram_scan, bounds, workers)
 
     running = np.zeros(K_CAP + 1, dtype=np.int64)
@@ -644,7 +652,7 @@ def enumerate_Lk_composites(limit, k: int, *, workers: int = 1) -> list[int]:
     limit = _check_limit(limit)
     k = _as_natural(k, minimum=1, name="k")
     workers = _as_natural(workers, minimum=1, name="workers")
-    bounds = _segment_bounds(1, limit + 1, buffers=2)
+    bounds = _segment_bounds(1, limit + 1, buffers=8)
     chunks = _map_scans(functools.partial(_lk_scan, k=k), bounds, workers)
     out: list[int] = []
     for chunk in chunks:
@@ -653,23 +661,26 @@ def enumerate_Lk_composites(limit, k: int, *, workers: int = 1) -> list[int]:
 
 
 # A base prime whose stride fits more than _LOOP_HITS times into a
-# segment keeps its strided multiply; the others share one np.multiply.at
-# of at most _LOOP_HITS hits each.  Per 10^6 segment near 4e7 both together
-# took 0.13-0.18 ms at 8 (65 primes looped), 0.15-0.23 ms at 4 and
-# 0.12-0.17 ms at 16-64, against 0.42 ms for one strided pass per prime of
-# stride < 5e5.  Whole scans to 5e7 did not settle 8 against 16 or 32 (32
-# faster in 6 of 8 rounds, median -9%, inside the round-to-round spread).
+# segment keeps its strided add; the others share one np.add.at of at most
+# _LOOP_HITS hits each.  On the uint32 product, per 10^6 segment near 4e7,
+# any of 4 to 64 took 0.12-0.23 ms, against 0.42 ms for a pass per prime.
 _LOOP_HITS = 8
 _HIT_STEPS = np.arange(_LOOP_HITS)
 
-# prod == n needs prod >= n, at least the first n of n's block, so the
-# hit search takes the maximum of each _BLOCK entries and compares
-# prod == n only in the blocks whose maximum reaches their own first n.
-# Whole 10^6 segments (medians of 41): near 4e7, 0.53-0.74 ms at every
-# size from 1024 to 16384; from 2, 0.69-0.80 ms at 1024-4096 against
-# 3.1-3.3 ms at 8192-16384; whole scans to 5e7 did not tell them apart.
-# With one bar per segment, the search near 4e7 took 0.14-0.18 ms at 4096
-# against 0.18-0.27 ms for a full bool compare and flatnonzero.
+# The least n with n^8 >= 2^k, floor((2^k - 1)^(1/8)) + 1, for k = 1..255:
+# the edges at most n count floor(8 log2 n) for every n below 3.9e9.
+_LOG_EDGES = np.array([math.isqrt(math.isqrt(math.isqrt((1 << k) - 1))) + 1
+                       for k in range(1, 256)], dtype=np.uint32)
+
+
+def _korselt_bar(n: np.ndarray) -> np.ndarray:
+    """floor(8 log2 n) - 9 as uint8, for each n >= 3 (_korselt_scan)."""
+    return (np.searchsorted(_LOG_EDGES, n, side="right") - 9).astype(np.uint8)
+
+
+# The bar rises with n, so the hit search looks inside only the blocks of
+# _BLOCK entries whose maximum reaches the bar of their own first n.  On
+# the uint32 product, 1024 to 4096 tied, and 8192 up lost from 2 (4x).
 _BLOCK = 4096
 _BLOCK_STEPS = np.arange(0, 2 * _BLOCK, 2, dtype=np.uint32)
 
@@ -682,69 +693,76 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     to divide the odd n-1, and 2^e is not a squarefree composite.  For odd
     p, "p | n and p-1 | n-1" holds exactly when n = p (mod p(p-1)), and
     each prime p of a Carmichael n = p*m is below sqrt(n) (p-1 | m-1 gives
-    m >= p, and m = p is not squarefree).  So every odd p <= sqrt(hi-1)
-    multiplies prod by p at those n, p itself excepted: prod == n exactly
-    when n is a product of two or more distinct primes that all pass.
-    prod is a product of distinct primes of n, so it divides n < hi < 2^32
-    (uint32 cannot overflow) and can equal n only where prod >= n.
+    m >= p, and m = p is not squarefree).  So n is a Carmichael number
+    exactly when the odd p <= sqrt(hi-1) that pass at n, p = n excepted,
+    multiply to n.  Their product prod divides n, and each adds its log
+    weight floor(8 log2 p) to n's uint8 byte acc.  An odd n < 3e9 has at
+    most 8 primes (3 * 5 * ... * 29 > 3e9), so acc lies in
+    (8 log2 prod - 8, 8 log2 prod], below 252, and never wraps.  prod == n
+    gives acc >= floor(8 log2 n) - 7; any other prod, a proper divisor of
+    the odd n and so at most n / 3, gives acc <= floor(8 log2 n) - 12.  So
+    n is a hit exactly where acc reaches _korselt_bar(n) = floor(8 log2 n) - 9.
 
     The plan is made once per scan: the base primes up to sqrt of the last
-    hi, their strides, one uint32 buffer that every segment reuses and the
-    offsets of its blocks of _BLOCK entries.  A
-    prime p never hits a segment below p^2, since n = p (mod p(p-1)) with
-    n != p forces n >= p + p(p-1) = p^2, so that one prime list is exact
-    for every segment.  In a segment, _TILED_PRIMES come from the tiled
-    pattern (n = p divided out again), the primes with more than
-    _LOOP_HITS hits take one strided multiply each and the rest one
-    np.multiply.at.  Each block is then checked against its own first n:
-    prod == n is compared only in the blocks whose largest prod reaches it.
+    hi, their strides and log weights, one uint8 buffer that every segment
+    reuses and the offsets of its blocks of _BLOCK entries.  A prime p
+    never hits a segment below p^2, since n = p (mod p(p-1)) with n != p
+    forces n >= p + p(p-1) = p^2, so that one prime list is exact for every
+    segment.  In a segment, _TILED_PRIMES come from the tiled pattern (n = p
+    taken out again), the primes with more than _LOOP_HITS hits take one
+    strided add each and the rest one np.add.at.  Each block is then
+    screened against the bar of its own first n.
     """
     if not bounds:  # limit 1 leaves no segment
         return
     top = bounds[-1][1]
     p = base_primes(math.isqrt(top - 1))
     p = p[p > _TILED_PRIMES[-1]]
-    q = p.astype(np.uint32)
+    weight = np.array([_log_weight(x) for x in p.tolist()], dtype=np.uint8)
     stride = p * (p - 1) // 2
     loop_bound = _LOOP_HITS * stride
     # The odd index of p^2, the first n != p with n = p (mod p(p-1)).
     first_hit = (p * p - 1) // 2
     longest = max(len(range(max(lo, 2) | 1, hi, 2)) for lo, hi in bounds)
-    buf = np.empty(-(-longest // _BLOCK) * _BLOCK, dtype=np.uint32)
+    buf = np.empty(-(-longest // _BLOCK) * _BLOCK, dtype=np.uint8)
     # Block b's first n lies this far above the segment's first n.
     block_offset = np.arange(0, 2 * buf.size, 2 * _BLOCK, dtype=np.uint32)
 
     for lo, hi in bounds:
-        first = max(lo, 2) | 1  # prod starts at 1, so n = 1 would pass
+        first = max(lo, 2) | 1  # n = 1 has no primes and a bar below 0
         length = len(range(first, hi, 2))
         j0 = first // 2
         _fill_tiled(buf, j0, length, _tiled_pattern())
         for t in _TILED_PRIMES:
             if first <= t < hi:  # n = t itself is prime
-                buf[(t - first) // 2] //= t
+                buf[(t - first) // 2] -= _log_weight(t)
 
         start = np.maximum(first_hit, j0)
         start += (first_hit - start) % stride
         idx = start - j0
         looped = np.searchsorted(loop_bound, length)
-        for i, h, f in zip(idx[:looped].tolist(), stride[:looped].tolist(),
-                           p[:looped].tolist()):
-            buf[i:length:h] *= f
+        for i, h, w in zip(idx[:looped].tolist(), stride[:looped].tolist(),
+                           weight[:looped].tolist()):
+            buf[i:length:h] += w
         near = idx[looped:] < length
         where = idx[looped:][near, None] + stride[looped:][near, None] * _HIT_STEPS
         inside = where < length
-        factor = np.broadcast_to(q[looped:][near, None], where.shape)
-        np.multiply.at(buf, where[inside], factor[inside])
+        add = np.broadcast_to(weight[looped:][near, None], where.shape)
+        np.add.at(buf, where[inside], add[inside])
 
         size = -(-length // _BLOCK) * _BLOCK
-        # The last block's pad may hold np.empty garbage or stale products.
+        # The last block's pad may hold np.empty garbage or stale sums.
         buf[length:size] = 0
         blocks = buf[:size].reshape(-1, _BLOCK)
         # n < hi + 2 * _BLOCK < 2^32 stays inside uint32.
-        bar = block_offset[: size // _BLOCK] + np.uint32(first)
+        head = block_offset[: size // _BLOCK] + np.uint32(first)
+        bar = _korselt_bar(head)
         rows = np.flatnonzero(blocks.max(axis=1) >= bar)
-        n = bar[rows, None] + _BLOCK_STEPS
-        yield n[blocks[rows] == n]
+        # Only the entries at their block's bar or above can reach their own.
+        acc = blocks[rows]
+        r, i = np.divmod(np.flatnonzero(acc >= bar[rows, None]), _BLOCK)
+        n = head[rows[r]] + _BLOCK_STEPS[i]
+        yield n[acc[r, i] >= _korselt_bar(n)]
 
 
 def _carmichael_numbers(limit: int) -> Iterator[int]:

@@ -59,7 +59,7 @@ MUTANTS = (
             "tests/test_cli.py::TestCount::test_rows_follow_ascending_k")),
     Mutant("classify-segment", SIEVE,
            "size = max(_DEFAULT_SEGMENT // buffers, 1)", "size = _DEFAULT_SEGMENT",
-           (f"{T_SIEVE}::TestSegmentMemory::test_count_scan_in_half_segments",
+           (f"{T_SIEVE}::TestSegmentMemory::test_count_scan_in_classify_segments",
             "tests/test_cli.py::TestCount::test_memory_variable_is_ignored")),
     Mutant("pool-run-order", SIEVE,
            "runs[(a + b - 2 * lo) * size // (2 * total)]",
@@ -112,14 +112,33 @@ MUTANTS = (
            "np.searchsorted(loop_bound, length)", "np.searchsorted(loop_bound, length // 2)",
            (f"{T_SIEVE}::TestKorseltResidueOracle::test_matches_reference",)),
     Mutant("block-bar-up", SIEVE,
-           "blocks.max(axis=1) >= bar", "blocks.max(axis=1) >= bar + 2 * _BLOCK",
+           "bar = _korselt_bar(head)", "bar = _korselt_bar(head + 2 * _BLOCK)",
            (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",)),
     Mutant("block-bar-strict", SIEVE,
            "blocks.max(axis=1) >= bar", "blocks.max(axis=1) > bar",
-           (f"{T_SIEVE}::TestKorseltResidueOracle::test_hit_at_a_block_edge",)),
+           (f"{T_SIEVE}::TestKorseltResidueOracle::test_hit_at_a_block_edge",),
+           survives="a Carmichael number's log sum is at least floor(8 log2 n) - 7, "
+                    "two above the bar of its block's first n, so no block that "
+                    "holds one has its maximum at the bar"),
     Mutant("korselt-tiled-prime", SIEVE,
-           "buf[(t - first) // 2] //= t", "buf[(t - first) // 2] //= 1",
+           "buf[(t - first) // 2] -= _log_weight(t)", "buf[(t - first) // 2] -= 0",
            (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",)),
+    Mutant("log-threshold", SIEVE,
+           'side="right") - 9)', 'side="right") - 14)',
+           (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",
+            f"{T_SIEVE}::TestKorseltLogBound::test_margins_at_every_odd_n_below_2e5")),
+    Mutant("log-threshold-up", SIEVE,
+           'side="right") - 9)', 'side="right") - 6)',
+           (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",
+            f"{T_SIEVE}::TestKorseltLogBound::test_margins_at_every_carmichael_number_to_1e8",
+            f"{T_SIEVE}::TestKorseltLogBound::test_margins_at_every_odd_n_below_2e5"),
+           survives="the proof lets a Carmichael number's log sum fall up to 7 "
+                    "below floor(8 log2 n), but none below 10^8 falls more than 4, "
+                    "so a bar 3 higher still admits every one that a test reaches"),
+    Mutant("log-weight", SIEVE,
+           "(p**8).bit_length() - 1", "(p**8).bit_length()",
+           (f"{T_SIEVE}::TestKorseltLogBound::test_log_weight_is_floor_of_8_log2",
+            f"{T_SIEVE}::TestKorseltLogBound::test_margins_at_every_odd_n_below_2e5")),
     # The per-number path.
     Mutant("lehmer-cutoff", "src/klehmer/lehmer.py",
            "max(phi.bit_length() - 1, 1)", "max(phi.bit_length() - 2, 1)",

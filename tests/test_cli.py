@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -172,9 +173,22 @@ class TestCount:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    def test_one_allowed_cpu_runs_without_a_pool(self, capsys, monkeypatch):
+        # Two cores in the machine, one in the process's affinity mask: a
+        # pool of 2 would put both workers on that one core.
+        argv = ("count", "--limit", "1e5", "--format", "csv")
+        one = run_cli(capsys, *argv)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pools = []
+        monkeypatch.setattr("klehmer.sieve.ProcessPoolExecutor",
+                            lambda max_workers: pools.append(max_workers))
+        assert run_cli(capsys, *argv, "--workers", "2") == one
+        assert one[0] == 0 and pools == []
+
     @pytest.mark.parametrize("value", ["1", "zero"])
     def test_memory_variable_is_ignored(self, capsys, monkeypatch, value):
-        # Korselt segments are always 10^6 values and classify segments
+        # Korselt segments are always 4 * 10^6 values and classify segments
         # 5 * 10^5; no environment variable, however malformed, changes
         # them or stops a command.
         from klehmer import sieve
@@ -717,6 +731,44 @@ class TestGoldenStdout:
                              ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
     def test_whole_stdout(self, capsys, argv, expected):
         assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# The bulk command lines whose outputs a change to the sieve must keep byte
+# for byte: (argv, SHA-256 of stdout, SHA-256 of stderr, exit code).  The
+# 10^8 count rows are the paper's table C_k(10^8) for k = 2, 3, 4, 5, inf.
+# A change that means to alter one of these outputs updates its line here.
+GOLDEN_DIGESTS = [
+    (("list", "--set", "carmichael", "--limit", "1e8", "--allow-large"),
+     "18f52c6a5a9522c4c72c268c8b36cdbada78d7b8de33eddcd5efc32fd306eb42", _EMPTY, 0),
+    (("alpha", "--k", "1", "--limit", "5e7", "--allow-large"),
+     "bbeda2feceb2c164bf4b52c8e578114f5bf3b43282d5677c22dfa08814c5bea6", _EMPTY, 0),
+    (("alpha", "--k", "2", "--limit", "5e7", "--allow-large"),
+     "d13a6ec23afb7861363a2505a618779eba9d7b380874bbdd722c28d0d1e5ccf9", _EMPTY, 0),
+    (("alpha", "--k", "3", "--limit", "5e7", "--allow-large"),
+     "c71e3f03286964520d02a997307c28c43da54f59cd4b963aa84a70731e48ea19", _EMPTY, 0),
+    (("alpha", "--k", "4", "--limit", "5e7", "--allow-large"),
+     "d7b13662778372a15d07ab4d17cb9fde2b022b21813e06f99b3804095a73d48a", _EMPTY, 0),
+    (("count", "--limit", "1e7"),
+     "5cf1e5ac0a2aeeb5bb6a093dd5ac63ec99c1eb08942af64599db014dd1019843", _EMPTY, 0),
+    (("count", "--limit", "1e8", "--allow-large"),
+     "647a5a69fb89d042cb6ca0098e5242371b64da0d14edd1304940804f0d6c636e", _EMPTY, 0),
+    (("count", "--limit", "1e8", "--allow-large", "--format", "csv"),
+     "c5580bf8d3930cb47e8f5d33a8131f9dcc18744babe771a2c466d698ce0ccb52", _EMPTY, 0),
+    (("count", "--limit", "1e8", "--allow-large", "--format", "json"),
+     "647a5a69fb89d042cb6ca0098e5242371b64da0d14edd1304940804f0d6c636e", _EMPTY, 0),
+]
+
+
+@pytest.mark.slow
+class TestGoldenDigests:
+    @pytest.mark.parametrize("argv, out_sha, err_sha, rc", GOLDEN_DIGESTS,
+                             ids=[" ".join(argv) for argv, *_ in GOLDEN_DIGESTS])
+    def test_digest(self, capsys, argv, out_sha, err_sha, rc):
+        got_rc, out, err = run_cli(capsys, *argv)
+        digest = [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
+        assert (got_rc, *digest) == (rc, out_sha, err_sha)
 
 
 class TestEmitBfile:

@@ -28,10 +28,13 @@ from klehmer.sieve import (
     _WALK_LOOP_HITS,
     _WALK_RUN_SHARE,
     _classify_arrays,
+    _LOG_EDGES,
+    _korselt_bar,
     _korselt_scan,
     _histogram_scan,
     _lehmer_indexes,
     _lk_scan,
+    _log_weight,
     _segment_bounds,
     _walk_steps,
     alpha_search,
@@ -43,7 +46,9 @@ from klehmer.sieve import (
     totient_sieve,
 )
 
-from conftest import segments_of, sieve_phi, sieve_prime_mask, trial_factorize
+from conftest import (
+    factors_from_spf, segments_of, sieve_phi, sieve_prime_mask, trial_factorize,
+)
 
 
 A173703_BELOW_50000 = [
@@ -227,7 +232,7 @@ class TestWalkScatter:
             assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
 
     @pytest.mark.parametrize("lo, hi", [
-        (99 * 10**6, 99 * 10**6 + _DEFAULT_SEGMENT // 2),
+        (99 * 10**6, 99 * 10**6 + _DEFAULT_SEGMENT // 8),
         (10**7 - 12_345, 10**7 + 543_210),
     ])
     def test_scatter_cut_into_runs(self, lo, hi):
@@ -674,7 +679,7 @@ class TestOddKorseltSieve:
 
 def korselt_residue_product_int64(lo: int, hi: int) -> list[int]:
     """The int64 residue product with one strided pass per odd base prime:
-    the reference for _korselt_scan's uint32 product and scatter."""
+    the reference for _korselt_scan's log sums and scatter."""
     first = max(lo, 2) | 1
     n = np.arange(first, hi, 2, dtype=np.int64)
     prod = np.ones(n.size, dtype=np.int64)
@@ -691,12 +696,74 @@ def carmichael_multiples_below_1e6(p: int) -> list[int]:
     return [n for n in korselt_residue_product_int64(2, 10**6) if n % p == 0]
 
 
+def assert_log_margins(n: int, primes) -> bool:
+    """Whether the odd n >= 3 is a Carmichael number, from its ``primes``,
+    asserting that the log sum of its passing primes (those with p - 1 |
+    n - 1, n = p itself excepted) keeps the margins the Korselt scan
+    relies on: at least two above _korselt_bar(n) when they multiply to n,
+    at least three below it otherwise."""
+    passing = [p for p in primes if p != n and (n - 1) % (p - 1) == 0]
+    acc = sum(map(_log_weight, passing))
+    bar = int(_korselt_bar(np.uint32(n)))
+    if math.prod(passing) == n:
+        assert bar + 2 <= acc <= _log_weight(n), n
+        return True
+    assert acc <= bar - 3, n
+    return False
+
+
+class TestKorseltLogBound:
+    """The facts that make the Korselt scan's uint8 log sums exact: the sum
+    at a Carmichael number n is at least floor(8 log2 n) - 7, and at any
+    other odd n at most floor(8 log2 n) - 12, on either side of the bar
+    floor(8 log2 n) - 9."""
+
+    def test_at_most_eight_odd_primes_below_int64_ceiling(self):
+        # The product of the first nine odd primes exceeds every n sieved.
+        assert math.prod(base_primes(29)[1:].tolist()) > _INT64_SAFE_HI
+        assert math.prod(base_primes(23)[1:].tolist()) < _INT64_SAFE_HI
+
+    def test_log_sum_fits_a_byte(self):
+        # A sum is at most 8 log2 of a divisor of n < _INT64_SAFE_HI.
+        assert 8 * math.log2(_INT64_SAFE_HI) < 256
+        assert _log_weight(_INT64_SAFE_HI) < 255
+
+    def test_log_weight_is_floor_of_8_log2(self):
+        for p in base_primes(math.isqrt(_INT64_SAFE_HI)).tolist():
+            assert _log_weight(p) == math.floor(8 * math.log2(p)), p
+
+    def test_bar_is_floor_of_8_log2_less_9(self):
+        edges = _LOG_EDGES.astype(np.int64)
+        n = np.unique(np.concatenate([
+            np.arange(3, 5000), edges[edges >= 3], edges[edges > 3] - 1,
+            np.linspace(5000, _INT64_SAFE_HI + 2 * _BLOCK, 4001).astype(np.int64),
+        ]))
+        assert (_korselt_bar(n.astype(np.uint32)).tolist()
+                == [_log_weight(m) - 9 for m in n.tolist()])
+
+    def test_margins_at_every_carmichael_number_to_1e8(self):
+        found = enumerate_carmichael(10**8)
+        assert len(found) == 255
+        for n in found:
+            assert assert_log_margins(n, trial_factorize(n)), n
+
+    def test_margins_at_every_odd_n_below_2e5(self, spf_200k):
+        # The nearest misses lie at small n: 3, 9 and 45 = 3^2 * 5 come
+        # within 3 or 4 of the bar, and no n below 10^6 comes nearer.
+        hits = [n for n in range(3, 200_000, 2)
+                if assert_log_margins(n, factors_from_spf(n, spf_200k))]
+        assert hits == enumerate_carmichael(200_000)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, (_INT64_SAFE_HI - 1) // 2).map(lambda m: 2 * m + 1))
+    @example(n=_INT64_SAFE_HI - 1)
+    @example(n=2_998_467_901)  # the last Carmichael number below 3e9
+    def test_margins_at_sampled_odd_n(self, n):
+        assert assert_log_margins(n, trial_factorize(n)) == korselt_test(n)
+
+
 class TestKorseltResidueOracle:
     """_korselt_scan against the int64 residue product."""
-
-    def test_uint32_product_fits_below_int64_ceiling(self):
-        # prod divides n < _INT64_SAFE_HI, so its uint32 dtype relies on this.
-        assert _INT64_SAFE_HI < 2**32
 
     @pytest.mark.parametrize("lo, hi", [
         (2, 10**6 + 2),
@@ -789,17 +856,17 @@ class TestKorseltResidueOracle:
         assert got == korselt_residue_product_int64(2, 41_041) == korselt_by_trial_division(2, 41_041)
 
     def test_pad_ignores_buffer_garbage(self, monkeypatch):
-        # Each fresh uint32 buffer reads n = 3 + 2i at index i, the n of the
-        # segment from 2, so an unzeroed pad entry past hi reads as a hit.
+        # Each fresh uint8 buffer reads 255, above the bar of every n below
+        # 2^32, so an unzeroed pad entry past hi reads as a hit.
         empty = np.empty
 
-        def odd_n(shape, dtype=float):
+        def full(shape, dtype=float):
             buf = empty(shape, dtype)
-            if np.dtype(dtype) == np.uint32:
-                buf[...] = (3 + 2 * np.arange(buf.size, dtype=np.uint32)).reshape(buf.shape)
+            if np.dtype(dtype) == np.uint8:
+                buf[...] = 255
             return buf
 
-        monkeypatch.setattr(np, "empty", odd_n)
+        monkeypatch.setattr(np, "empty", full)
         assert enumerate_carmichael(2000) == [561, 1105, 1729]
 
 
@@ -907,9 +974,10 @@ class TestSegmentMemory:
         assert peak <= per_value * len(range(self.LO, self.HI, step))
 
     def test_korselt_segment_from_2(self):
-        # Most blocks below 10^6 hold a product above the segment's first n,
-        # 3; only block 0 and the blocks that hold a Carmichael number reach
-        # their own first n (a proper divisor of an odd n is at most n / 3).
+        # Most blocks below 10^6 hold a log sum above the bar of the
+        # segment's first n, 3; only those that hold a Carmichael number
+        # reach the bar of their own first n.  One byte per odd n is half a
+        # byte per value; 0.81 was measured.
         lo, hi = 2, 10**6 + 2
         tracemalloc.start()
         try:
@@ -918,12 +986,13 @@ class TestSegmentMemory:
         finally:
             tracemalloc.stop()
         assert found.size == 43
-        assert peak <= 4 * (hi - lo)
+        assert peak <= hi - lo
 
     def test_korselt_scan_charged_once(self):
         # A scan of 50 segments holds one plan and one buffer, sized by the
-        # segment and not by the range: a tile of all 5 * 10^6 odd n below
-        # 10^7 would take 20 MB.
+        # segment and not by the range: a byte for each of the 5 * 10^6 odd
+        # n below 10^7 would take 5 MB.  1.32 per value of a segment was
+        # measured.
         size = 200_000
         tracemalloc.start()
         try:
@@ -933,7 +1002,7 @@ class TestSegmentMemory:
         finally:
             tracemalloc.stop()
         assert len(found) == 105
-        assert peak <= _BYTES_PER_VALUE * size
+        assert peak <= 2 * size
 
     @pytest.mark.slow
     def test_direct_sieve_below_the_int64_ceiling(self):
@@ -949,8 +1018,8 @@ class TestSegmentMemory:
             tracemalloc.stop()
         assert peak <= _BYTES_PER_VALUE * len(range(lo | 1, hi, 2))
 
-    def test_count_scan_in_half_segments(self):
-        # A classify scan takes segments of _DEFAULT_SEGMENT // 2 values,
+    def test_count_scan_in_classify_segments(self):
+        # A classify scan takes segments of _DEFAULT_SEGMENT // 8 values,
         # so its plan, charged for that length, is all the count holds.
         tracemalloc.start()
         try:
@@ -959,15 +1028,16 @@ class TestSegmentMemory:
         finally:
             tracemalloc.stop()
         assert table.count(math.inf, 10**7) == 670225
-        assert peak <= _BYTES_PER_VALUE * _DEFAULT_SEGMENT // 2
+        assert peak <= _BYTES_PER_VALUE * _DEFAULT_SEGMENT // 8
 
     def test_count_scan_charged_once(self):
         # A count of 5 segments holds one plan: the rem and phi buffers and
-        # two masks, sized by the segment and not by the range.
+        # two masks, sized by the segment and not by the range.  A classify
+        # scan takes an eighth of the Korselt scan's segment.
         size = 200_000
         tracemalloc.start()
         try:
-            with segments_of(size):
+            with segments_of(8 * size):
                 table = count_table(10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1021,21 +1091,35 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def allow_cpus(monkeypatch, cores: int) -> None:
+    """Let the process run on ``cores`` CPUs, by its affinity mask where the
+    platform has one, and otherwise by os.cpu_count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
 class TestWorkerPool:
     SEGMENTS_TO_1E4 = 4  # count_table splits at 10, 100 and 1000
 
     def test_pool_capped_by_cores_and_segments(self, pool_sizes):
         table = count_table(10**4, workers=64)
         assert table.counts == count_table(10**4).counts
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         for size in pool_sizes:
-            assert size <= (os.cpu_count() or 1)
+            assert size <= (cpus or 1)
             assert size <= self.SEGMENTS_TO_1E4
 
     @pytest.mark.parametrize("cores, expected", [(1, []), (3, [3]), (64, [SEGMENTS_TO_1E4])])
     def test_pool_size_for_core_count(self, pool_sizes, monkeypatch, cores, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        allow_cpus(monkeypatch, cores)
         count_table(10**4, workers=64)
         assert pool_sizes == expected
+
+    def test_pool_capped_by_cpu_count_without_a_mask(self, pool_sizes, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        count_table(10**4, workers=64)
+        assert pool_sizes == [3]
 
     def test_korselt_sieve_starts_no_pool(self, pool_sizes):
         reference = enumerate_carmichael(10**5)
@@ -1053,8 +1137,8 @@ class TestWorkerPool:
 
 class TestWorkerValidation:
     """``workers`` is checked on entry, before any segment is sieved or any
-    pool is asked for; cpu_count is patched so that the value itself, not
-    the machine, would size a pool."""
+    pool is asked for; the usable CPUs are patched so that the value
+    itself, not the machine, would size a pool."""
 
     @pytest.mark.parametrize("workers, error, message", [
         (0, ValueError, "workers must be >= 1, got 0"),
@@ -1067,7 +1151,7 @@ class TestWorkerValidation:
     ], ids=["count_table", "enumerate_Lk_composites"])
     def test_bad_workers_rejected_up_front(self, pool_sizes, monkeypatch, run,
                                            workers, error, message):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        allow_cpus(monkeypatch, 8)
         sieved = []
         original = totient_sieve
         monkeypatch.setattr("klehmer.sieve.totient_sieve",
@@ -1101,7 +1185,7 @@ class TestBufferReuse:
     @pytest.mark.parametrize("size", [1, 7_777, None])
     def test_same_under_any_segmentation(self, pool_sizes, monkeypatch, reference,
                                          size, workers):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         if size is None:
             got = self.outputs(workers)
         else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 __all__ = [
@@ -82,8 +81,61 @@ def _as_natural(x, minimum: int = 0, name: str = "n") -> int:
     return n
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class _Record:
+    """Base of the package's immutable records.
+
+    The standard library's record decorator imports inspect, dis and
+    tokenize and generates each class's methods at import: over half of
+    ``import klehmer``.  Here a subclass declares its fields once, as
+    class annotations, in constructor order; a class attribute of a
+    field's name is its default.  Each subclass gets a constructor
+    generated for it, unless it writes its own, that stores the arguments
+    straight into the instance dict.  The base gives the repr
+    ``Name(field=value, ...)``, equality only between instances of one
+    class, a hash over the fields, AttributeError on assignment and
+    deletion, and (through the instance dict) pickle and copy.  A record
+    is not subclassed: a subclass's fields would be its own annotations.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__annotations__)
+        if "__init__" in cls.__dict__:
+            return
+        # One statement per field, as a loop over the fields at each call
+        # tripled the cost of constructing a record.  The local's dunder
+        # name cannot be a field's.
+        params = ", ".join(f"{f}=defaults[{f!r}]" if f in cls.__dict__ else f for f in fields)
+        body = "".join(f"\n    __dict__[{f!r}] = {f}" for f in fields)
+        namespace = {"defaults": cls.__dict__}
+        exec(f"def __init__(self, {params}):\n    __dict__ = self.__dict__{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _astuple(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FactoredInteger(_Record):
     """An integer together with its full prime factorization.
 
     ``factors`` is a tuple of (prime, exponent) pairs with strictly
@@ -94,11 +146,11 @@ class FactoredInteger:
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        _as_natural(self.value, minimum=1, name="value")
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]) -> None:
+        _as_natural(value, minimum=1, name="value")
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError("factor primes must be strictly increasing")
             if e < 1:
@@ -107,16 +159,20 @@ class FactoredInteger:
                 raise ValueError(f"listed factor {p} is not prime")
             prod *= p**e
             last = p
-        if prod != self.value:
-            raise ValueError(f"factors recompose to {prod}, not {self.value}")
+        if prod != value:
+            raise ValueError(f"factors recompose to {prod}, not {value}")
+        d = self.__dict__
+        d["value"] = value
+        d["factors"] = factors
 
     @classmethod
     def _proven(cls, value: int, factors: tuple[tuple[int, int], ...]) -> "FactoredInteger":
         """The record of factors that already hold every invariant above,
         their primes proven where they were found: no check is repeated."""
         self = object.__new__(cls)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "factors", factors)
+        d = self.__dict__
+        d["value"] = value
+        d["factors"] = factors
         return self
 
     def omega(self) -> int:

@@ -16,11 +16,10 @@ with the record and errors that the sieve's alpha search shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import (
     MAX_NATURAL,
     FactoredInteger,
+    _Record,
     _as_natural,
     _coerce_factored,
     carmichael_lambda,
@@ -63,8 +62,7 @@ class LehmerMembershipError(VerificationFailure):
     """The value under verification lies in L_k although it must not."""
 
 
-@dataclass(frozen=True)
-class CarmichaelVerdict:
+class CarmichaelVerdict(_Record):
     """The three characterizations evaluated on one n."""
 
     n: int
@@ -77,8 +75,7 @@ class CarmichaelVerdict:
         return self.korselt == self.lambda_divides == self.radical_korselt
 
 
-@dataclass(frozen=True)
-class ChernickCandidate:
+class ChernickCandidate(_Record):
     """U_k(m) = (6m+1)(12m+1) * prod_{i=1..k-2} (9*2^i*m + 1), classified.
 
     ``guaranteed_index_k`` marks the cases (all factors prime, 2^(k-4) | m,
@@ -98,8 +95,7 @@ class ChernickCandidate:
     observed_index: LehmerIndex | None
 
 
-@dataclass(frozen=True)
-class AlphaRecord:
+class AlphaRecord(_Record):
     """A Carmichael number outside L_k: alpha(k) when found by search.
 
     ``bound`` is the exhaustive search limit, or 0 when the value was
@@ -113,8 +109,7 @@ class AlphaRecord:
     bound: int
 
 
-@dataclass(frozen=True)
-class AlphaNotFound:
+class AlphaNotFound(_Record):
     """Search outcome: no Carmichael number outside L_k up to ``bound``."""
 
     k: int

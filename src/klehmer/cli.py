@@ -29,10 +29,10 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .arith import (
     LimitExceededError,
+    _Record,
     _as_natural,
     carmichael_lambda,
     factorize,
@@ -61,8 +61,7 @@ __all__ = [
 _CHERNICK_M_MAX = 10**5
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_Record):
     """Everything the library knows about a single n."""
 
     n: int

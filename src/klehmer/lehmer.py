@@ -15,10 +15,9 @@ the factorization of phi(n) as an independent oracle for the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .arith import (FactoredInteger, _as_natural, _coerce_factored, _vp, euler_phi,
-                    factorize, is_prime)
+from .arith import (FactoredInteger, _Record, _as_natural, _coerce_factored, _vp,
+                    euler_phi, factorize, is_prime)
 
 __all__ = [
     "K_CAP",
@@ -43,8 +42,7 @@ __all__ = [
 K_CAP = 127
 
 
-@dataclass(frozen=True)
-class LehmerIndex:
+class LehmerIndex(_Record):
     """Least k with phi(n) | (n-1)^k, or the marker for "no such k"."""
 
     k: int | None
@@ -53,7 +51,7 @@ class LehmerIndex:
     def finite(cls, k: int) -> "LehmerIndex":
         if k < 1:
             raise ValueError("a finite Lehmer index is a positive integer")
-        return cls(k)
+        return _INDEXES[k] if k <= K_CAP else cls(k)
 
     @property
     def is_finite(self) -> bool:
@@ -68,6 +66,11 @@ class LehmerIndex:
 
 NOT_IN_LINF = LehmerIndex(None)
 
+# Entry k is the index k for k = 1..K_CAP, and entry 0 is NOT_IN_LINF, as
+# in the bulk path's index arrays: LehmerIndex.finite and classify_range
+# look an index up here rather than construct one.
+_INDEXES = (NOT_IN_LINF, *map(LehmerIndex, range(1, K_CAP + 1)))
+
 
 class FamilyParityError(ValueError):
     """Exponent gap M - N of a 3*2^r + 1 pair must be odd."""
@@ -77,8 +80,7 @@ class FamilyPrimalityError(ValueError):
     """A requested 3*2^r + 1 family member is composite."""
 
 
-@dataclass(frozen=True)
-class SemiprimeDecomposition:
+class SemiprimeDecomposition(_Record):
     """The normalized shape p = 2^a*d*alpha + 1, q = 2^b*d*beta + 1.
 
     d, alpha, beta odd with gcd(alpha, beta) = 1, which forces
@@ -94,8 +96,7 @@ class SemiprimeDecomposition:
     beta: int
 
 
-@dataclass(frozen=True)
-class FamilyPairResult:
+class FamilyPairResult(_Record):
     """A product of two primes 3*2^N + 1 and 3*2^M + 1 with its index K."""
 
     N: int

@@ -50,16 +50,15 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import LimitExceededError, _as_natural, factorize
+from .arith import LimitExceededError, _Record, _as_natural, factorize
 from .carmichael import AlphaNotFound, AlphaRecord, _alpha_record
 # Imported, not exported: bench/spans.py traces it as sieve.verify_alpha_entry.
 from .carmichael import verify_alpha_entry
-from .lehmer import K_CAP, NOT_IN_LINF, LehmerIndex, _power_index
+from .lehmer import _INDEXES, K_CAP, LehmerIndex, _power_index
 
 __all__ = [
     "SieveSegment",
@@ -101,8 +100,7 @@ _BYTES_PER_VALUE = 12
 _SIEVE_MAX_ODD = (512 << 20) // _BYTES_PER_VALUE
 
 
-@dataclass
-class SieveSegment:
+class SieveSegment(_Record):
     """Totients of the odd n in [lo, hi).
 
     Entry i belongs to n = first + 2i, first being the first odd n >= lo.
@@ -121,8 +119,7 @@ class SieveSegment:
         return self.lo | 1
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Record):
     """Counts C_k(10^j) for each requested k (the inf row is always kept)."""
 
     limit: int
@@ -165,11 +162,6 @@ _PATTERN_PERIOD = math.lcm(*(p * (p - 1) // 2 for p in _TILED_PRIMES))
 _TOTIENT_PERIOD = math.prod(_TILED_PRIMES)
 
 
-def _log_weight(p: int) -> int:
-    """floor(8 log2 p), exactly: p^8 has floor(8 log2 p) + 1 bits."""
-    return (p**8).bit_length() - 1
-
-
 @functools.cache
 def _inverse32(p: int) -> np.uint32:
     """p^-1 mod 2^32 for odd p: a uint32 multiple of p times it is the
@@ -185,7 +177,7 @@ def _tiled_pattern() -> np.ndarray:
     pattern = np.zeros(_PATTERN_PERIOD, dtype=np.uint8)
     for p in _TILED_PRIMES:
         # n = p (mod p(p-1)) for n = 2j + 1 is j = (p-1)/2 (mod p(p-1)/2).
-        pattern[(p - 1) // 2 :: p * (p - 1) // 2] += _log_weight(p)
+        pattern[(p - 1) // 2 :: p * (p - 1) // 2] += _log8(p)
     pattern.flags.writeable = False
     return pattern
 
@@ -261,8 +253,7 @@ def _walk_steps(root: int) -> tuple[np.ndarray, ...]:
     return steps
 
 
-@dataclass(frozen=True)
-class _SievePlan:
+class _SievePlan(_Record):
     """What totient_sieve reuses across the segments of one scan: the step
     table of _walk_steps and the uint32 rem and phi buffers, sized to the
     longest segment.  Each segment overwrites both buffers."""
@@ -582,7 +573,7 @@ def classify_range(lo: int, hi: int) -> Iterator[tuple[int, LehmerIndex]]:
     for c in _classify_scan(_segment_bounds(lo, hi, buffers=8)):
         index = _dense_index(c)
         for i, ix in enumerate(index.tolist()):
-            yield c.seg.lo + i, (LehmerIndex(ix) if ix else NOT_IN_LINF)
+            yield c.seg.lo + i, _INDEXES[ix]
 
 
 def _histogram_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
@@ -673,9 +664,15 @@ _LOG_EDGES = np.array([math.isqrt(math.isqrt(math.isqrt((1 << k) - 1))) + 1
                        for k in range(1, 256)], dtype=np.uint32)
 
 
+def _log8(n) -> np.ndarray:
+    """floor(8 log2 n) as uint8, for each 1 <= n < 3.9e9: the Korselt
+    scan's log weight of a prime n, and its bar plus 9."""
+    return np.searchsorted(_LOG_EDGES, n, side="right").astype(np.uint8)
+
+
 def _korselt_bar(n: np.ndarray) -> np.ndarray:
     """floor(8 log2 n) - 9 as uint8, for each n >= 3 (_korselt_scan)."""
-    return (np.searchsorted(_LOG_EDGES, n, side="right") - 9).astype(np.uint8)
+    return _log8(n) - np.uint8(9)
 
 
 # The bar rises with n, so the hit search looks inside only the blocks of
@@ -718,7 +715,7 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     top = bounds[-1][1]
     p = base_primes(math.isqrt(top - 1))
     p = p[p > _TILED_PRIMES[-1]]
-    weight = np.array([_log_weight(x) for x in p.tolist()], dtype=np.uint8)
+    weight = _log8(p)
     stride = p * (p - 1) // 2
     loop_bound = _LOOP_HITS * stride
     # The odd index of p^2, the first n != p with n = p (mod p(p-1)).
@@ -735,7 +732,7 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
         _fill_tiled(buf, j0, length, _tiled_pattern())
         for t in _TILED_PRIMES:
             if first <= t < hi:  # n = t itself is prime
-                buf[(t - first) // 2] -= _log_weight(t)
+                buf[(t - first) // 2] -= _log8(t)
 
         start = np.maximum(first_hit, j0)
         start += (first_hit - start) % stride

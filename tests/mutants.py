@@ -121,22 +121,23 @@ MUTANTS = (
                     "two above the bar of its block's first n, so no block that "
                     "holds one has its maximum at the bar"),
     Mutant("korselt-tiled-prime", SIEVE,
-           "buf[(t - first) // 2] -= _log_weight(t)", "buf[(t - first) // 2] -= 0",
+           "buf[(t - first) // 2] -= _log8(t)", "buf[(t - first) // 2] -= 0",
            (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",)),
     Mutant("log-threshold", SIEVE,
-           'side="right") - 9)', 'side="right") - 14)',
+           "_log8(n) - np.uint8(9)", "_log8(n) - np.uint8(14)",
            (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",
             f"{T_SIEVE}::TestKorseltLogBound::test_margins_at_every_odd_n_below_2e5")),
     Mutant("log-threshold-up", SIEVE,
-           'side="right") - 9)', 'side="right") - 6)',
+           "_log8(n) - np.uint8(9)", "_log8(n) - np.uint8(6)",
            (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",
             f"{T_SIEVE}::TestKorseltLogBound::test_margins_at_every_carmichael_number_to_1e8",
             f"{T_SIEVE}::TestKorseltLogBound::test_margins_at_every_odd_n_below_2e5"),
            survives="the proof lets a Carmichael number's log sum fall up to 7 "
                     "below floor(8 log2 n), but none below 10^8 falls more than 4, "
                     "so a bar 3 higher still admits every one that a test reaches"),
+    # The one floor(8 log2) of the weights and the bar, one too high.
     Mutant("log-weight", SIEVE,
-           "(p**8).bit_length() - 1", "(p**8).bit_length()",
+           'side="right").astype(np.uint8)', 'side="right").astype(np.uint8) + 1',
            (f"{T_SIEVE}::TestKorseltLogBound::test_log_weight_is_floor_of_8_log2",
             f"{T_SIEVE}::TestKorseltLogBound::test_margins_at_every_odd_n_below_2e5")),
     # The per-number path.
@@ -167,6 +168,21 @@ MUTANTS = (
            survives="a square that passes the base-2 strong test is m^2 with every "
                     "prime of m a Wieferich prime, and with the two known, 1093 and "
                     "3511, every such square that passes lies below 2^64"),
+    # The record base and the interned indexes.
+    Mutant("record-eq", ARITH,
+           "return self._astuple() == other._astuple()",
+           "return self._astuple()[:1] == other._astuple()[:1]",
+           (f"{T_ARITH}::TestRecords::test_record_contract",)),
+    Mutant("record-hash", ARITH,
+           "return hash(self._astuple())", "return hash(self._astuple()[:-1])",
+           (f"{T_ARITH}::TestRecords::test_record_contract",)),
+    Mutant("record-frozen", ARITH,
+           'raise AttributeError(f"cannot assign to field {name!r}")',
+           "object.__setattr__(self, name, value)",
+           (f"{T_ARITH}::TestRecords::test_record_contract",)),
+    Mutant("index-table", "src/klehmer/lehmer.py",
+           "_INDEXES[k] if k <= K_CAP", "_INDEXES[k - 1] if k <= K_CAP",
+           ("tests/test_lehmer.py::TestLehmerIndexType::test_finite_indexes_are_interned",)),
     # The CLI.
     Mutant("cli-ceiling", "src/klehmer/cli.py",
            "10**8 if args.allow_large else 10**7", "10**8 if args.allow_large else 10**8",

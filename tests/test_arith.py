@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from klehmer import arith
 from klehmer.arith import (
     FactoredInteger,
+    _Record,
     carmichael_lambda,
     euler_phi,
     factorize,
@@ -15,6 +19,11 @@ from klehmer.arith import (
     radical,
     valuation,
 )
+from klehmer.carmichael import (AlphaNotFound, AlphaRecord, CarmichaelVerdict,
+                                ChernickCandidate)
+from klehmer.cli import ClassificationReport
+from klehmer.lehmer import FamilyPairResult, LehmerIndex, SemiprimeDecomposition
+from klehmer.sieve import CountTable, SieveSegment, _SievePlan
 
 from conftest import factors_from_spf, sieve_prime_mask, sieve_spf, trial_factorize
 
@@ -157,12 +166,95 @@ class TestFactoredIntegerInvariants:
         top = FactoredInteger(2**127 - 1, ((2**127 - 1, 1),))
         assert top.is_prime and euler_phi(top) == 2**127 - 2
 
-    def test_totient_is_cached_and_not_a_field(self):
+    def test_totient_is_cached(self):
+        # TestRecords reads it before checking repr, hash and equality.
         f = factorize(561)
-        before = (repr(f), hash(f))
         assert f.totient is f.totient
         assert f.totient == FactoredInteger(320, ((2, 6), (5, 1)))
-        assert (repr(f), hash(f)) == before and f == FactoredInteger(561, f.factors)
+
+
+# Every record with one instance's fields, in declared order, and its repr.
+# Records do not check field types: CountTable.counts, a dict in use, is a
+# tuple here so that the instance hashes.
+_RECORDS = [
+    (FactoredInteger, {"value": 15, "factors": ((3, 1), (5, 1))},
+     "FactoredInteger(value=15, factors=((3, 1), (5, 1)))"),
+    (LehmerIndex, {"k": 3}, "LehmerIndex(k=3)"),
+    (SemiprimeDecomposition,
+     {"p": 7, "q": 13, "a": 1, "b": 2, "d": 3, "alpha": 1, "beta": 1},
+     "SemiprimeDecomposition(p=7, q=13, a=1, b=2, d=3, alpha=1, beta=1)"),
+    (FamilyPairResult, {"N": 1, "M": 2, "pN": 7, "pM": 13, "n": 91, "K": 3},
+     "FamilyPairResult(N=1, M=2, pN=7, pM=13, n=91, K=3)"),
+    (CarmichaelVerdict,
+     {"n": 561, "korselt": True, "lambda_divides": True, "radical_korselt": True},
+     "CarmichaelVerdict(n=561, korselt=True, lambda_divides=True, radical_korselt=True)"),
+    (ChernickCandidate,
+     {"k": 3, "m": 1, "factors": (7, 13, 19), "value": 1729, "all_prime": True,
+      "divisibility_ok": True, "is_carmichael": True, "guaranteed_index_k": False,
+      "observed_index": LehmerIndex(2)},
+     "ChernickCandidate(k=3, m=1, factors=(7, 13, 19), value=1729, all_prime=True, "
+     "divisibility_ok=True, is_carmichael=True, guaranteed_index_k=False, "
+     "observed_index=LehmerIndex(k=2))"),
+    (AlphaRecord, {"k": 1, "n": 561, "omega": 3, "in_next": True, "bound": 0},
+     "AlphaRecord(k=1, n=561, omega=3, in_next=True, bound=0)"),
+    (AlphaNotFound, {"k": 9, "bound": 1000}, "AlphaNotFound(k=9, bound=1000)"),
+    (ClassificationReport,
+     {"n": 561, "factorization": ((3, 1), (11, 1), (17, 1)), "phi": 320, "lam": 80,
+      "rad_phi": 10, "lehmer_index": LehmerIndex(2), "is_carmichael": True,
+      "pseudoprime_base": 103, "base_degenerate": False},
+     "ClassificationReport(n=561, factorization=((3, 1), (11, 1), (17, 1)), phi=320, "
+     "lam=80, rad_phi=10, lehmer_index=LehmerIndex(k=2), is_carmichael=True, "
+     "pseudoprime_base=103, base_degenerate=False)"),
+    (SieveSegment, {"lo": 1, "hi": 5, "phi": (1, 2), "spf": None},
+     "SieveSegment(lo=1, hi=5, phi=(1, 2), spf=None)"),
+    (CountTable, {"limit": 10, "ks": (2,), "powers": (10,), "counts": ((2, (5,)),)},
+     "CountTable(limit=10, ks=(2,), powers=(10,), counts=((2, (5,)),))"),
+    (_SievePlan, {"steps": ((9,),), "rem": (1,), "phi": (1,)},
+     "_SievePlan(steps=((9,),), rem=(1,), phi=(1,))"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, fields, text", _RECORDS,
+                             ids=[cls.__name__ for cls, *_ in _RECORDS])
+    def test_record_contract(self, cls, fields, text):
+        values = tuple(fields.values())
+        a = cls(*values)
+        # Cached properties (FactoredInteger.totient) are not fields.
+        for name, attr in vars(cls).items():
+            if isinstance(attr, cached_property):
+                getattr(a, name)
+        assert a == cls(**fields) and not a != cls(**fields)
+        with pytest.raises(TypeError):
+            cls(*values, 0)
+        with pytest.raises(TypeError):
+            cls(**fields, extra=0)
+        assert [getattr(a, f) for f in fields] == list(values)
+        assert repr(a) == text
+        assert hash(a) == hash(cls(**fields)) == hash(values)
+
+        # An instance that differs in the last field only, written into a
+        # copy as FactoredInteger's constructor checks its fields.
+        b = copy.copy(a)
+        vars(b)[list(fields)[-1]] = "changed"
+        assert a != b and not a == b
+        # Equal fields do not make instances of two classes equal.
+        twin = type(cls.__name__, (_Record,), {"__annotations__": cls.__annotations__})
+        assert a != twin(*values) and twin(*values) == twin(*values)
+
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, list(fields)[0])
+        assert repr(a) == text
+
+        for other in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(other) is cls and other == a and repr(other) == text
+
+    def test_default_field(self):
+        assert SieveSegment(1, 5, (1, 2)) == SieveSegment(1, 5, (1, 2), None)
+        assert SieveSegment(lo=1, hi=5, phi=(1, 2)).spf is None
 
 
 class TestEulerPhi:

@@ -670,6 +670,12 @@ class TestModuleEntryPoints:
         assert (done.returncode, done.stdout) == (2, "")
         assert "exceeds" in done.stderr
 
+    PER_NUMBER = (("classify", "561"),
+                  ("alpha-verify", "--k", "9", "--n", "330019822807208371201"),
+                  ("semiprime", "7", "13", "--k", "3"),
+                  ("pseudo-base", "561"),
+                  ("chernick", "--k", "3", "--m", "1"))
+
     def test_per_number_commands_leave_numpy_unloaded(self):
         # Only the bulk commands import the sieve, and with it numpy.
         script = "\n".join([
@@ -680,13 +686,25 @@ class TestModuleEntryPoints:
             "        assert klehmer.cli.main(list(argv)) == 0, argv",
             "    return 'numpy' in sys.modules",
             "assert 'numpy' not in sys.modules",
-            "for argv in (('classify', '561'),",
-            "             ('alpha-verify', '--k', '9', '--n', '330019822807208371201'),",
-            "             ('semiprime', '7', '13', '--k', '3'),",
-            "             ('pseudo-base', '561'),",
-            "             ('chernick', '--k', '3', '--m', '1')):",
+            f"for argv in {self.PER_NUMBER!r}:",
             "    assert not run(*argv), argv",
             "assert run('count', '--limit', '1e2')",
+        ])
+        done = self.run_python("-c", script)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_per_number_commands_leave_dataclasses_and_inspect_unloaded(self):
+        # The records need neither; importing both cost over half of
+        # `import klehmer`.  Only modules that start-up has not loaded count.
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "heavy = {'dataclasses', 'inspect'} - set(sys.modules)",
+            "import klehmer, klehmer.cli",
+            "assert not heavy & set(sys.modules), heavy & set(sys.modules)",
+            f"for argv in {self.PER_NUMBER!r}:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert klehmer.cli.main(list(argv)) == 0, argv",
+            "    assert not heavy & set(sys.modules), (argv, heavy & set(sys.modules))",
         ])
         done = self.run_python("-c", script)
         assert (done.returncode, done.stderr) == (0, "")
@@ -758,6 +776,12 @@ GOLDEN_DIGESTS = [
      "c5580bf8d3930cb47e8f5d33a8131f9dcc18744babe771a2c466d698ce0ccb52", _EMPTY, 0),
     (("count", "--limit", "1e8", "--allow-large", "--format", "json"),
      "647a5a69fb89d042cb6ca0098e5242371b64da0d14edd1304940804f0d6c636e", _EMPTY, 0),
+    (("count", "--limit", "1e8", "--allow-large", "--workers", "2"),
+     "647a5a69fb89d042cb6ca0098e5242371b64da0d14edd1304940804f0d6c636e", _EMPTY, 0),
+    (("list", "--set", "lk-composites:3", "--limit", "1e7"),
+     "072b4aaffff86b6bc6677ca0a11e78d25e96b242a283a81192d4cc63c2706a24", _EMPTY, 0),
+    (("list", "--set", "l2-composites", "--limit", "1e7", "--format", "bfile"),
+     "af13a0536dacaa886d64cb5586553ff6eaf3126429ddfc4626fded907d777c0f", _EMPTY, 0),
 ]
 
 

@@ -54,6 +54,18 @@ class TestLehmerIndexType:
         assert str(LehmerIndex.finite(5)) == "L_5"
         assert str(NOT_IN_LINF) == "not in L_inf"
 
+    def test_finite_indexes_are_interned(self):
+        # One instance per k up to K_CAP, equal by value to a constructed one.
+        for k in range(1, K_CAP + 1):
+            idx = LehmerIndex.finite(k)
+            assert idx.k == k and idx == LehmerIndex(k) and idx is LehmerIndex.finite(k)
+        assert LehmerIndex.finite(K_CAP + 1) == LehmerIndex(K_CAP + 1)
+        assert lehmer_index(561) is LehmerIndex.finite(2)
+        assert lehmer_index(2**61 - 1) is LehmerIndex.finite(1)
+        got = dict(classify_range(1, 562))
+        assert got[1] is LehmerIndex.finite(1) and got[561] is LehmerIndex.finite(2)
+        assert got[4] is NOT_IN_LINF
+
 
 class TestLehmerIndex:
     def test_examples(self):

@@ -34,7 +34,7 @@ from klehmer.sieve import (
     _histogram_scan,
     _lehmer_indexes,
     _lk_scan,
-    _log_weight,
+    _log8,
     _segment_bounds,
     _walk_steps,
     alpha_search,
@@ -696,6 +696,11 @@ def carmichael_multiples_below_1e6(p: int) -> list[int]:
     return [n for n in korselt_residue_product_int64(2, 10**6) if n % p == 0]
 
 
+def floor_8_log2(n: int) -> int:
+    """floor(8 log2 n), exactly: n^8 has floor(8 log2 n) + 1 bits."""
+    return (n**8).bit_length() - 1
+
+
 def assert_log_margins(n: int, primes) -> bool:
     """Whether the odd n >= 3 is a Carmichael number, from its ``primes``,
     asserting that the log sum of its passing primes (those with p - 1 |
@@ -703,10 +708,10 @@ def assert_log_margins(n: int, primes) -> bool:
     relies on: at least two above _korselt_bar(n) when they multiply to n,
     at least three below it otherwise."""
     passing = [p for p in primes if p != n and (n - 1) % (p - 1) == 0]
-    acc = sum(map(_log_weight, passing))
+    acc = sum(map(floor_8_log2, passing))
     bar = int(_korselt_bar(np.uint32(n)))
     if math.prod(passing) == n:
-        assert bar + 2 <= acc <= _log_weight(n), n
+        assert bar + 2 <= acc <= floor_8_log2(n), n
         return True
     assert acc <= bar - 3, n
     return False
@@ -726,11 +731,16 @@ class TestKorseltLogBound:
     def test_log_sum_fits_a_byte(self):
         # A sum is at most 8 log2 of a divisor of n < _INT64_SAFE_HI.
         assert 8 * math.log2(_INT64_SAFE_HI) < 256
-        assert _log_weight(_INT64_SAFE_HI) < 255
+        assert floor_8_log2(_INT64_SAFE_HI) < 255
 
     def test_log_weight_is_floor_of_8_log2(self):
-        for p in base_primes(math.isqrt(_INT64_SAFE_HI)).tolist():
-            assert _log_weight(p) == math.floor(8 * math.log2(p)), p
+        # The weights that the scan's plan, its tiled pattern and its n = p
+        # fix-up take from _log8, for every odd prime a scan can use.
+        p = base_primes(math.isqrt(_INT64_SAFE_HI))[1:]
+        weight = _log8(p)
+        assert weight.dtype == np.uint8
+        assert weight.tolist() == [floor_8_log2(x) for x in p.tolist()]
+        assert weight.tolist() == [math.floor(8 * math.log2(x)) for x in p.tolist()]
 
     def test_bar_is_floor_of_8_log2_less_9(self):
         edges = _LOG_EDGES.astype(np.int64)
@@ -739,7 +749,7 @@ class TestKorseltLogBound:
             np.linspace(5000, _INT64_SAFE_HI + 2 * _BLOCK, 4001).astype(np.int64),
         ]))
         assert (_korselt_bar(n.astype(np.uint32)).tolist()
-                == [_log_weight(m) - 9 for m in n.tolist()])
+                == [floor_8_log2(m) - 9 for m in n.tolist()])
 
     def test_margins_at_every_carmichael_number_to_1e8(self):
         found = enumerate_carmichael(10**8)

@@ -14,11 +14,12 @@ inverses mod 2^32, which divides them out of the remainder exactly, and
 the product of their p - 1); then a walk over the odd base primes
 multiplies in p - 1 at the multiples of every other p and p at the
 multiples of each higher power, dividing p out of the remainder by a
-multiply with p^-1 mod 2^32.  The steps that hit a segment often take
-strided multiplies, and the rest share a few np.multiply.at scatters, so
-the walk pays numpy's call overhead on few steps.  An odd n > 1 is prime
-exactly when phi(n) = n - 1, so the primes get index 1 from that compare
-alone.  Every other odd n is settled in two steps.  First, an exclusion
+multiply with p^-1 mod 2^32.  Both scans apply such steps through one
+_apply_steps: the steps that hit a segment often take strided ops, and
+the rest share a few op.at scatters, so a scan pays numpy's call
+overhead on few steps.  An odd n > 1 is prime exactly when
+phi(n) = n - 1, so the primes get index 1 from that compare alone.
+Every other odd n is settled in two steps.  First, an exclusion
 filter drops the odd n with q | phi(n) but q not dividing n-1 for some q in
 {3, 5, 7} (~72% of them near 10^7); only the composites left go to
 int64, where j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j
@@ -83,15 +84,15 @@ _INT64_SAFE_HI = 3_000_000_000
 
 # Peak bytes (tracemalloc on 10^6 segments at 10^7, 9.9e7 and just below
 # _INT64_SAFE_HI, checked by the tests): a direct totient_sieve call
-# 8.9-9.7 per odd value it sieves, rem and phi plus one run of the walk's
-# scatter (10.3 on a first call near _INT64_SAFE_HI, which builds the step
-# table of its 5571 base primes); a classify scan of one segment, of 10^6
-# or 5*10^5 values, at most 7.6 (_classify_arrays, _histogram_scan,
-# _lk_scan) or a Korselt scan 0.55-0.83 (0.83 on 10^6 values just below
-# _INT64_SAFE_HI, whose plan holds 5571 base primes; 4*10^6 values take
-# 0.55-0.64) per value of hi - lo.  12 is at least 16% above each of these
-# peaks.  A scan of many segments allocates its buffers once, for its
-# longest.
+# 8.9-9.4 per odd value it sieves, rem and phi plus one run of
+# _apply_steps's scatter (9.9 on a first call near _INT64_SAFE_HI, which
+# builds the step table of its 5571 base primes); a classify scan of one
+# segment, of 10^6 or 5*10^5 values, at most 7.5 (_classify_arrays,
+# _histogram_scan, _lk_scan) or a Korselt scan 0.53-0.78 (0.78 on 10^6
+# values just below _INT64_SAFE_HI, whose plan holds 5571 base primes;
+# 4*10^6 values take 0.53-0.57) per value of hi - lo.  12 is at least 20%
+# above each of these peaks.  A scan of many segments allocates its
+# buffers once, for its longest.
 _BYTES_PER_VALUE = 12
 
 # A direct totient_sieve call sieves at most this many odd values (512 MiB
@@ -229,10 +230,11 @@ def _fill_steps(buf: np.ndarray, start: int) -> None:
 @functools.lru_cache(maxsize=8)
 def _walk_steps(root: int) -> tuple[np.ndarray, ...]:
     """The totient sieve's prime powers for every hi <= (root + 1)^2, as
-    arrays (p^e, (p^e + 1) // 2, p^-1 mod 2^32, factor of phi): each odd
-    prime p <= root, from p^2 for _TILED_PRIMES and from p for the rest,
-    with factor p - 1 at p itself and p above.  Cached per root, so that
-    repeated runs to one limit build it once; the arrays are read-only."""
+    arrays (p^e, p^e // 2, p^-1 mod 2^32, factor of phi): each odd prime
+    p <= root, from p^2 for _TILED_PRIMES and from p for the rest, with
+    factor p - 1 at p itself and p above.  p^e // 2 is the odd index of
+    n = p^e, the step's first hit.  Cached per root, so that repeated runs
+    to one limit build it once; the arrays are read-only."""
     pe, inv, factor = [], [], []
     for p in base_primes(root)[1:].tolist():
         q, f = (p * p, p) if p in _TILED_PRIMES else (p, p - 1)
@@ -245,8 +247,7 @@ def _walk_steps(root: int) -> tuple[np.ndarray, ...]:
             q *= p
             f = p
     steps = (np.array(pe, dtype=np.int64),)
-    # (pe + 1) // 2 is the inverse of 2 mod the odd pe.
-    steps += ((steps[0] + 1) // 2, np.array(inv, dtype=np.uint32),
+    steps += (steps[0] // 2, np.array(inv, dtype=np.uint32),
               np.array(factor, dtype=np.uint32))
     for a in steps:
         a.flags.writeable = False
@@ -279,25 +280,44 @@ def _check_range(lo, hi) -> tuple[int, int]:
     return lo, hi
 
 
-# A walk step that hits a segment more than _WALK_LOOP_HITS times keeps its
-# two strided multiplies; below that a multiply costs numpy's call
-# overhead more than its arithmetic, so the other steps share np.multiply.at
-# scatters.  These go in runs of consecutive steps with at most a
-# _WALK_RUN_SHARE-th of the segment's odd values in hits, so that a run's
-# int64 positions and uint32 factors stay inside the _BYTES_PER_VALUE
-# charge.  On count_table(10**7), 125 to 1000 hits and shares of 8 or 16
-# did not tell apart.
+# The totient walk's loop threshold (the Korselt scan's is _LOOP_HITS),
+# and the share of a segment's odd values that one scatter run of either
+# scan may hit, which keeps a run's int64 positions inside the
+# _BYTES_PER_VALUE charge.  On count_table(10**7), 125 to 1000 hits and
+# shares of 8 or 16 did not tell apart.
 _WALK_LOOP_HITS = 250
 _WALK_RUN_SHARE = 16
 
 
-def _scatter_steps(rem: np.ndarray, phi: np.ndarray, start: np.ndarray, pe: np.ndarray,
-                   count: np.ndarray, inv: np.ndarray, factor: np.ndarray) -> None:
-    """rem[start::pe] *= inv and phi[start::pe] *= factor for each walk
-    step, which hits ``count`` <= _WALK_LOOP_HITS times, by np.multiply.at
-    over runs of consecutive steps.  It is unbuffered, so an entry that two
-    of the steps hit gets both factors."""
-    cap = max(rem.size // _WALK_RUN_SHARE, _WALK_LOOP_HITS)
+def _apply_steps(op: np.ufunc, bufs: tuple[np.ndarray, ...], values: tuple[np.ndarray, ...],
+                 first_hit: np.ndarray, stride: np.ndarray, j0: int, loop_hits: int) -> None:
+    """buf[i] = op(buf[i], vals[s]) for each step s and each buffer ``buf``
+    of ``bufs`` with its ``vals`` of ``values``, at every i >= 0 below
+    bufs[0].size with j0 + i = first_hit[s] + m * stride[s] for some m >= 0.
+
+    A step with more than ``loop_hits`` hits takes one strided op per
+    buffer; below that an op costs numpy's call overhead more than its
+    arithmetic, so the others share op.at over runs of consecutive steps
+    with at most max(length // _WALK_RUN_SHARE, loop_hits) hits.  op.at is
+    unbuffered, so an entry that two of the steps hit gets both values.
+    """
+    length = bufs[0].size
+    start = first_hit - j0
+    # A step that began below j0 first hits at start mod stride.
+    start = np.maximum(start, start % stride)
+    count = (length - 1 - start) // stride + 1
+    looped = count > loop_hits
+    # Python int positions slice fastest; numpy scalar values keep the dtype.
+    at, step = start[looped].tolist(), stride[looped].tolist()
+    for buf, vals in zip(bufs, values):
+        for i, h, x in zip(at, step, vals[looped]):
+            view = buf[i::h]
+            op(view, x, view)
+
+    few = np.flatnonzero((count > 0) & ~looped)
+    start, stride, count = start[few], stride[few], count[few]
+    few_values = [vals[few] for vals in values]
+    cap = max(length // _WALK_RUN_SHARE, loop_hits)
     ends = np.cumsum(count)
     # Each run takes the most steps whose hits fit in cap, at least one.
     edges = [0]
@@ -305,7 +325,7 @@ def _scatter_steps(rem: np.ndarray, phi: np.ndarray, start: np.ndarray, pe: np.n
         a = edges[-1]
         edges.append(np.searchsorted(ends, ends[a] - count[a] + cap, side="right"))
     for a, b in zip(edges, edges[1:]):
-        s, h, c = start[a:b], pe[a:b], count[a:b]
+        s, h, c = start[a:b], stride[a:b], count[a:b]
         # A cumulative sum over the repeated strides, where each step's
         # first entry holds the jump from the previous step's last hit.
         where = np.repeat(h, c)
@@ -313,8 +333,8 @@ def _scatter_steps(rem: np.ndarray, phi: np.ndarray, start: np.ndarray, pe: np.n
         jump[1:] -= s[:-1] + h[:-1] * (c[:-1] - 1)
         where[np.cumsum(c) - c] = jump
         np.cumsum(where, out=where)
-        np.multiply.at(rem, where, np.repeat(inv[a:b], c))
-        np.multiply.at(phi, where, np.repeat(factor[a:b], c))
+        for buf, vals in zip(bufs, few_values):
+            op.at(buf, where, np.repeat(vals[a:b], c))
         # Freed before the next run's positions are built, not after.
         del where
 
@@ -329,12 +349,11 @@ def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveS
     powers p^e < hi, from p^2 for _TILED_PRIMES and from p for the rest
     (_walk_steps): at the multiples of p^e, phi picks up one factor of p
     (p - 1 at the first level) and rem loses one, by a multiply with p^-1
-    mod 2^32.  A step that hits more than _WALK_LOOP_HITS of the odd n
-    takes one strided multiply on rem and one on phi; the others go
-    through _scatter_steps.  Whatever remains in rem is 1 or a single
-    prime above sqrt(hi), contributing rem - 1.  Raises LimitExceededError, before
-    allocating anything, when [lo, hi) holds more than _SIEVE_MAX_ODD odd
-    values; the message names the largest workable hi - lo.
+    mod 2^32, all through one _apply_steps call with _WALK_LOOP_HITS.
+    Whatever remains in rem is 1 or a single prime above sqrt(hi),
+    contributing rem - 1.  Raises LimitExceededError, before allocating
+    anything, when [lo, hi) holds more than _SIEVE_MAX_ODD odd values;
+    the message names the largest workable hi - lo.
 
     A scan hands in its ``plan`` (_sieve_plan, with a top at least hi):
     then ``phi`` is a view of the plan's buffer, valid until the next
@@ -364,21 +383,13 @@ def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveS
     _fill_tiled(phi, first // 2, length, totient)
 
     # The odd multiples of pe are 2 pe apart, so the stride in index space
-    # is pe, from the i with first + 2i = 0 (mod pe).  A plan made for a
-    # larger hi also holds p^e >= hi, which never reach i < length, and
-    # primes above sqrt(hi - 1), which leave rem at 1 where they divide n
-    # and so give the same phi.
-    pe, half, inv, factor = plan.steps
-    start = -first * half % pe
-    hit = np.flatnonzero(start < length)
-    start, pe, inv, factor = start[hit], pe[hit], inv[hit], factor[hit]
-    count = (length - 1 - start) // pe + 1
-    looped = count > _WALK_LOOP_HITS
-    for i, h, v, f in zip(start[looped], pe[looped], inv[looped], factor[looped]):
-        rem[i::h] *= v
-        phi[i::h] *= f
-    few = ~looped
-    _scatter_steps(rem, phi, start[few], pe[few], count[few], inv[few], factor[few])
+    # is pe, from n = pe itself.  A plan made for a larger hi also holds
+    # p^e >= hi, which never reach i < length, and primes above
+    # sqrt(hi - 1), which leave rem at 1 where they divide n and so give
+    # the same phi.
+    pe, first_hit, inv, factor = plan.steps
+    _apply_steps(np.multiply, (rem, phi), (inv, factor), first_hit, pe, first // 2,
+                 _WALK_LOOP_HITS)
 
     # rem is 1 or the one prime above sqrt(hi), so rem - 1 clamped at 1
     # is exactly that prime's factor of phi.
@@ -651,12 +662,12 @@ def enumerate_Lk_composites(limit, k: int, *, workers: int = 1) -> list[int]:
     return out
 
 
-# A base prime whose stride fits more than _LOOP_HITS times into a
-# segment keeps its strided add; the others share one np.add.at of at most
-# _LOOP_HITS hits each.  On the uint32 product, per 10^6 segment near 4e7,
-# any of 4 to 64 took 0.12-0.23 ms, against 0.42 ms for a pass per prime.
+# A base prime with more than _LOOP_HITS hits in a segment keeps its
+# strided add in _apply_steps; the others join its np.add.at runs.  On one
+# 4*10^6 segment near 4e7 (849 primes), the call took 0.26-0.29 ms at 8
+# and 0.21-0.34 ms at any of 4 to 64, less with more hits, against
+# 0.57-0.81 ms for a strided add per prime (medians of 41, in 5 rounds).
 _LOOP_HITS = 8
-_HIT_STEPS = np.arange(_LOOP_HITS)
 
 # The least n with n^8 >= 2^k, floor((2^k - 1)^(1/8)) + 1, for k = 1..255:
 # the edges at most n count floor(8 log2 n) for every n below 3.9e9.
@@ -706,9 +717,9 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     never hits a segment below p^2, since n = p (mod p(p-1)) with n != p
     forces n >= p + p(p-1) = p^2, so that one prime list is exact for every
     segment.  In a segment, _TILED_PRIMES come from the tiled pattern (n = p
-    taken out again), the primes with more than _LOOP_HITS hits take one
-    strided add each and the rest one np.add.at.  Each block is then
-    screened against the bar of its own first n.
+    taken out again), and the others add theirs through one _apply_steps
+    call with _LOOP_HITS.  Each block is then screened against the bar of
+    its own first n.
     """
     if not bounds:  # limit 1 leaves no segment
         return
@@ -717,7 +728,6 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     p = p[p > _TILED_PRIMES[-1]]
     weight = _log8(p)
     stride = p * (p - 1) // 2
-    loop_bound = _LOOP_HITS * stride
     # The odd index of p^2, the first n != p with n = p (mod p(p-1)).
     first_hit = (p * p - 1) // 2
     longest = max(len(range(max(lo, 2) | 1, hi, 2)) for lo, hi in bounds)
@@ -734,18 +744,7 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
             if first <= t < hi:  # n = t itself is prime
                 buf[(t - first) // 2] -= _log8(t)
 
-        start = np.maximum(first_hit, j0)
-        start += (first_hit - start) % stride
-        idx = start - j0
-        looped = np.searchsorted(loop_bound, length)
-        for i, h, w in zip(idx[:looped].tolist(), stride[:looped].tolist(),
-                           weight[:looped].tolist()):
-            buf[i:length:h] += w
-        near = idx[looped:] < length
-        where = idx[looped:][near, None] + stride[looped:][near, None] * _HIT_STEPS
-        inside = where < length
-        add = np.broadcast_to(weight[looped:][near, None], where.shape)
-        np.add.at(buf, where[inside], add[inside])
+        _apply_steps(np.add, (buf[:length],), (weight,), first_hit, stride, j0, _LOOP_HITS)
 
         size = -(-length // _BLOCK) * _BLOCK
         # The last block's pad may hold np.empty garbage or stale sums.

@@ -75,18 +75,34 @@ MUTANTS = (
     Mutant("walk-top-power", SIEVE,
            "while q < (root + 1) ** 2:", "while q * p < (root + 1) ** 2:",
            (f"{T_SIEVE}::TestTiledTotientPatterns::test_windows_at_tiled_prime_powers",)),
+    # The step applier of both scans, _apply_steps.
     Mutant("walk-start", SIEVE,
-           "start = -first * half % pe", "start = first * half % pe",
-           (f"{T_SIEVE}::TestTotientSieve::test_first_ten",)),
+           "np.maximum(start, start % stride)", "np.maximum(start, -start % stride)",
+           (f"{T_SIEVE}::TestApplySteps::test_matches_per_position_loop",
+            f"{T_SIEVE}::TestOddTotientSieve::test_matches_full_sieve",
+            f"{T_SIEVE}::TestKorseltResidueOracle::test_matches_reference")),
     Mutant("walk-hit-count", SIEVE,
-           "count = (length - 1 - start) // pe + 1", "count = (length - 1 - start) // pe",
-           (f"{T_SIEVE}::TestWalkScatter::test_step_at_the_loop_threshold",)),
+           "count = (length - 1 - start) // stride + 1", "count = (length - 1 - start) // stride",
+           (f"{T_SIEVE}::TestWalkScatter::test_step_at_the_loop_threshold",
+            f"{T_SIEVE}::TestKorseltResidueOracle::test_windows_around_each_stride")),
     Mutant("walk-run-head", SIEVE,
            "h[:-1] * (c[:-1] - 1)", "h[:-1] * c[:-1]",
-           (f"{T_SIEVE}::TestWalkScatter::test_scatter_cut_into_runs",)),
+           (f"{T_SIEVE}::TestWalkScatter::test_scatter_cut_into_runs",
+            f"{T_SIEVE}::TestKorseltResidueOracle::test_windows_around_each_stride")),
     Mutant("walk-last-run", SIEVE,
            "for a, b in zip(edges, edges[1:]):", "for a, b in zip(edges, edges[1:-1]):",
-           (f"{T_SIEVE}::TestWalkScatter::test_scatter_cut_into_runs",)),
+           (f"{T_SIEVE}::TestWalkScatter::test_scatter_cut_into_runs",
+            f"{T_SIEVE}::TestKorseltResidueOracle::test_windows_around_each_stride")),
+    # Every scattered step that hits once is dropped.
+    Mutant("hit-steps", SIEVE,
+           "(count > 0) & ~looped", "(count > 1) & ~looped",
+           (f"{T_SIEVE}::TestWalkScatter::test_two_scattered_steps_hit_one_n",
+            f"{T_SIEVE}::TestKorseltResidueOracle::test_windows_around_each_stride")),
+    # Each looped step skips its first hit.
+    Mutant("loop-first-hit", SIEVE,
+           "view = buf[i::h]", "view = buf[i + h::h]",
+           (f"{T_SIEVE}::TestWalkScatter::test_step_at_the_loop_threshold",
+            f"{T_SIEVE}::TestKorseltResidueOracle::test_windows_around_each_stride")),
     Mutant("large-prime-fold", SIEVE,
            "    np.maximum(rem, 1, out=rem)\n", "",
            (f"{T_SIEVE}::TestTotientSieve::test_first_ten",)),
@@ -105,12 +121,6 @@ MUTANTS = (
     Mutant("korselt-pad", SIEVE,
            "        buf[length:size] = 0\n", "",
            (f"{T_SIEVE}::TestKorseltResidueOracle::test_pad_ignores_buffer_garbage",)),
-    Mutant("hit-steps", SIEVE,
-           "_HIT_STEPS = np.arange(_LOOP_HITS)", "_HIT_STEPS = np.arange(_LOOP_HITS - 1)",
-           (f"{T_SIEVE}::TestKorseltResidueOracle::test_windows_around_each_stride",)),
-    Mutant("loop-split", SIEVE,
-           "np.searchsorted(loop_bound, length)", "np.searchsorted(loop_bound, length // 2)",
-           (f"{T_SIEVE}::TestKorseltResidueOracle::test_matches_reference",)),
     Mutant("block-bar-up", SIEVE,
            "bar = _korselt_bar(head)", "bar = _korselt_bar(head + 2 * _BLOCK)",
            (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",)),

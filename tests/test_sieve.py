@@ -27,6 +27,7 @@ from klehmer.sieve import (
     _TOTIENT_PERIOD,
     _WALK_LOOP_HITS,
     _WALK_RUN_SHARE,
+    _apply_steps,
     _classify_arrays,
     _LOG_EDGES,
     _korselt_bar,
@@ -272,6 +273,83 @@ class TestWalkScatter:
         lo, hi = _INT64_SAFE_HI - 10**6, _INT64_SAFE_HI
         assert scattered_hits(lo, hi) > 2 * (len(range(lo | 1, hi, 2)) // _WALK_RUN_SHARE)
         assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
+
+
+def apply_steps_by_position(op, bufs, values, first_hit, stride, j0):
+    """_apply_steps one position at a time in Python ints: for each step,
+    every index first_hit + m * stride inside [j0, j0 + length) takes the
+    step's value into each buffer by ``op``."""
+    out = [buf.tolist() for buf in bufs]
+    length = len(out[0])
+    for s, (f, h) in enumerate(zip(first_hit, stride)):
+        for j in range(f, j0 + length, h):
+            if j >= j0:
+                for o, vals in zip(out, values):
+                    o[j - j0] = op(o[j - j0], vals[s])
+    return out
+
+
+# (numpy op, its reference op in Python ints, buffer dtypes): the totient
+# walk's multiply on rem and phi, and the Korselt scan's add on one byte.
+APPLY_OPS = {
+    "multiply": (np.multiply, lambda a, b: a * b % 2**32, (np.uint32, np.uint32)),
+    "add": (np.add, lambda a, b: (a + b) % 2**8, (np.uint8,)),
+}
+
+
+# The window's first odd index and the loop threshold of the table cases.
+J0, LOOP_HITS = 100, 3
+
+
+class TestApplySteps:
+    """_apply_steps, the step applier of both scans, against a per-position
+    Python loop.  With a window shorter than _WALK_RUN_SHARE * loop_hits
+    the scatter runs take the smallest cap, loop_hits hits.  The scans'
+    own windows of length 0, such as totient_sieve(2, 3), are in
+    TestOddTotientSieve."""
+
+    def check(self, kind, steps, length, j0=J0, loop_hits=LOOP_HITS):
+        op, reference, dtypes = APPLY_OPS[kind]
+        rng = np.random.default_rng(len(steps) * 1000 + length)
+        first_hit = np.array([f for f, _ in steps], dtype=np.int64)
+        stride = np.array([h for _, h in steps], dtype=np.int64)
+        bufs = [rng.integers(0, np.iinfo(t).max, length, dtype=t, endpoint=True) for t in dtypes]
+        values = [rng.integers(1, np.iinfo(t).max, len(steps), dtype=t, endpoint=True)
+                  for t in dtypes]
+        expected = apply_steps_by_position(reference, bufs, [v.tolist() for v in values],
+                                           first_hit.tolist(), stride.tolist(), j0)
+        _apply_steps(op, bufs, values, first_hit, stride, j0, loop_hits)
+        assert [buf.tolist() for buf in bufs] == expected
+
+    @pytest.mark.parametrize("kind", APPLY_OPS)
+    @pytest.mark.parametrize("steps, length", [
+        # Exactly loop_hits hits (scattered) and loop_hits + 1 (looped).
+        ([(J0, 7), (J0 + 1, 6)], 20),
+        ([(J0 + 5, 7)], 20),
+        # First hits below j0, one far below, and one past the window.
+        ([(J0 - 10, 7), (3, 5), (J0 + 20, 4)], 20),
+        # A first hit on the window's last entry, and one on the next.
+        ([(J0 + 19, 1), (J0 + 20, 1)], 20),
+        # Two one-hit steps on entry 5, in one run of at most loop_hits hits.
+        ([(J0 + 5, 50), (J0 + 5, 60)], 20),
+        # A step of loop_hits hits fills a run; the next hits its entry 5.
+        ([(J0 + 2, 3), (J0 + 5, 100)], 9),
+        # Many scattered steps over several runs, with looped ones between.
+        ([(J0 - 17 * h, h) for h in range(3, 40)], 40),
+        # No steps, and windows of length 0 and 1.
+        ([], 20),
+        ([(J0, 3), (J0 - 1, 2)], 0),
+        ([(J0, 3), (J0 - 1, 2), (J0 - 2, 2)], 1),
+    ])
+    def test_matches_per_position_loop(self, kind, steps, length):
+        self.check(kind, steps, length)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(APPLY_OPS)),
+           steps=st.lists(st.tuples(st.integers(0, 300), st.integers(1, 60)), max_size=30),
+           length=st.integers(0, 200), j0=st.integers(0, 200), loop_hits=st.integers(1, 10))
+    def test_random_tables(self, kind, steps, length, j0, loop_hits):
+        self.check(kind, steps, length, j0, loop_hits)
 
 
 class TestTiledTotientPatterns:

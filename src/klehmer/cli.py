@@ -13,11 +13,13 @@ failure (such as an overflow or an unsplit factor), 3 verification
 failure.  Exit 1 has two shapes on stderr: a malformed argument gets the
 subcommand's usage and "klehmer <cmd>: error: argument <name>: ...",
 and a well-formed value outside the domain (such as a p that is not
-prime) gets one "error: ..." line.  The library sieves bulk ranges in
-fixed segments of 10^6 values, one per process at a time, and takes any
-limit below 3*10^9; the CLI caps a bulk --limit at 10^7, or 10^8 with
---allow-large.  Only the bulk commands count, list and alpha import the
-sieve, and with it numpy; the per-number commands never load it.
+prime) gets one "error: ..." line.  The library picks the segments:
+4*10^6 values for the Korselt scan (list --set carmichael, alpha), in
+process, and 5*10^5 for the classify scan (count, the other list sets),
+where each --workers process scans its own run of segments.  It takes
+any limit below 3*10^9; the CLI caps a bulk --limit at 10^7, or 10^8
+with --allow-large.  Only the bulk commands count, list and alpha import
+the sieve, and with it numpy; the per-number commands never load it.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ the product of their p - 1); then a walk over the odd base primes
 multiplies in p - 1 at the multiples of every other p and p at the
 multiples of each higher power, dividing p out of the remainder by a
 multiply with p^-1 mod 2^32.  Both scans apply such steps through one
-_apply_steps: the steps that hit a segment often take strided ops, and
-the rest share a few op.at scatters, so a scan pays numpy's call
-overhead on few steps.  An odd n > 1 is prime exactly when
+_apply_steps: a step that hits a segment more than _LOOP_HITS times
+takes a strided op, and the rest share a few op.at scatters, so a scan
+pays numpy's call overhead on few steps.  An odd n > 1 is prime exactly when
 phi(n) = n - 1, so the primes get index 1 from that compare alone.
 Every other odd n is settled in two steps.  First, an exclusion
 filter drops the odd n with q | phi(n) but q not dividing n-1 for some q in
@@ -88,11 +88,11 @@ _INT64_SAFE_HI = 3_000_000_000
 # _apply_steps's scatter (9.9 on a first call near _INT64_SAFE_HI, which
 # builds the step table of its 5571 base primes); a classify scan of one
 # segment, of 10^6 or 5*10^5 values, at most 7.5 (_classify_arrays,
-# _histogram_scan, _lk_scan) or a Korselt scan 0.53-0.78 (0.78 on 10^6
+# _histogram_scan, _lk_scan) or a Korselt scan 0.54-0.81 (0.81 on 10^6
 # values just below _INT64_SAFE_HI, whose plan holds 5571 base primes;
-# 4*10^6 values take 0.53-0.57) per value of hi - lo.  12 is at least 20%
-# above each of these peaks.  A scan of many segments allocates its
-# buffers once, for its longest.
+# 4*10^6 values take 0.54-0.58; the first call of a process) per value of
+# hi - lo.  12 is at least 20% above each of these peaks.  A scan of many
+# segments allocates its buffers once, for its longest.
 _BYTES_PER_VALUE = 12
 
 # A direct totient_sieve call sieves at most this many odd values (512 MiB
@@ -153,11 +153,12 @@ def base_primes(limit: int) -> np.ndarray:
 # 3, 5, 7, 11 and 13 enter both sieves from cached patterns, which each
 # segment copies (_fill_tiled) instead of taking a strided pass per prime.
 # Their log weights in the Korselt scan repeat with period lcm(p(p-1)/2) =
-# 30030 in odd-index space, 30 KB of uint8.  As a uint32 product, a copy
-# took 0.08 ms per 10^6 segment near 4e7 against 0.09 ms for np.ones plus
-# 0.26-0.33 ms for the five passes; adding 17 made the period 2 042 040
-# and lost.  Their first level in the totient sieve (which of them divide
-# n) repeats with period 3*5*7*11*13 = 15015.
+# 30030 in odd-index space, 30 KB of uint8.  On a 4*10^6-value segment
+# near 4e7, a copy took 0.06 ms against 0.61-0.64 ms for the five strided
+# adds; adding 17 made the period 2 042 040, whose copy took 0.15 ms
+# against 0.09 ms for the 30030 copy plus 17's own add.  Their first
+# level in the totient sieve (which of them divide n) repeats with period
+# 3*5*7*11*13 = 15015.
 _TILED_PRIMES = (3, 5, 7, 11, 13)
 _PATTERN_PERIOD = math.lcm(*(p * (p - 1) // 2 for p in _TILED_PRIMES))
 _TOTIENT_PERIOD = math.prod(_TILED_PRIMES)
@@ -280,33 +281,37 @@ def _check_range(lo, hi) -> tuple[int, int]:
     return lo, hi
 
 
-# The totient walk's loop threshold (the Korselt scan's is _LOOP_HITS),
-# and the share of a segment's odd values that one scatter run of either
-# scan may hit, which keeps a run's int64 positions inside the
-# _BYTES_PER_VALUE charge.  On count_table(10**7), 125 to 1000 hits and
-# shares of 8 or 16 did not tell apart.
-_WALK_LOOP_HITS = 250
-_WALK_RUN_SHARE = 16
+# A step with more than _LOOP_HITS hits in a segment takes a strided op in
+# _apply_steps, and one scatter run of either scan may hit at most a
+# _RUN_SHARE-th of a segment's odd values, which keeps a run's int64
+# positions inside the _BYTES_PER_VALUE charge.  On count_table(10**7),
+# 125 to 1000 hits and shares of 8 or 16 did not tell apart.  On one
+# 4*10^6-value Korselt segment near 4*10^7 (849 primes, 24 looped) the call
+# took 0.20-0.30 ms at 125 to 500 hits against 0.24-0.41 ms at 8 (medians
+# of 41, 5 rounds), and enumerate_carmichael(10**8) took 10.3-11.5 ms
+# against 11.7-14.6 ms at 8.
+_LOOP_HITS = 250
+_RUN_SHARE = 16
 
 
 def _apply_steps(op: np.ufunc, bufs: tuple[np.ndarray, ...], values: tuple[np.ndarray, ...],
-                 first_hit: np.ndarray, stride: np.ndarray, j0: int, loop_hits: int) -> None:
+                 first_hit: np.ndarray, stride: np.ndarray, j0: int) -> None:
     """buf[i] = op(buf[i], vals[s]) for each step s and each buffer ``buf``
     of ``bufs`` with its ``vals`` of ``values``, at every i >= 0 below
     bufs[0].size with j0 + i = first_hit[s] + m * stride[s] for some m >= 0.
 
-    A step with more than ``loop_hits`` hits takes one strided op per
-    buffer; below that an op costs numpy's call overhead more than its
-    arithmetic, so the others share op.at over runs of consecutive steps
-    with at most max(length // _WALK_RUN_SHARE, loop_hits) hits.  op.at is
-    unbuffered, so an entry that two of the steps hit gets both values.
+    A step with more than _LOOP_HITS hits takes one strided op per buffer;
+    below that an op costs numpy's call overhead more than its arithmetic,
+    so the others share op.at over runs of consecutive steps with at most
+    max(length // _RUN_SHARE, _LOOP_HITS) hits.  op.at is unbuffered, so
+    an entry that two of the steps hit gets both values.
     """
     length = bufs[0].size
     start = first_hit - j0
     # A step that began below j0 first hits at start mod stride.
     start = np.maximum(start, start % stride)
     count = (length - 1 - start) // stride + 1
-    looped = count > loop_hits
+    looped = count > _LOOP_HITS
     # Python int positions slice fastest; numpy scalar values keep the dtype.
     at, step = start[looped].tolist(), stride[looped].tolist()
     for buf, vals in zip(bufs, values):
@@ -317,7 +322,7 @@ def _apply_steps(op: np.ufunc, bufs: tuple[np.ndarray, ...], values: tuple[np.nd
     few = np.flatnonzero((count > 0) & ~looped)
     start, stride, count = start[few], stride[few], count[few]
     few_values = [vals[few] for vals in values]
-    cap = max(length // _WALK_RUN_SHARE, loop_hits)
+    cap = max(length // _RUN_SHARE, _LOOP_HITS)
     ends = np.cumsum(count)
     # Each run takes the most steps whose hits fit in cap, at least one.
     edges = [0]
@@ -349,11 +354,11 @@ def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveS
     powers p^e < hi, from p^2 for _TILED_PRIMES and from p for the rest
     (_walk_steps): at the multiples of p^e, phi picks up one factor of p
     (p - 1 at the first level) and rem loses one, by a multiply with p^-1
-    mod 2^32, all through one _apply_steps call with _WALK_LOOP_HITS.
-    Whatever remains in rem is 1 or a single prime above sqrt(hi),
-    contributing rem - 1.  Raises LimitExceededError, before allocating
-    anything, when [lo, hi) holds more than _SIEVE_MAX_ODD odd values;
-    the message names the largest workable hi - lo.
+    mod 2^32, all through one _apply_steps call.  Whatever remains in rem
+    is 1 or a single prime above sqrt(hi), contributing rem - 1.  Raises
+    LimitExceededError, before allocating anything, when [lo, hi) holds
+    more than _SIEVE_MAX_ODD odd values; the message names the largest
+    workable hi - lo.
 
     A scan hands in its ``plan`` (_sieve_plan, with a top at least hi):
     then ``phi`` is a view of the plan's buffer, valid until the next
@@ -388,8 +393,7 @@ def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveS
     # sqrt(hi - 1), which leave rem at 1 where they divide n and so give
     # the same phi.
     pe, first_hit, inv, factor = plan.steps
-    _apply_steps(np.multiply, (rem, phi), (inv, factor), first_hit, pe, first // 2,
-                 _WALK_LOOP_HITS)
+    _apply_steps(np.multiply, (rem, phi), (inv, factor), first_hit, pe, first // 2)
 
     # rem is 1 or the one prime above sqrt(hi), so rem - 1 clamped at 1
     # is exactly that prime's factor of phi.
@@ -662,13 +666,6 @@ def enumerate_Lk_composites(limit, k: int, *, workers: int = 1) -> list[int]:
     return out
 
 
-# A base prime with more than _LOOP_HITS hits in a segment keeps its
-# strided add in _apply_steps; the others join its np.add.at runs.  On one
-# 4*10^6 segment near 4e7 (849 primes), the call took 0.26-0.29 ms at 8
-# and 0.21-0.34 ms at any of 4 to 64, less with more hits, against
-# 0.57-0.81 ms for a strided add per prime (medians of 41, in 5 rounds).
-_LOOP_HITS = 8
-
 # The least n with n^8 >= 2^k, floor((2^k - 1)^(1/8)) + 1, for k = 1..255:
 # the edges at most n count floor(8 log2 n) for every n below 3.9e9.
 _LOG_EDGES = np.array([math.isqrt(math.isqrt(math.isqrt((1 << k) - 1))) + 1
@@ -688,7 +685,8 @@ def _korselt_bar(n: np.ndarray) -> np.ndarray:
 
 # The bar rises with n, so the hit search looks inside only the blocks of
 # _BLOCK entries whose maximum reaches the bar of their own first n.  On
-# the uint32 product, 1024 to 4096 tied, and 8192 up lost from 2 (4x).
+# five 4*10^6-value segments from 4e7, a segment took 0.44 ms at 4096 and
+# 8192, 0.45 at 16384, 0.48 at 2048 and 0.49 at 1024 (medians of 8 rounds).
 _BLOCK = 4096
 _BLOCK_STEPS = np.arange(0, 2 * _BLOCK, 2, dtype=np.uint32)
 
@@ -718,8 +716,7 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     forces n >= p + p(p-1) = p^2, so that one prime list is exact for every
     segment.  In a segment, _TILED_PRIMES come from the tiled pattern (n = p
     taken out again), and the others add theirs through one _apply_steps
-    call with _LOOP_HITS.  Each block is then screened against the bar of
-    its own first n.
+    call.  Each block is then screened against the bar of its own first n.
     """
     if not bounds:  # limit 1 leaves no segment
         return
@@ -744,7 +741,7 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
             if first <= t < hi:  # n = t itself is prime
                 buf[(t - first) // 2] -= _log8(t)
 
-        _apply_steps(np.add, (buf[:length],), (weight,), first_hit, stride, j0, _LOOP_HITS)
+        _apply_steps(np.add, (buf[:length],), (weight,), first_hit, stride, j0)
 
         size = -(-length // _BLOCK) * _BLOCK
         # The last block's pad may hold np.empty garbage or stale sums.

@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,9 @@ from klehmer.sieve import (
     _INT64_SAFE_HI,
     _LOOP_HITS,
     _PATTERN_PERIOD,
+    _RUN_SHARE,
     _TILED_PRIMES,
     _TOTIENT_PERIOD,
-    _WALK_LOOP_HITS,
-    _WALK_RUN_SHARE,
     _apply_steps,
     _classify_arrays,
     _LOG_EDGES,
@@ -201,7 +201,7 @@ class TestUint32TotientSieve:
 
 
 def scattered_hits(lo: int, hi: int) -> int:
-    """How many hits the walk's steps of at most _WALK_LOOP_HITS hits make
+    """How many hits the walk's steps of at most _LOOP_HITS hits make
     on the odd n in [lo, hi), counted from the conftest prime mask."""
     first, total = lo | 1, 0
     for p in np.flatnonzero(sieve_prime_mask(math.isqrt(hi - 1)))[1:].tolist():
@@ -211,7 +211,7 @@ def scattered_hits(lo: int, hi: int) -> int:
             m = -(-first // pe) * pe
             m += pe * (m % 2 == 0)
             hits = len(range(m, hi, 2 * pe))
-            total += hits if hits <= _WALK_LOOP_HITS else 0
+            total += hits if hits <= _LOOP_HITS else 0
             pe *= p
     return total
 
@@ -222,7 +222,7 @@ class TestWalkScatter:
     scattered steps hit one n."""
 
     @pytest.mark.parametrize("pe", [1009, 31**2])
-    @pytest.mark.parametrize("hits", [_WALK_LOOP_HITS, _WALK_LOOP_HITS + 1])
+    @pytest.mark.parametrize("hits", [_LOOP_HITS, _LOOP_HITS + 1])
     def test_step_at_the_loop_threshold(self, pe, hits):
         # From an odd multiple of pe near 10^7 to just past its hits-th.
         first = pe * (10**7 // pe | 1)
@@ -239,7 +239,7 @@ class TestWalkScatter:
     def test_scatter_cut_into_runs(self, lo, hi):
         # More scattered hits than one run holds, so at least two runs.
         length = len(range(lo | 1, hi, 2))
-        assert scattered_hits(lo, hi) > 2 * max(length // _WALK_RUN_SHARE, _WALK_LOOP_HITS)
+        assert scattered_hits(lo, hi) > 2 * max(length // _RUN_SHARE, _LOOP_HITS)
         assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
 
     @pytest.mark.parametrize("lo, hi", [
@@ -247,10 +247,10 @@ class TestWalkScatter:
         (_INT64_SAFE_HI - 40_001, _INT64_SAFE_HI),
     ])
     def test_runs_at_the_smallest_cap(self, monkeypatch, lo, hi):
-        # A share above the length cuts runs of at most _WALK_LOOP_HITS
-        # hits, so most steps head a run of their own.
-        monkeypatch.setattr("klehmer.sieve._WALK_RUN_SHARE", hi)
-        assert scattered_hits(lo, hi) > 4 * _WALK_LOOP_HITS
+        # A share above the length cuts runs of at most _LOOP_HITS hits,
+        # so most steps head a run of their own.
+        monkeypatch.setattr("klehmer.sieve._RUN_SHARE", hi)
+        assert scattered_hits(lo, hi) > 4 * _LOOP_HITS
         assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
 
     @pytest.mark.parametrize("n, p, q", [
@@ -271,7 +271,7 @@ class TestWalkScatter:
     @pytest.mark.slow
     def test_segment_ending_at_the_int64_ceiling(self):
         lo, hi = _INT64_SAFE_HI - 10**6, _INT64_SAFE_HI
-        assert scattered_hits(lo, hi) > 2 * (len(range(lo | 1, hi, 2)) // _WALK_RUN_SHARE)
+        assert scattered_hits(lo, hi) > 2 * (len(range(lo | 1, hi, 2)) // _RUN_SHARE)
         assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
 
 
@@ -303,10 +303,10 @@ J0, LOOP_HITS = 100, 3
 
 class TestApplySteps:
     """_apply_steps, the step applier of both scans, against a per-position
-    Python loop.  With a window shorter than _WALK_RUN_SHARE * loop_hits
-    the scatter runs take the smallest cap, loop_hits hits.  The scans'
-    own windows of length 0, such as totient_sieve(2, 3), are in
-    TestOddTotientSieve."""
+    Python loop, with _LOOP_HITS patched to a small threshold.  With a
+    window shorter than _RUN_SHARE times that threshold the scatter runs
+    take the smallest cap, the threshold's hits.  The scans' own windows
+    of length 0, such as totient_sieve(2, 3), are in TestOddTotientSieve."""
 
     def check(self, kind, steps, length, j0=J0, loop_hits=LOOP_HITS):
         op, reference, dtypes = APPLY_OPS[kind]
@@ -318,7 +318,9 @@ class TestApplySteps:
                   for t in dtypes]
         expected = apply_steps_by_position(reference, bufs, [v.tolist() for v in values],
                                            first_hit.tolist(), stride.tolist(), j0)
-        _apply_steps(op, bufs, values, first_hit, stride, j0, loop_hits)
+        # Patched in the body, as hypothesis takes no function-scoped fixture.
+        with mock.patch("klehmer.sieve._LOOP_HITS", loop_hits):
+            _apply_steps(op, bufs, values, first_hit, stride, j0)
         assert [buf.tolist() for buf in bufs] == expected
 
     @pytest.mark.parametrize("kind", APPLY_OPS)
@@ -873,13 +875,15 @@ class TestKorseltResidueOracle:
     @example(p=97, hits=1, d=1, i=1, offset=5000, lo_even=True, hi_even=True)
     @example(p=17, hits=_LOOP_HITS, d=0, i=0, offset=0, lo_even=False, hi_even=False)
     @example(p=17, hits=_LOOP_HITS, d=1, i=0, offset=0, lo_even=False, hi_even=False)
+    @example(p=97, hits=9, d=1, i=0, offset=0, lo_even=False, hi_even=False)
     def test_windows_around_each_stride(self, p, hits, d, i, offset, lo_even, hi_even):
         # A window of `size` odd values holding a Carmichael multiple c of p.
         # 5, 7, 11 and 13 come from the tiled pattern.  Any other p is
         # looped when its stride p(p-1)/2 fits more than _LOOP_HITS times
         # into the window (hits = _LOOP_HITS, d >= 1) and scattered, with up
-        # to _LOOP_HITS hits, otherwise.  With d = 1 and c last, p also hits
-        # the first value.  A window that would reach below 3 starts at 3.
+        # to _LOOP_HITS hits, otherwise (97 with hits = 9 and d = 1 hits ten
+        # times).  With d = 1 and c last, p also hits the first value.  A
+        # window that would reach below 3 starts at 3.
         size = hits * (p * (p - 1) // 2) + d
         multiples = carmichael_multiples_below_1e6(p)
         c = multiples[i % len(multiples)]

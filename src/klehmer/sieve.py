@@ -7,42 +7,51 @@ alpha entry is per-number work, in carmichael.verify_alpha_entry; this is
 the one module that imports numpy.
 
 The bulk route never factors anything and sieves odd n only (even n > 2
-lie outside every L_k, and no even n is a Carmichael number): a segmented
-uint32 totient sieve over the odd n supplies phi(n).  It copies the first
-level of 3, 5, 7, 11 and 13 from two tiled patterns (the product of their
-inverses mod 2^32, which divides them out of the remainder exactly, and
-the product of their p - 1); then a walk over the odd base primes
-multiplies in p - 1 at the multiples of every other p and p at the
+lie outside every L_k, and no even n is a Carmichael number).  Both of the
+paper's criteria are residue tests with one modulus per prime p: n is a
+Carmichael number when it is a squarefree composite with p - 1 | n - 1 for
+every prime p | n (Korselt), and a composite n lies in L_inf exactly when
+it is squarefree with rad(p - 1) | n - 1 for every prime p | n, that is,
+when rad(phi(n)) | n - 1.  With m(p) = p - 1 or rad(p - 1), "p | n and
+m(p) | n - 1" holds exactly when n = p (mod p m(p)), by the Chinese
+remainder theorem.  A residue pass (_residue_hits) adds floor(8 log2 p)
+into one uint8 byte per odd n for every prime p that passes there (3, 5,
+7, 11 and 13 from a tiled pattern, n = p itself excepted), and n is a hit
+exactly where the byte reaches floor(8 log2 n) - 9: an odd n < 3e9 has at
+most 8 primes, so a product of passing primes equal to n sums to at least
+floor(8 log2 n) - 7, and any other, a divisor of n at most n / 3, to at
+most floor(8 log2 n) - 12.  It searches only the blocks whose largest
+byte reaches the bar of the block's own first n.  The two passes share
+that code and differ only in their step tables: the Korselt scan's holds
+the odd primes up to sqrt(hi) (each prime of a Carmichael number lies
+below sqrt(n)); the L_inf pass's holds those with m = rad(p - 1), plus
+every prime P above sqrt(hi) with P (1 + rad(P - 1)) < hi, as a member
+n = m P has m = 1 (mod rad(P - 1)) and m > 1 (_linf_steps).
+
+The count, the L_k lists and classify_range consume one classify scan.  A
+segmented uint32 totient sieve over the odd n supplies phi(n): it copies
+the first level of 3, 5, 7, 11 and 13 from two tiled patterns (the product
+of their inverses mod 2^32, which divides them out of the remainder
+exactly, and the product of their p - 1); then a walk over the odd base
+primes multiplies in p - 1 at the multiples of every other p and p at the
 multiples of each higher power, dividing p out of the remainder by a
-multiply with p^-1 mod 2^32.  Both scans apply such steps through one
-_apply_steps: a step that hits a segment more than _LOOP_HITS times
-takes a strided op, and the rest share a few op.at scatters, so a scan
-pays numpy's call overhead on few steps.  An odd n > 1 is prime exactly when
-phi(n) = n - 1, so the primes get index 1 from that compare alone.
-Every other odd n is settled in two steps.  First, an exclusion
-filter drops the odd n with q | phi(n) but q not dividing n-1 for some q in
-{3, 5, 7} (~72% of them near 10^7); only the composites left go to
-int64, where j <= 5 squarings compute (n-1)^(2^j) mod phi(n) with 2^j
-at least every bitlength(phi) - 1 (no prime exponent of phi(n) exceeds
-it).  A nonzero result certifies n is outside L_inf, and a zero puts n
-in L_(2^j); so only the ~0.07% of odd n that survive both (composites,
-and n = 1) take lehmer_index's own iteration acc <- acc * (n-1) mod
-phi(n), which reaches zero within 2^j <= 32 steps.  Carmichael numbers
+multiply with p^-1 mod 2^32.  The walk and both residue passes apply their
+steps through one _apply_steps: a step that hits a segment more than
+_LOOP_HITS times takes a strided op, and the rest share a few op.at
+scatters, so a scan pays numpy's call overhead on few steps.  An odd n > 1
+is prime exactly when phi(n) = n - 1, so the primes get index 1 from that
+compare alone; the L_inf pass finds the composite members (and n = 1 is
+one), and only those take lehmer_index's own iteration acc <- acc * (n-1)
+mod phi(n) to its first zero.  Every other odd n is outside L_inf.  Each
+scan plans once (its step tables, cached per limit for the classify scan,
+and buffers that every segment reuses, in segments an eighth as long for
+the classify scan as for the Korselt scan, so that both fill 2 MB), and
+each classify segment yields its prime mask and its few composite
+members, so only classify_range builds a per-n index.  Carmichael numbers
 come from one ascending Korselt scan, which enumerate_carmichael lists
-and alpha_search walks: it plans once (base primes, strides, one reused
-uint8 buffer), and each segment adds floor(8 log2 p) into one byte per
-odd n for every prime p that passes there (3, 5, 7, 11 and 13 from a
-tiled pattern), and searches only the blocks whose largest byte reaches
-floor(8 log2 n) - 9 at the block's own first n.  The count, the L_k
-lists and classify_range consume one classify scan, which also plans
-once (the walk's step table, cached per limit, and rem, phi and two
-masks that every segment reuses, in segments an eighth as long as the
-Korselt scan's, so that both fill 2 MB),
-and each segment yields its prime mask and the few composites that the
-iteration settles, so only classify_range builds a per-n index.  With a
-worker pool each worker scans one contiguous run of segments; results are
-merged in ascending order as they arrive, so they are identical for any
-worker count or segmentation.
+and alpha_search walks.  With a worker pool each worker scans one
+contiguous run of segments; results are merged in ascending order as
+they arrive, so they are identical for any worker count or segmentation.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import LimitExceededError, _Record, _as_natural, factorize
+from .arith import LimitExceededError, _Record, _as_natural, factorize, is_prime
 from .carmichael import AlphaNotFound, AlphaRecord, _alpha_record
 # Imported, not exported: bench/spans.py traces it as sieve.verify_alpha_entry.
 from .carmichael import verify_alpha_entry
@@ -87,12 +96,15 @@ _INT64_SAFE_HI = 3_000_000_000
 # 8.9-9.4 per odd value it sieves, rem and phi plus one run of
 # _apply_steps's scatter (9.9 on a first call near _INT64_SAFE_HI, which
 # builds the step table of its 5571 base primes); a classify scan of one
-# segment, of 10^6 or 5*10^5 values, at most 7.5 (_classify_arrays,
-# _histogram_scan, _lk_scan) or a Korselt scan 0.54-0.81 (0.81 on 10^6
-# values just below _INT64_SAFE_HI, whose plan holds 5571 base primes;
-# 4*10^6 values take 0.54-0.58; the first call of a process) per value of
-# hi - lo.  12 is at least 20% above each of these peaks.  A scan of many
-# segments allocates its buffers once, for its longest.
+# segment (_classify_arrays, _histogram_scan and _lk_scan alike), rem,
+# phi, the prime mask, the log buffer and one scatter run, 6.1-6.6 on
+# 10^6 values and 6.5-7.8 on 5*10^5 (7.8 just below _INT64_SAFE_HI, where
+# the scan builds _linf_steps's 14 143 primes before its buffers); or a
+# Korselt scan 0.54-0.81 (0.81 on 10^6 values just below _INT64_SAFE_HI,
+# whose plan holds 5571 base primes; 4*10^6 values take 0.54-0.58) per
+# value of hi - lo, each on the first call of a process.  12 is at least
+# 20% above each of these peaks.  A scan of many segments allocates its
+# buffers once, for its longest.
 _BYTES_PER_VALUE = 12
 
 # A direct totient_sieve call sieves at most this many odd values (512 MiB
@@ -150,36 +162,32 @@ def base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-# 3, 5, 7, 11 and 13 enter both sieves from cached patterns, which each
+# 3, 5, 7, 11 and 13 enter every scan from cached patterns, which each
 # segment copies (_fill_tiled) instead of taking a strided pass per prime.
-# Their log weights in the Korselt scan repeat with period lcm(p(p-1)/2) =
-# 30030 in odd-index space, 30 KB of uint8.  On a 4*10^6-value segment
-# near 4e7, a copy took 0.06 ms against 0.61-0.64 ms for the five strided
-# adds; adding 17 made the period 2 042 040, whose copy took 0.15 ms
-# against 0.09 ms for the 30030 copy plus 17's own add.  Their first
-# level in the totient sieve (which of them divide n) repeats with period
-# 3*5*7*11*13 = 15015.
+# Their log weights in a residue pass repeat with period lcm(p m(p) / 2) in
+# odd-index space: 30030 (30 KB of uint8) for Korselt's m = p - 1, 15015
+# for L_inf's m = rad(p - 1).  On a 4*10^6-value Korselt segment near 4e7,
+# a copy took 0.06 ms against 0.61-0.64 ms for the five strided adds;
+# adding 17 made the period 2 042 040, whose copy took 0.15 ms against 0.09
+# ms for the 30030 copy plus 17's own add.  Their first level in the
+# totient sieve (which of them divide n) repeats with period 3*5*7*11*13 =
+# 15015.
 _TILED_PRIMES = (3, 5, 7, 11, 13)
-_PATTERN_PERIOD = math.lcm(*(p * (p - 1) // 2 for p in _TILED_PRIMES))
 _TOTIENT_PERIOD = math.prod(_TILED_PRIMES)
+# rad(t - 1) for each t of _TILED_PRIMES, their m in the L_inf pass.
+_TILED_RAD = (2, 2, 6, 10, 6)
 
 
 @functools.cache
-def _inverse32(p: int) -> np.uint32:
-    """p^-1 mod 2^32 for odd p: a uint32 multiple of p times it is the
-    exact quotient.  Cached, as the exclusion filter asks for it in every
-    segment; its arguments are _TILED_PRIMES and _EXCLUSION_PRIMES."""
-    return np.uint32(pow(p, -1, 1 << 32))
-
-
-@functools.cache
-def _tiled_pattern() -> np.ndarray:
-    """The log weights _TILED_PRIMES contribute to the Korselt scan at the
-    odd n = 2j + 1, by j mod _PATTERN_PERIOD; n = p itself is included."""
-    pattern = np.zeros(_PATTERN_PERIOD, dtype=np.uint8)
-    for p in _TILED_PRIMES:
-        # n = p (mod p(p-1)) for n = 2j + 1 is j = (p-1)/2 (mod p(p-1)/2).
-        pattern[(p - 1) // 2 :: p * (p - 1) // 2] += _log8(p)
+def _tiled_pattern(moduli: tuple[int, ...]) -> np.ndarray:
+    """The log weights _TILED_PRIMES add in a residue pass where p passes at
+    the odd n = 2j + 1 = p (mod p m), m being p's entry of ``moduli``, by j
+    mod the lcm of their strides p m / 2; n = p itself is included."""
+    strides = [p * m // 2 for p, m in zip(_TILED_PRIMES, moduli)]
+    pattern = np.zeros(math.lcm(*strides), dtype=np.uint8)
+    for p, h in zip(_TILED_PRIMES, strides):
+        # n = p (mod p m) for n = 2j + 1 is j = (p-1)/2 (mod p m / 2).
+        pattern[(p - 1) // 2 :: h] += _log8(p)
     pattern.flags.writeable = False
     return pattern
 
@@ -192,7 +200,7 @@ def _totient_patterns() -> tuple[np.ndarray, np.ndarray]:
     totient = np.ones(_TOTIENT_PERIOD, dtype=np.uint32)
     for p in _TILED_PRIMES:
         # p | 2j + 1 is j = (p-1)/2 (mod p).
-        inverse[(p - 1) // 2 :: p] *= _inverse32(p)
+        inverse[(p - 1) // 2 :: p] *= np.uint32(pow(p, -1, 1 << 32))
         totient[(p - 1) // 2 :: p] *= p - 1
     inverse.flags.writeable = False
     totient.flags.writeable = False
@@ -403,28 +411,137 @@ def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveS
     return SieveSegment(lo, hi, phi)
 
 
-# q | phi(n) with q not dividing n - 1 puts n outside L_inf: q never
-# divides (n-1)^k.  This settles ~72% of odd n near 10^7 before any int64
-# work; on count_table(10^7), dropping 7 was slower and adding 11 or 13
-# gained nothing measurable.
-_EXCLUSION_PRIMES = (3, 5, 7)
+# The least n with n^8 >= 2^k, floor((2^k - 1)^(1/8)) + 1, for k = 1..255:
+# the edges at most n count floor(8 log2 n) for every n below 3.9e9.
+_LOG_EDGES = np.array([math.isqrt(math.isqrt(math.isqrt((1 << k) - 1))) + 1
+                       for k in range(1, 256)], dtype=np.uint32)
 
 
-def _may_be_in_linf(phi: np.ndarray, first: int, keep: np.ndarray,
-                    prod: np.ndarray, ok: np.ndarray) -> None:
-    """Set the mask ``keep`` over the odd n = first + 2i: False where some q
-    in _EXCLUSION_PRIMES divides phi(n) (uint32) but not n - 1.  ``prod``
-    (uint32) and ``ok`` (bool) are scratch of the same size."""
-    for j, q in enumerate(_EXCLUSION_PRIMES):
-        # The first q writes keep itself, the others go through ok.
-        out = ok if j else keep
-        # For odd q, phi * q^-1 mod 2^32 <= (2^32 - 1) // q iff q | phi.
-        np.multiply(phi, _inverse32(q), out=prod)
-        np.greater(prod, np.uint32(0xFFFFFFFF // q), out=out)
-        # The n = 1 (mod q) are every q-th entry, from i = (1 - first) / 2 mod q.
-        out[(1 - first) * pow(2, -1, q) % q :: q] = True
-        if j:
-            keep &= ok
+def _log8(n) -> np.ndarray:
+    """floor(8 log2 n) as uint8, for each 1 <= n < 3.9e9: a residue pass's
+    log weight of a prime n, and its bar plus 9."""
+    return np.searchsorted(_LOG_EDGES, n, side="right").astype(np.uint8)
+
+
+def _korselt_bar(n: np.ndarray) -> np.ndarray:
+    """floor(8 log2 n) - 9 as uint8, for each n >= 3: the bar of both
+    residue passes (_residue_hits)."""
+    return _log8(n) - np.uint8(9)
+
+
+# The bar rises with n, so the hit search looks inside only the blocks of
+# _BLOCK entries whose maximum reaches the bar of their own first n.  On
+# five 4*10^6-value segments from 4e7, a segment took 0.44 ms at 4096 and
+# 8192, 0.45 at 16384, 0.48 at 2048 and 0.49 at 1024 (medians of 8 rounds).
+_BLOCK = 4096
+_BLOCK_STEPS = np.arange(0, 2 * _BLOCK, 2, dtype=np.uint32)
+
+
+class _ResidueSteps(NamedTuple):
+    """A residue pass's step table (_residue_steps): the tiled pattern of
+    _TILED_PRIMES, then for each other prime p its log weight, the odd
+    index of its first hit and its stride in odd-index space."""
+
+    tile: np.ndarray
+    weight: np.ndarray
+    first_hit: np.ndarray
+    stride: np.ndarray
+
+
+def _residue_steps(p: np.ndarray, m: np.ndarray, tiled: tuple[int, ...]) -> _ResidueSteps:
+    """The steps of a residue pass in which each prime p of ``p``, with its
+    m of ``m`` (an even divisor of p - 1), passes at the odd n = p (mod p m),
+    and _TILED_PRIMES with theirs, ``tiled``, come from their pattern.
+    n = p (mod p m) is "p | n and m | n - 1", as m is prime to p."""
+    # p (1 + m) is the first n != p in p's class.
+    return _ResidueSteps(_tiled_pattern(tiled), _log8(p), p * (1 + m) // 2, p * m // 2)
+
+
+def _log_buffer(bounds: list[tuple[int, int]]) -> np.ndarray:
+    """_residue_hits's uint8 buffer for the longest of ``bounds``, padded to
+    whole blocks of _BLOCK entries."""
+    longest = max(len(range(max(lo, 2) | 1, hi, 2)) for lo, hi in bounds)
+    return np.empty(-(-longest // _BLOCK) * _BLOCK, dtype=np.uint8)
+
+
+def _residue_hits(steps: _ResidueSteps, buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The odd n >= 3 in [lo, hi) at which the primes that pass by ``steps``
+    multiply to n, ascending, as uint32; ``buf`` is a _log_buffer.
+
+    Each passing prime adds its log weight floor(8 log2 p) to n's byte.
+    The passing primes are distinct primes of n, and an odd n < 3e9 has at
+    most 8 (3 * 5 * ... * 29 > 3e9), so the byte lies in (8 log2 prod - 8,
+    8 log2 prod], below 252, and never wraps.  prod == n gives at least
+    floor(8 log2 n) - 7; any other prod, a proper divisor of the odd n and
+    so at most n / 3, gives at most floor(8 log2 n) - 12.  So n is a hit
+    exactly where its byte reaches _korselt_bar(n) = floor(8 log2 n) - 9.
+    _TILED_PRIMES come from the tiled pattern (n = p taken out again), and
+    the other steps add theirs through one _apply_steps call.  Each block
+    of _BLOCK entries is then screened against the bar of its own first n.
+    """
+    first = max(lo, 2) | 1  # n = 1 has no primes and a bar below 0
+    length = len(range(first, hi, 2))
+    j0 = first // 2
+    _fill_tiled(buf, j0, length, steps.tile)
+    for t in _TILED_PRIMES:
+        if first <= t < hi:  # n = t itself is prime
+            buf[(t - first) // 2] -= _log8(t)
+
+    _apply_steps(np.add, (buf[:length],), (steps.weight,), steps.first_hit, steps.stride, j0)
+
+    size = -(-length // _BLOCK) * _BLOCK
+    # The last block's pad may hold np.empty garbage or stale sums.
+    buf[length:size] = 0
+    blocks = buf[:size].reshape(-1, _BLOCK)
+    # n < hi + 2 * _BLOCK < 2^32 stays inside uint32.
+    head = np.arange(first, first + 2 * size, 2 * _BLOCK, dtype=np.uint32)
+    bar = _korselt_bar(head)
+    rows = np.flatnonzero(blocks.max(axis=1) >= bar)
+    # Only the entries at their block's bar or above can reach their own.
+    acc = blocks[rows]
+    r, i = np.divmod(np.flatnonzero(acc >= bar[rows, None]), _BLOCK)
+    n = head[rows[r]] + _BLOCK_STEPS[i]
+    return n[acc[r, i] >= _korselt_bar(n)]
+
+
+@functools.lru_cache(maxsize=8)
+def _linf_steps(top: int) -> _ResidueSteps:
+    """The L_inf pass's steps for every hi <= top: each prime p > 13 with
+    p (1 + rad(p - 1)) < top, with m = rad(p - 1).  That holds for every
+    p <= sqrt(top - 1), as rad(p - 1) < p, and a prime P above it can lie
+    in a member n < top only so: n = m P with m = 1 (mod rad(P - 1)) and
+    m > 1 gives n >= P (1 + rad(P - 1)).  A depth-first walk finds them
+    all, over the even M = p - 1 with (M + 1)(rad(M) + 1) < top: it adds
+    each odd prime's powers in ascending order of the primes, stops where
+    the bound fails (it grows with every factor), and tests each M + 1 with
+    is_prime above sqrt(top - 1).  Cached per top, so that repeated runs to
+    one limit build it once; the arrays are read-only.
+    """
+    root = math.isqrt(top - 1)
+    odd = base_primes(root)[1:].tolist()
+    small = set(odd)
+    found = []
+    # (M, rad(M), i): the walk extends M by powers of odd[i] and above.  An
+    # odd prime q of M has (2q + 1)^2 < top, so odd holds every one.
+    stack = [(1 << a, 2, 0) for a in range(1, top.bit_length()) if ((1 << a) + 1) * 3 < top]
+    while stack:
+        even, r, i = stack.pop()
+        p = even + 1
+        if p > _TILED_PRIMES[-1] and (p in small if p <= root else is_prime(p)):
+            found.append((p, r))
+        for j in range(i, len(odd)):
+            q = odd[j]
+            if (even * q + 1) * (r * q + 1) >= top:
+                break
+            eq = even * q
+            while (eq + 1) * (r * q + 1) < top:
+                stack.append((eq, r * q, j + 1))
+                eq *= q
+    p, m = np.array(sorted(found), dtype=np.int64).reshape(-1, 2).T
+    steps = _residue_steps(p, m, _TILED_RAD)
+    for a in steps:
+        a.flags.writeable = False
+    return steps
 
 
 class _Classified(NamedTuple):
@@ -439,35 +556,16 @@ class _Classified(NamedTuple):
     index: np.ndarray
 
 
-def _lehmer_indexes(phi: np.ndarray, first: int,
-                    pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The odd n = first + 2 pos that lie in L_inf, as (positions, indexes).
-
-    j squarings of n - 1 mod phi in int64, with 2^j >= the largest cutoff
-    bitlength(phi) - 1 among them (at most 31, as phi < 2^32), come first:
-    no prime exponent of phi exceeds its cutoff, so phi divides some
-    (n-1)^k exactly when it divides (n-1)^(2^j), and a nonzero result
-    certifies index 0.  A zero puts n in L_(2^j), so each survivor's
-    index comes from lehmer_index's own loop (_power_index) within 2^j
-    steps.
-    """
+def _lehmer_indexes(phi: np.ndarray, first: int, pos: np.ndarray) -> np.ndarray:
+    """The Lehmer indexes of the odd n = first + 2 pos, all of them in
+    L_inf, as uint8: lehmer_index's own loop (_power_index) on (n - 1) mod
+    phi(n), to its first zero."""
     ph = phi[pos].astype(np.int64)
     # Every operand is >= 0 and phi >= 1, so the truncating fmod equals %.
-    base_val = 2 * pos
-    base_val += first - 1
-    np.fmod(base_val, ph, out=base_val)
-
-    # The cutoff grows with phi, so the largest is that of ph.max() (-1
-    # when nothing is left, and then there is nothing to square).
-    top_cut = int(ph.max(initial=0)).bit_length() - 1
-    # sq < phi < hi <= _INT64_SAFE_HI keeps sq * sq inside int64.
-    sq = base_val.copy()
-    for _ in range((top_cut - 1).bit_length()):
-        sq *= sq
-        np.fmod(sq, ph, out=sq)
-    keep = np.flatnonzero(sq == 0)
-    index = map(_power_index, base_val[keep].tolist(), ph[keep].tolist())
-    return pos[keep], np.fromiter(index, dtype=np.uint8, count=keep.size)
+    base = 2 * pos + (first - 1)
+    np.fmod(base, ph, out=base)
+    index = map(_power_index, base.tolist(), ph.tolist())
+    return np.fromiter(index, dtype=np.uint8, count=pos.size)
 
 
 def _classify_scan(bounds: list[tuple[int, int]]) -> Iterator[_Classified]:
@@ -475,32 +573,41 @@ def _classify_scan(bounds: list[tuple[int, int]]) -> Iterator[_Classified]:
     _Classified per segment, whose arrays stay valid until the next one.
 
     The plan is made once per scan: _walk_steps up to sqrt of the last hi,
-    and the rem and phi buffers of totient_sieve, a keep and a prime mask,
-    all sized to the longest segment.  The totients cover the odd n only:
-    even n above 2 are settled without them (phi even, n-1 odd), and 2
-    has index 1.  The odd n with phi(n) = n - 1 are exactly the odd
-    primes, index 1; _may_be_in_linf excludes most other odd n; only the
-    few left go to _lehmer_indexes.
+    _linf_steps for it, the rem and phi buffers of totient_sieve and a
+    prime mask, sized to the longest segment, and a _log_buffer.  The
+    totients cover the odd n only: even n above 2 are settled without them
+    (phi even, n-1 odd), and 2 has index 1.  The odd n with phi(n) = n - 1
+    are exactly the odd primes, index 1.  An odd composite n lies in L_inf
+    exactly when it is squarefree with rad(p - 1) | n - 1, that is n = p
+    (mod p rad(p - 1)), for each of its primes p: then those primes
+    multiply to n, and their log sum reaches floor(8 log2 n) - 7, while at
+    any other n the primes that pass multiply to at most n / 3 and sum to
+    at most floor(8 log2 n) - 12 (_residue_hits).  A member's prime P
+    above sqrt(hi) has P (1 + rad(P - 1)) <= n < hi, and _linf_steps holds
+    every such P, so the pass's hits are exactly the composite members.
+    n = 1 is one more, with index 1; only they go to _lehmer_indexes.
     """
     if not bounds:  # limit 1 leaves no segment
         return
+    top = bounds[-1][1]
+    # Built before the buffers, so that the walk's lists are freed first.
+    steps = _linf_steps(top)
     longest = max(len(range(lo | 1, hi, 2)) for lo, hi in bounds)
-    plan = _sieve_plan(bounds[-1][1], longest)
-    keep = np.empty(longest, dtype=bool)
+    plan = _sieve_plan(top, longest)
+    logs = _log_buffer(bounds)
     prime = np.empty(longest, dtype=bool)
     for lo, hi in bounds:
         # Through the module global, which the benchmark's tracer swaps.
         seg = totient_sieve(lo, hi, plan=plan)
         phi, first = seg.phi, seg.first
         # totient_sieve is done with rem, so it serves as scratch here.
-        work, kp, pr = plan.rem[: phi.size], keep[: phi.size], prime[: phi.size]
-        _may_be_in_linf(phi, first, kp, work, pr)
+        work, pr = plan.rem[: phi.size], prime[: phi.size]
         _fill_steps(work, first - 1)
         np.equal(phi, work, out=pr)
-        # keep and not prime, in place.
-        np.greater(kp, pr, out=kp)
-        pos, index = _lehmer_indexes(phi, first, np.flatnonzero(kp))
-        yield _Classified(seg, pr, pos, index)
+        pos = (_residue_hits(steps, logs, lo, hi).astype(np.int64) - first) // 2
+        if first == 1:  # phi(1) = 1 divides (1 - 1)^1
+            pos = np.concatenate(([0], pos))
+        yield _Classified(seg, pr, pos, _lehmer_indexes(phi, first, pos))
 
 
 def _dense_index(c: _Classified) -> np.ndarray:
@@ -666,31 +773,6 @@ def enumerate_Lk_composites(limit, k: int, *, workers: int = 1) -> list[int]:
     return out
 
 
-# The least n with n^8 >= 2^k, floor((2^k - 1)^(1/8)) + 1, for k = 1..255:
-# the edges at most n count floor(8 log2 n) for every n below 3.9e9.
-_LOG_EDGES = np.array([math.isqrt(math.isqrt(math.isqrt((1 << k) - 1))) + 1
-                       for k in range(1, 256)], dtype=np.uint32)
-
-
-def _log8(n) -> np.ndarray:
-    """floor(8 log2 n) as uint8, for each 1 <= n < 3.9e9: the Korselt
-    scan's log weight of a prime n, and its bar plus 9."""
-    return np.searchsorted(_LOG_EDGES, n, side="right").astype(np.uint8)
-
-
-def _korselt_bar(n: np.ndarray) -> np.ndarray:
-    """floor(8 log2 n) - 9 as uint8, for each n >= 3 (_korselt_scan)."""
-    return _log8(n) - np.uint8(9)
-
-
-# The bar rises with n, so the hit search looks inside only the blocks of
-# _BLOCK entries whose maximum reaches the bar of their own first n.  On
-# five 4*10^6-value segments from 4e7, a segment took 0.44 ms at 4096 and
-# 8192, 0.45 at 16384, 0.48 at 2048 and 0.49 at 1024 (medians of 8 rounds).
-_BLOCK = 4096
-_BLOCK_STEPS = np.arange(0, 2 * _BLOCK, 2, dtype=np.uint32)
-
-
 def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     """Carmichael numbers of each of the ascending segments ``bounds``, by
     Korselt's criterion in residue form; one uint32 array per segment.
@@ -701,61 +783,22 @@ def _korselt_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     each prime p of a Carmichael n = p*m is below sqrt(n) (p-1 | m-1 gives
     m >= p, and m = p is not squarefree).  So n is a Carmichael number
     exactly when the odd p <= sqrt(hi-1) that pass at n, p = n excepted,
-    multiply to n.  Their product prod divides n, and each adds its log
-    weight floor(8 log2 p) to n's uint8 byte acc.  An odd n < 3e9 has at
-    most 8 primes (3 * 5 * ... * 29 > 3e9), so acc lies in
-    (8 log2 prod - 8, 8 log2 prod], below 252, and never wraps.  prod == n
-    gives acc >= floor(8 log2 n) - 7; any other prod, a proper divisor of
-    the odd n and so at most n / 3, gives acc <= floor(8 log2 n) - 12.  So
-    n is a hit exactly where acc reaches _korselt_bar(n) = floor(8 log2 n) - 9.
+    multiply to n, which _residue_hits decides exactly by log sums.
 
-    The plan is made once per scan: the base primes up to sqrt of the last
-    hi, their strides and log weights, one uint8 buffer that every segment
-    reuses and the offsets of its blocks of _BLOCK entries.  A prime p
-    never hits a segment below p^2, since n = p (mod p(p-1)) with n != p
-    forces n >= p + p(p-1) = p^2, so that one prime list is exact for every
-    segment.  In a segment, _TILED_PRIMES come from the tiled pattern (n = p
-    taken out again), and the others add theirs through one _apply_steps
-    call.  Each block is then screened against the bar of its own first n.
+    The plan is made once per scan: the base primes above _TILED_PRIMES up
+    to sqrt of the last hi, as residue steps with m = p - 1, and one
+    _log_buffer that every segment reuses.  A prime p never hits a segment
+    below p^2, since n = p (mod p(p-1)) with n != p forces n >= p + p(p-1)
+    = p^2, so that one prime list is exact for every segment.
     """
     if not bounds:  # limit 1 leaves no segment
         return
-    top = bounds[-1][1]
-    p = base_primes(math.isqrt(top - 1))
+    p = base_primes(math.isqrt(bounds[-1][1] - 1))
     p = p[p > _TILED_PRIMES[-1]]
-    weight = _log8(p)
-    stride = p * (p - 1) // 2
-    # The odd index of p^2, the first n != p with n = p (mod p(p-1)).
-    first_hit = (p * p - 1) // 2
-    longest = max(len(range(max(lo, 2) | 1, hi, 2)) for lo, hi in bounds)
-    buf = np.empty(-(-longest // _BLOCK) * _BLOCK, dtype=np.uint8)
-    # Block b's first n lies this far above the segment's first n.
-    block_offset = np.arange(0, 2 * buf.size, 2 * _BLOCK, dtype=np.uint32)
-
+    steps = _residue_steps(p, p - 1, tuple(t - 1 for t in _TILED_PRIMES))
+    buf = _log_buffer(bounds)
     for lo, hi in bounds:
-        first = max(lo, 2) | 1  # n = 1 has no primes and a bar below 0
-        length = len(range(first, hi, 2))
-        j0 = first // 2
-        _fill_tiled(buf, j0, length, _tiled_pattern())
-        for t in _TILED_PRIMES:
-            if first <= t < hi:  # n = t itself is prime
-                buf[(t - first) // 2] -= _log8(t)
-
-        _apply_steps(np.add, (buf[:length],), (weight,), first_hit, stride, j0)
-
-        size = -(-length // _BLOCK) * _BLOCK
-        # The last block's pad may hold np.empty garbage or stale sums.
-        buf[length:size] = 0
-        blocks = buf[:size].reshape(-1, _BLOCK)
-        # n < hi + 2 * _BLOCK < 2^32 stays inside uint32.
-        head = block_offset[: size // _BLOCK] + np.uint32(first)
-        bar = _korselt_bar(head)
-        rows = np.flatnonzero(blocks.max(axis=1) >= bar)
-        # Only the entries at their block's bar or above can reach their own.
-        acc = blocks[rows]
-        r, i = np.divmod(np.flatnonzero(acc >= bar[rows, None]), _BLOCK)
-        n = head[rows[r]] + _BLOCK_STEPS[i]
-        yield n[acc[r, i] >= _korselt_bar(n)]
+        yield _residue_hits(steps, buf, lo, hi)
 
 
 def _carmichael_numbers(limit: int) -> Iterator[int]:

@@ -106,20 +106,34 @@ MUTANTS = (
     Mutant("large-prime-fold", SIEVE,
            "    np.maximum(rem, 1, out=rem)\n", "",
            (f"{T_SIEVE}::TestTotientSieve::test_first_ten",)),
-    # The classify scan's filter and certificate.
-    Mutant("filter-residue", SIEVE,
-           "out[(1 - first) * pow(2, -1, q) % q :: q]",
-           "out[(first - 1) * pow(2, -1, q) % q :: q]",
-           (f"{T_SIEVE}::TestExclusionFilter::test_matches_linear_iteration",)),
-    Mutant("exclusion-bound", SIEVE,
-           "np.uint32(0xFFFFFFFF // q)", "np.uint32(0xFFFFFFFF // 3)",
-           (f"{T_SIEVE}::TestExclusionFilter::test_matches_linear_iteration",)),
-    Mutant("one-squaring-fewer", SIEVE,
-           "range((top_cut - 1).bit_length())", "range((top_cut - 1).bit_length() - 1)",
-           (f"{T_SIEVE}::TestSquaringCertificate::test_index_at_the_squaring_cutoff",)),
-    # The Korselt scan.
+    # The classify scan's residue pass with modulus p rad(p - 1).
+    # The primes above sqrt(hi) are dropped.
+    Mutant("linf-large-primes", SIEVE,
+           "else is_prime(p))", "else False)",
+           (f"{T_SIEVE}::TestLinfResiduePass::test_members_with_a_prime_above_the_root",
+            f"{T_SIEVE}::TestSquaringCertificate::test_index_at_the_squaring_cutoff")),
+    # Korselt's p - 1 in place of rad(p - 1) above the tiled primes.
+    Mutant("linf-modulus", SIEVE,
+           "found.append((p, r))", "found.append((p, even))",
+           (f"{T_SIEVE}::TestClassifyRange::test_composites_below_100",
+            f"{T_SIEVE}::TestLinfResiduePass::test_large_primes_match_rad_sieve")),
+    Mutant("linf-tiled-rad", SIEVE,
+           "_TILED_RAD = (2, 2, 6, 10, 6)", "_TILED_RAD = (2, 2, 6, 10, 12)",
+           (f"{T_SIEVE}::TestLinfResiduePass::test_windows_on_the_tile_seam",)),
+    # Each prime's first hit at n = p itself, in both residue passes.
+    Mutant("residue-first-hit", SIEVE,
+           "p * (1 + m) // 2", "p // 2",
+           (f"{T_SIEVE}::TestEnumerate::test_l2_composites",
+            f"{T_SIEVE}::TestEnumerate::test_carmichael_lists")),
+    Mutant("linf-one", SIEVE,
+           "        if first == 1:  # phi(1) = 1 divides (1 - 1)^1\n"
+           "            pos = np.concatenate(([0], pos))\n", "",
+           (f"{T_SIEVE}::TestClassifyRange::test_singletons",
+            f"{T_SIEVE}::TestCountTable::test_inf_always_present")),
+    # The hit search that both residue passes share, guarded through the
+    # Korselt scan.
     Mutant("korselt-pad", SIEVE,
-           "        buf[length:size] = 0\n", "",
+           "    buf[length:size] = 0\n", "",
            (f"{T_SIEVE}::TestKorseltResidueOracle::test_pad_ignores_buffer_garbage",)),
     Mutant("block-bar-up", SIEVE,
            "bar = _korselt_bar(head)", "bar = _korselt_bar(head + 2 * _BLOCK)",
@@ -127,9 +141,9 @@ MUTANTS = (
     Mutant("block-bar-strict", SIEVE,
            "blocks.max(axis=1) >= bar", "blocks.max(axis=1) > bar",
            (f"{T_SIEVE}::TestKorseltResidueOracle::test_hit_at_a_block_edge",),
-           survives="a Carmichael number's log sum is at least floor(8 log2 n) - 7, "
-                    "two above the bar of its block's first n, so no block that "
-                    "holds one has its maximum at the bar"),
+           survives="a hit's log sum, a Carmichael number's or an L_inf member's, is "
+                    "at least floor(8 log2 n) - 7, two above the bar of its block's "
+                    "first n, so no block that holds one has its maximum at the bar"),
     Mutant("korselt-tiled-prime", SIEVE,
            "buf[(t - first) // 2] -= _log8(t)", "buf[(t - first) // 2] -= 0",
            (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",)),
@@ -142,9 +156,10 @@ MUTANTS = (
            (f"{T_SIEVE}::TestEnumerate::test_carmichael_lists",
             f"{T_SIEVE}::TestKorseltLogBound::test_margins_at_every_carmichael_number_to_1e8",
             f"{T_SIEVE}::TestKorseltLogBound::test_margins_at_every_odd_n_below_2e5"),
-           survives="the proof lets a Carmichael number's log sum fall up to 7 "
-                    "below floor(8 log2 n), but none below 10^8 falls more than 4, "
-                    "so a bar 3 higher still admits every one that a test reaches"),
+           survives="the proof lets a hit's log sum fall up to 7 below "
+                    "floor(8 log2 n), but no Carmichael number and no L_inf "
+                    "composite below 10^8 falls more than 4, so a bar 3 higher "
+                    "still admits every one that a test reaches"),
     # The one floor(8 log2) of the weights and the bar, one too high.
     Mutant("log-weight", SIEVE,
            'side="right").astype(np.uint8)', 'side="right").astype(np.uint8) + 1',

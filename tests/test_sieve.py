@@ -23,17 +23,20 @@ from klehmer.sieve import (
     _DEFAULT_SEGMENT,
     _INT64_SAFE_HI,
     _LOOP_HITS,
-    _PATTERN_PERIOD,
     _RUN_SHARE,
     _TILED_PRIMES,
+    _TILED_RAD,
     _TOTIENT_PERIOD,
     _apply_steps,
     _classify_arrays,
+    _classify_scan,
+    _dense_index,
     _LOG_EDGES,
     _korselt_bar,
     _korselt_scan,
     _histogram_scan,
     _lehmer_indexes,
+    _linf_steps,
     _lk_scan,
     _log8,
     _segment_bounds,
@@ -469,8 +472,9 @@ def linear_index(lo: int, hi: int, phi: np.ndarray) -> np.ndarray:
 
 
 class TestSquaringCertificate:
-    """The squaring pre-filter must leave every index exactly as the
-    linear iteration alone computes it."""
+    """The classify scan leaves every index exactly as the linear iteration
+    alone computes it, at the edges of its range and where the index is
+    the cutoff itself."""
 
     @pytest.mark.parametrize("lo", [1, 10**7 - 10**4, 10**8 - 10**6, _INT64_SAFE_HI - 20_000])
     def test_matches_linear_iteration(self, lo):
@@ -480,10 +484,11 @@ class TestSquaringCertificate:
 
     @pytest.mark.parametrize("n", [1, 15, 255, 65535])
     def test_index_at_the_squaring_cutoff(self, n):
-        # A singleton window squares up to its own cutoff.  15, 255 and
-        # 65535 are products of Fermat primes: phi(n) = 2^c and the index
-        # is c, the cutoff itself, so one squaring fewer certifies them
-        # outside L_inf.  For n = 1 the window's largest phi is 1.
+        # 15, 255 and 65535 are products of Fermat primes: phi(n) = 2^c and
+        # the index is c, the cutoff bitlength(phi) - 1 itself.  255 = 3 * 5
+        # * 17 and 65535 = 3 * 5 * 17 * 257 have their largest prime above
+        # sqrt(n), so a singleton window finds them only through the L_inf
+        # pass's large primes.  n = 1 has index 1.
         idx = lehmer_index(n)
         assert idx.k == max(1, euler_phi(n).bit_length() - 1)
         assert list(classify_range(n, n + 1)) == [(n, idx)]
@@ -501,7 +506,9 @@ class TestPowerIndex:
     share, against exact powers rather than against itself."""
 
     def test_every_certified_member_near_1e7(self):
-        # All odd n of the window go through the certificate, primes too.
+        # Every odd n of the window with an index, primes too, by exact
+        # powers: the classify scan finds exactly these, and
+        # _lehmer_indexes gives each its index.
         lo, hi = 10**7 - 10**4, 10**7
         phi = totient_sieve(lo, hi).phi.astype(np.int64).tolist()
         first = lo | 1
@@ -510,8 +517,10 @@ class TestPowerIndex:
             k = least_power_index((first + 2 * i - 1) % ph, ph)
             if k:
                 expected[i] = k
-        pos, index = _lehmer_indexes(np.array(phi, dtype=np.uint32), first,
-                                     np.arange(len(phi)))
+        c = next(_classify_scan([(lo, hi)]))
+        assert set(np.flatnonzero(c.prime).tolist()) | set(c.pos.tolist()) == set(expected)
+        pos = np.array(sorted(expected))
+        index = _lehmer_indexes(np.array(phi, dtype=np.uint32), first, pos)
         assert dict(zip(pos.tolist(), index.tolist())) == expected
         composites = [i for i in expected if not is_prime(first + 2 * i)]
         assert len(composites) > 1 and max(expected.values()) > 2
@@ -523,8 +532,8 @@ class TestPowerIndex:
         # n = 1 and n = 2: phi = 1 divides base^1 = 0.
         assert _power_index(0, 1) == least_power_index(0, 1) == 1
         assert lehmer_index(1) == lehmer_index(2) == LehmerIndex.finite(1)
-        pos, index = _lehmer_indexes(np.array([1], dtype=np.uint32), 1, np.arange(1))
-        assert (pos.tolist(), index.tolist()) == ([0], [1])
+        index = _lehmer_indexes(np.array([1], dtype=np.uint32), 1, np.arange(1))
+        assert index.tolist() == [1]
 
 
 def assert_window_matches_linear(q: int, r: int, lo: int, w: int, lo_even: bool):
@@ -539,8 +548,10 @@ def assert_window_matches_linear(q: int, r: int, lo: int, w: int, lo_even: bool)
 
 
 class TestExclusionFilter:
-    """The 3·5·7 exclusion filter leaves every index as the linear iteration
-    alone computes it, whatever residue the window's first odd n has mod q."""
+    """The classify scan leaves every index as the linear iteration alone
+    computes it, whatever residue the window's first odd n has mod q: the
+    L_inf pass's tiled pattern holds 3, 5 and 7 with odd-index strides 3, 5
+    and 21."""
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     @pytest.mark.parametrize("r", [0, 1, 2])
@@ -560,6 +571,84 @@ class TestExclusionFilter:
            lo_even=st.booleans())
     def test_matches_linear_iteration_long(self, q, r, lo, w, lo_even):
         assert_window_matches_linear(q, r, lo, w, lo_even)
+
+
+def linf_primes_by_rad_sieve(top: int) -> list[tuple[int, int]]:
+    """(p, rad(p - 1)) for every prime p > 13 with p (1 + rad(p - 1)) < top,
+    ascending, from a radical sieve over 0..top // 3 and the conftest prime
+    mask: the reference for _linf_steps, sharing no code with it."""
+    limit = top // 3
+    mask = sieve_prime_mask(limit)
+    rad = np.ones(limit + 1, dtype=np.int64)
+    for q in np.flatnonzero(mask).tolist():
+        rad[q::q] *= q
+    p = np.flatnonzero(mask)
+    p = p[p > 13]
+    r = rad[p - 1]
+    keep = p * (1 + r) < top
+    return list(zip(p[keep].tolist(), r[keep].tolist()))
+
+
+def assert_window_matches_lehmer_index(lo: int, hi: int, top: int | None = None):
+    """The classify scan's indexes over [lo, hi), with the plan of a scan
+    whose last segment ends at ``top`` (hi when None), equal lehmer_index."""
+    bounds = [(lo, hi)] if top is None else [(lo, hi), (hi, top)]
+    c = next(_classify_scan(bounds))
+    index = _dense_index(c).tolist()
+    for n, ix in zip(range(lo, hi), index):
+        idx = lehmer_index(n)
+        assert ix == (idx.k if idx.is_finite else 0), n
+
+
+class TestLinfResiduePass:
+    """The classify scan's residue pass with modulus p rad(p - 1): its step
+    table, its tiled pattern and the members whose largest prime lies
+    above sqrt(hi), which only its large primes find."""
+
+    def test_tiled_rad(self):
+        assert _TILED_RAD == tuple(math.prod(trial_factorize(t - 1)) for t in _TILED_PRIMES)
+
+    @pytest.mark.parametrize("top", [10**6, 10**7 + 1])
+    def test_large_primes_match_rad_sieve(self, top):
+        steps = _linf_steps(top)
+        # first_hit = p (1 + m) // 2 and stride = p m / 2 give p and m back.
+        p = 2 * (steps.first_hit - steps.stride) + 1
+        m = 2 * steps.stride // p
+        expected = linf_primes_by_rad_sieve(top)
+        assert list(zip(p.tolist(), m.tolist())) == expected
+        assert steps.weight.tolist() == [floor_8_log2(q) for q, _ in expected]
+        large = [q for q, _ in expected if q > math.isqrt(top - 1)]
+        assert len(large) == {10**6: 196, 10**7 + 1: 617}[top]
+
+    @pytest.mark.parametrize("n, k", [
+        (3 * 65537, 17), (5 * 65537, 9), (3 * 5 * 17 * 257, 15), (3 * 257, 9),
+    ])
+    def test_members_with_a_prime_above_the_root(self, n, k):
+        assert max(trial_factorize(n)) > math.isqrt(n)
+        assert lehmer_index(n) == LehmerIndex.finite(k)
+        assert list(classify_range(n, n + 1)) == [(n, LehmerIndex.finite(k))]
+        assert_window_matches_lehmer_index(n - 600, n + 600)
+
+    def test_window_below_the_int64_ceiling(self):
+        # 2999699977 = 2029 * 1478413 lies in L_8, its prime 1478413 far
+        # above sqrt(3e9); the plan is the one for hi = _INT64_SAFE_HI.
+        n = 2_999_699_977
+        assert trial_factorize(n) == {2029: 1, 1478413: 1}
+        assert lehmer_index(n) == LehmerIndex.finite(8)
+        assert_window_matches_lehmer_index(n - 1500, n + 1500, _INT64_SAFE_HI)
+
+    @pytest.mark.parametrize("m", [0, 1, 33])
+    @pytest.mark.parametrize("r", [0, 1, _TOTIENT_PERIOD - 1])
+    def test_windows_on_the_tile_seam(self, m, r):
+        # The pattern of 3, 5, 7, 11 and 13 repeats with period 15015 in
+        # odd-index space, and the window's first odd index is r mod it: a
+        # short window against lehmer_index, one of four periods against
+        # the linear iteration alone.
+        first = 2 * (m * _TOTIENT_PERIOD + r) + 1
+        short, long = first + 3000, first + 2 * (4 * _TOTIENT_PERIOD + 100)
+        assert_window_matches_lehmer_index(first, short)
+        _, index = _classify_arrays(first, long)
+        assert np.array_equal(index, linear_index(first, long, totient_sieve(first, long).phi))
 
 
 class TestCountTable:
@@ -852,6 +941,10 @@ class TestKorseltLogBound:
         assert assert_log_margins(n, trial_factorize(n)) == korselt_test(n)
 
 
+# The period of the Korselt scan's tiled pattern in odd-index space.
+KORSELT_PERIOD = math.lcm(*(p * (p - 1) // 2 for p in _TILED_PRIMES))
+
+
 class TestKorseltResidueOracle:
     """_korselt_scan against the int64 residue product."""
 
@@ -894,14 +987,14 @@ class TestKorseltResidueOracle:
         assert got == korselt_residue_product_int64(lo, hi)
 
     @pytest.mark.parametrize("m", [0, 1, 33])
-    @pytest.mark.parametrize("r", [0, 1, _PATTERN_PERIOD - 1])
+    @pytest.mark.parametrize("r", [0, 1, KORSELT_PERIOD - 1])
     def test_windows_on_the_pattern_seam(self, m, r):
         # The first odd index (n - 1) / 2 of the window is r mod the
         # pattern's period: a short window against trial division, and one
         # of four periods, which the scan fills by doubling copies, against
         # the int64 product.
-        first = 2 * (m * _PATTERN_PERIOD + r) + 1
-        short, long = first + 3000, first + 2 * (4 * _PATTERN_PERIOD + 100)
+        first = 2 * (m * KORSELT_PERIOD + r) + 1
+        short, long = first + 3000, first + 2 * (4 * KORSELT_PERIOD + 100)
         assert (next(_korselt_scan([(first, short)])).tolist()
                 == korselt_by_trial_division(first, short))
         assert (next(_korselt_scan([(first, long)])).tolist()
@@ -1069,7 +1162,7 @@ class TestSegmentMemory:
         # Most blocks below 10^6 hold a log sum above the bar of the
         # segment's first n, 3; only those that hold a Carmichael number
         # reach the bar of their own first n.  One byte per odd n is half a
-        # byte per value; 0.81 was measured.
+        # byte per value; 0.83 was measured, on the first call of a process.
         lo, hi = 2, 10**6 + 2
         tracemalloc.start()
         try:
@@ -1083,8 +1176,8 @@ class TestSegmentMemory:
     def test_korselt_scan_charged_once(self):
         # A scan of 50 segments holds one plan and one buffer, sized by the
         # segment and not by the range: a byte for each of the 5 * 10^6 odd
-        # n below 10^7 would take 5 MB.  1.32 per value of a segment was
-        # measured.
+        # n below 10^7 would take 5 MB.  1.40 per value of a segment was
+        # measured, on the first call of a process.
         size = 200_000
         tracemalloc.start()
         try:
@@ -1123,9 +1216,10 @@ class TestSegmentMemory:
         assert peak <= _BYTES_PER_VALUE * _DEFAULT_SEGMENT // 8
 
     def test_count_scan_charged_once(self):
-        # A count of 5 segments holds one plan: the rem and phi buffers and
-        # two masks, sized by the segment and not by the range.  A classify
-        # scan takes an eighth of the Korselt scan's segment.
+        # A count of 5 segments holds one plan: the rem and phi buffers, the
+        # prime mask and the log buffer, sized by the segment and not by the
+        # range.  A classify scan takes an eighth of the Korselt scan's
+        # segment.
         size = 200_000
         tracemalloc.start()
         try:

@@ -17,8 +17,8 @@ from . import arith, carmichael, lehmer
 _LAZY = {
     **dict.fromkeys(("ClassificationReport", "classification_report", "emit_bfile"), "cli"),
     **dict.fromkeys((
-        "SieveSegment", "CountTable", "base_primes", "totient_sieve", "classify_range",
-        "count_table", "enumerate_Lk_composites", "enumerate_carmichael", "alpha_search",
+        "CountTable", "classify_range", "count_table", "enumerate_Lk_composites",
+        "enumerate_carmichael", "alpha_search",
     ), "sieve"),
 }
 

@@ -59,7 +59,9 @@ __all__ = [
 
 
 # chernick --m-max classifies every m up to it and holds every candidate
-# until it prints: 10^5 takes 9.2 s and 330 MiB for k = 3 on one core.
+# until it prints, so the bound caps the command's time and memory
+# (ROADMAP, "Measured and set aside": "A chernick --m-max above 10^5";
+# TestChernick::test_m_max_ceiling_is_inclusive pins it).
 _CHERNICK_M_MAX = 10**5
 
 

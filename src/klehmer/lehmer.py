@@ -125,14 +125,17 @@ def lehmer_index(n) -> LehmerIndex:
 
 
 def _power_index(base: int, phi: int) -> int:
-    """Least k >= 1 with base^k = 0 (mod phi), for 0 <= base < phi and a
-    base with such a k: one multiplication at a time, to the first zero.
-    The bulk path runs its certified members through it as well."""
-    acc, k = base, 1
-    while acc:
+    """Least k >= 1 with base^k = 0 (mod phi), for 0 <= base < phi: one
+    multiplication at a time, to the first zero.  A finite index is below
+    bitlength(phi), so the loop stops there and gives 0 when base has none,
+    which a member never does.  The bulk path runs its certified members
+    through it as well; a wrong totient there reads 0, not a hang."""
+    acc = base
+    for k in range(1, phi.bit_length() + 1):
+        if not acc:
+            return k
         acc = acc * base % phi
-        k += 1
-    return k
+    return 0
 
 
 def in_Lk_valuation(n, k: int) -> bool:

@@ -26,7 +26,7 @@ that code and differ only in their step tables: the Korselt scan's holds
 the odd primes up to sqrt(hi) (each prime of a Carmichael number lies
 below sqrt(n)); the L_inf pass's holds those with m = rad(p - 1), plus
 every prime P above sqrt(hi) with P (1 + rad(P - 1)) < hi, as a member
-n = m P has m = 1 (mod rad(P - 1)) and m > 1 (_linf_steps).
+n = m P has m = 1 (mod rad(P - 1)) and m > 1 (_classify_steps).
 
 The count, the L_k lists and classify_range consume one classify scan.  A
 segmented uint32 totient sieve over the odd n supplies phi(n): it copies
@@ -43,7 +43,7 @@ is prime exactly when phi(n) = n - 1, so the primes get index 1 from that
 compare alone; the L_inf pass finds the composite members (and n = 1 is
 one), and only those take lehmer_index's own iteration acc <- acc * (n-1)
 mod phi(n) to its first zero.  Every other odd n is outside L_inf.  Each
-scan plans once (its step tables, cached per limit for the classify scan,
+scan plans once (its step tables, cached per root for the classify scan,
 and buffers that every segment reuses, in segments an eighth as long for
 the classify scan as for the Korselt scan, so that both fill 2 MB), and
 each classify segment yields its prime mask and its few composite
@@ -66,15 +66,14 @@ import numpy as np
 
 from .arith import LimitExceededError, _Record, _as_natural, factorize, is_prime
 from .carmichael import AlphaNotFound, AlphaRecord, _alpha_record
-# Imported, not exported: bench/spans.py traces it as sieve.verify_alpha_entry.
 from .carmichael import verify_alpha_entry
 from .lehmer import _INDEXES, K_CAP, LehmerIndex, _power_index
 
+# SieveSegment, totient_sieve and base_primes keep these names, unexported,
+# and verify_alpha_entry stays imported: bench/spans.py traces and reads
+# them under sieve's name, and bench/run.py times base_primes.
 __all__ = [
-    "SieveSegment",
     "CountTable",
-    "base_primes",
-    "totient_sieve",
     "classify_range",
     "count_table",
     "enumerate_Lk_composites",
@@ -91,34 +90,22 @@ _DEFAULT_SEGMENT = 4_000_000
 # acc * (n-1) must stay inside int64: hi^2 < 2^63 caps hi at ~3.03e9.
 _INT64_SAFE_HI = 3_000_000_000
 
-# Peak bytes (tracemalloc on 10^6 segments at 10^7, 9.9e7 and just below
-# _INT64_SAFE_HI, checked by the tests): a direct totient_sieve call
-# 8.9-9.4 per odd value it sieves, rem and phi plus one run of
-# _apply_steps's scatter (9.9 on a first call near _INT64_SAFE_HI, which
-# builds the step table of its 5571 base primes); a classify scan of one
-# segment (_classify_arrays, _histogram_scan and _lk_scan alike), rem,
-# phi, the prime mask, the log buffer and one scatter run, 6.1-6.6 on
-# 10^6 values and 6.5-7.8 on 5*10^5 (7.8 just below _INT64_SAFE_HI, where
-# the scan builds _linf_steps's 14 143 primes before its buffers); or a
-# Korselt scan 0.54-0.81 (0.81 on 10^6 values just below _INT64_SAFE_HI,
-# whose plan holds 5571 base primes; 4*10^6 values take 0.54-0.58) per
-# value of hi - lo, each on the first call of a process.  12 is at least
-# 20% above each of these peaks.  A scan of many segments allocates its
+# A classify segment's traced peak per value of hi - lo, on the first call
+# of a process: rem, phi, the log buffer (which then holds the prime
+# mask), one scatter run of _apply_steps or the hit search's copy of its
+# blocks, and the step tables when the call builds them.  TestSegmentMemory
+# pins it, per odd value for the segment's totients, and a Korselt scan
+# below one byte per value.  A scan of many segments allocates its
 # buffers once, for its longest.
 _BYTES_PER_VALUE = 12
 
-# A direct totient_sieve call sieves at most this many odd values (512 MiB
-# at _BYTES_PER_VALUE each), so hi - lo up to twice it; bulk segments are at
-# most _DEFAULT_SEGMENT values, far below.
-_SIEVE_MAX_ODD = (512 << 20) // _BYTES_PER_VALUE
-
 
 class SieveSegment(_Record):
-    """Totients of the odd n in [lo, hi).
+    """Totients of the odd n in [lo, hi), one segment of a classify scan.
 
     Entry i belongs to n = first + 2i, first being the first odd n >= lo.
-    ``phi`` is uint32 (every n is below _INT64_SAFE_HI < 2^32).  In a
-    scan it is a view of the scan's buffer, overwritten by the next segment.
+    ``phi`` is uint32 (every n is below _INT64_SAFE_HI < 2^32), a view of
+    the scan's buffer, overwritten by the next segment.
     """
 
     lo: int
@@ -145,13 +132,8 @@ class CountTable(_Record):
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """All primes <= limit.  Raises LimitExceededError, before allocating,
-    above 2 * _SIEVE_MAX_ODD, the largest hi - lo of one totient_sieve."""
+    """All primes <= limit, as int64."""
     limit = _as_natural(limit, name="limit")
-    if limit > 2 * _SIEVE_MAX_ODD:
-        raise LimitExceededError(
-            f"limit {limit} is too large for one sieve; use limit <= {2 * _SIEVE_MAX_ODD}"
-        )
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -166,12 +148,10 @@ def base_primes(limit: int) -> np.ndarray:
 # segment copies (_fill_tiled) instead of taking a strided pass per prime.
 # Their log weights in a residue pass repeat with period lcm(p m(p) / 2) in
 # odd-index space: 30030 (30 KB of uint8) for Korselt's m = p - 1, 15015
-# for L_inf's m = rad(p - 1).  On a 4*10^6-value Korselt segment near 4e7,
-# a copy took 0.06 ms against 0.61-0.64 ms for the five strided adds;
-# adding 17 made the period 2 042 040, whose copy took 0.15 ms against 0.09
-# ms for the 30030 copy plus 17's own add.  Their first level in the
-# totient sieve (which of them divide n) repeats with period 3*5*7*11*13 =
-# 15015.
+# for L_inf's m = rad(p - 1).  A copy beats the five strided adds, and 17
+# stays out, as its period would be 2 042 040 (ROADMAP, "Measured and set
+# aside": "Larger Korselt tiles").  Their first level in the totient sieve
+# (which of them divide n) repeats with period 3*5*7*11*13 = 15015.
 _TILED_PRIMES = (3, 5, 7, 11, 13)
 _TOTIENT_PERIOD = math.prod(_TILED_PRIMES)
 # rad(t - 1) for each t of _TILED_PRIMES, their m in the L_inf pass.
@@ -195,9 +175,10 @@ def _tiled_pattern(moduli: tuple[int, ...]) -> np.ndarray:
 @functools.cache
 def _totient_patterns() -> tuple[np.ndarray, np.ndarray]:
     """The products of p^-1 mod 2^32 and of p - 1 over the p in
-    _TILED_PRIMES that divide the odd n = 2j + 1, by j mod _TOTIENT_PERIOD."""
+    _TILED_PRIMES that divide the odd n = 2j + 1, by j mod _TOTIENT_PERIOD;
+    the second is at most 2 * 4 * 6 * 10 * 12 = 5760, so uint16."""
     inverse = np.ones(_TOTIENT_PERIOD, dtype=np.uint32)
-    totient = np.ones(_TOTIENT_PERIOD, dtype=np.uint32)
+    totient = np.ones(_TOTIENT_PERIOD, dtype=np.uint16)
     for p in _TILED_PRIMES:
         # p | 2j + 1 is j = (p-1)/2 (mod p).
         inverse[(p - 1) // 2 :: p] *= np.uint32(pow(p, -1, 1 << 32))
@@ -236,68 +217,23 @@ def _fill_steps(buf: np.ndarray, start: int) -> None:
         filled += step
 
 
-@functools.lru_cache(maxsize=8)
-def _walk_steps(root: int) -> tuple[np.ndarray, ...]:
-    """The totient sieve's prime powers for every hi <= (root + 1)^2, as
-    arrays (p^e, p^e // 2, p^-1 mod 2^32, factor of phi): each odd prime
-    p <= root, from p^2 for _TILED_PRIMES and from p for the rest, with
-    factor p - 1 at p itself and p above.  p^e // 2 is the odd index of
-    n = p^e, the step's first hit.  Cached per root, so that repeated runs
-    to one limit build it once; the arrays are read-only."""
-    pe, inv, factor = [], [], []
-    for p in base_primes(root)[1:].tolist():
-        q, f = (p * p, p) if p in _TILED_PRIMES else (p, p - 1)
-        v = pow(p, -1, 1 << 32)
-        # hi <= (root + 1)^2 puts every n below (root + 1)^2.
-        while q < (root + 1) ** 2:
-            pe.append(q)
-            inv.append(v)
-            factor.append(f)
-            q *= p
-            f = p
-    steps = (np.array(pe, dtype=np.int64),)
-    steps += (steps[0] // 2, np.array(inv, dtype=np.uint32),
-              np.array(factor, dtype=np.uint32))
-    for a in steps:
-        a.flags.writeable = False
-    return steps
-
-
 class _SievePlan(_Record):
-    """What totient_sieve reuses across the segments of one scan: the step
-    table of _walk_steps and the uint32 rem and phi buffers, sized to the
-    longest segment.  Each segment overwrites both buffers."""
+    """What totient_sieve reuses across the segments of one scan: the
+    walk's step table of _classify_steps and the uint32 rem and phi
+    buffers, sized to the longest segment.  Each segment overwrites both
+    buffers."""
 
     steps: tuple[np.ndarray, ...]
     rem: np.ndarray
     phi: np.ndarray
 
 
-def _sieve_plan(top: int, longest: int) -> _SievePlan:
-    """A plan for segments with hi <= top of at most ``longest`` odd n."""
-    return _SievePlan(_walk_steps(math.isqrt(top - 1)),
-                      np.empty(longest, dtype=np.uint32),
-                      np.empty(longest, dtype=np.uint32))
-
-
-def _check_range(lo, hi) -> tuple[int, int]:
-    """[lo, hi) as ints, with 1 <= lo < hi <= _INT64_SAFE_HI."""
-    lo = _as_natural(lo, minimum=1, name="lo")
-    hi = _as_natural(hi, minimum=lo + 1, name="hi")
-    if hi > _INT64_SAFE_HI:
-        raise LimitExceededError(f"hi must not exceed {_INT64_SAFE_HI}")
-    return lo, hi
-
-
 # A step with more than _LOOP_HITS hits in a segment takes a strided op in
 # _apply_steps, and one scatter run of either scan may hit at most a
 # _RUN_SHARE-th of a segment's odd values, which keeps a run's int64
-# positions inside the _BYTES_PER_VALUE charge.  On count_table(10**7),
-# 125 to 1000 hits and shares of 8 or 16 did not tell apart.  On one
-# 4*10^6-value Korselt segment near 4*10^7 (849 primes, 24 looped) the call
-# took 0.20-0.30 ms at 125 to 500 hits against 0.24-0.41 ms at 8 (medians
-# of 41, 5 rounds), and enumerate_carmichael(10**8) took 10.3-11.5 ms
-# against 11.7-14.6 ms at 8.
+# positions inside the _BYTES_PER_VALUE charge.  Thresholds from 125 to
+# 1000 and shares of 8 or 16 tied, and 8 hits lost (ROADMAP, "Measured and
+# set aside": "More micro-work on the count segment's walk and filter").
 _LOOP_HITS = 250
 _RUN_SHARE = 16
 
@@ -352,37 +288,23 @@ def _apply_steps(op: np.ufunc, bufs: tuple[np.ndarray, ...], values: tuple[np.nd
         del where
 
 
-def totient_sieve(lo: int, hi: int, *, plan: _SievePlan | None = None) -> SieveSegment:
-    """Exact totients of the odd n in [lo, hi) by a segmented sieve.
+def totient_sieve(lo: int, hi: int, plan: _SievePlan) -> SieveSegment:
+    """Exact totients of the odd n in [lo, hi), one segment of a classify
+    scan, whose ``plan`` holds a step table exact for hi and buffers of at
+    least the segment's odd values; ``phi`` is a view of the plan's buffer.
 
     ``phi[i]`` is phi(first + 2i), first being the first odd n >= lo.
     The first level of _TILED_PRIMES comes from two tiled patterns: their
     inverses mod 2^32 divide them out of rem, and their p - 1 start phi.
     The walk then takes the odd base primes p <= sqrt(hi - 1) and their
     powers p^e < hi, from p^2 for _TILED_PRIMES and from p for the rest
-    (_walk_steps): at the multiples of p^e, phi picks up one factor of p
-    (p - 1 at the first level) and rem loses one, by a multiply with p^-1
+    (_classify_steps): at the multiples of p^e, phi picks up one factor of
+    p (p - 1 at the first level) and rem loses one, by a multiply with p^-1
     mod 2^32, all through one _apply_steps call.  Whatever remains in rem
-    is 1 or a single prime above sqrt(hi), contributing rem - 1.  Raises
-    LimitExceededError, before allocating anything, when [lo, hi) holds
-    more than _SIEVE_MAX_ODD odd values; the message names the largest
-    workable hi - lo.
-
-    A scan hands in its ``plan`` (_sieve_plan, with a top at least hi):
-    then ``phi`` is a view of the plan's buffer, valid until the next
-    segment.  Without one, the call makes its own and the caller owns phi.
+    is 1 or a single prime above sqrt(hi), contributing rem - 1.
     """
-    lo, hi = _check_range(lo, hi)
     first = lo | 1
     length = len(range(first, hi, 2))
-    if length > _SIEVE_MAX_ODD:
-        # hi - lo = 2 * _SIEVE_MAX_ODD holds that many odd values for any lo.
-        raise LimitExceededError(
-            f"hi - lo = {hi - lo} is too many values for one sieve; "
-            f"use hi - lo <= {2 * _SIEVE_MAX_ODD}"
-        )
-    if plan is None:
-        plan = _sieve_plan(hi, length)
 
     # n < hi <= _INT64_SAFE_HI < 2^32, and every partial product of phi
     # divides phi(n) < n, so uint32 cannot overflow.  For odd p, a multiply
@@ -430,9 +352,9 @@ def _korselt_bar(n: np.ndarray) -> np.ndarray:
 
 
 # The bar rises with n, so the hit search looks inside only the blocks of
-# _BLOCK entries whose maximum reaches the bar of their own first n.  On
-# five 4*10^6-value segments from 4e7, a segment took 0.44 ms at 4096 and
-# 8192, 0.45 at 16384, 0.48 at 2048 and 0.49 at 1024 (medians of 8 rounds).
+# _BLOCK entries whose maximum reaches the bar of their own first n.  4096
+# and 8192 tied, and blocks from 1024 to 16384 differed by a tenth at most
+# (ROADMAP, "Measured and set aside": "Other hit-search block sizes").
 _BLOCK = 4096
 _BLOCK_STEPS = np.arange(0, 2 * _BLOCK, 2, dtype=np.uint32)
 
@@ -458,15 +380,17 @@ def _residue_steps(p: np.ndarray, m: np.ndarray, tiled: tuple[int, ...]) -> _Res
 
 
 def _log_buffer(bounds: list[tuple[int, int]]) -> np.ndarray:
-    """_residue_hits's uint8 buffer for the longest of ``bounds``, padded to
-    whole blocks of _BLOCK entries."""
-    longest = max(len(range(max(lo, 2) | 1, hi, 2)) for lo, hi in bounds)
+    """_residue_hits's uint8 buffer for the longest of ``bounds``, a byte
+    for each odd n (so n = 1 too, for the classify scan's prime mask),
+    padded to whole blocks of _BLOCK entries."""
+    longest = max(len(range(lo | 1, hi, 2)) for lo, hi in bounds)
     return np.empty(-(-longest // _BLOCK) * _BLOCK, dtype=np.uint8)
 
 
 def _residue_hits(steps: _ResidueSteps, buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The odd n >= 3 in [lo, hi) at which the primes that pass by ``steps``
-    multiply to n, ascending, as uint32; ``buf`` is a _log_buffer.
+    multiply to n, ascending, as uint32; ``buf`` is a _log_buffer, left
+    holding scratch.
 
     Each passing prime adds its log weight floor(8 log2 p) to n's byte.
     The passing primes are distinct primes of n, and an odd n < 3e9 has at
@@ -498,50 +422,80 @@ def _residue_hits(steps: _ResidueSteps, buf: np.ndarray, lo: int, hi: int) -> np
     bar = _korselt_bar(head)
     rows = np.flatnonzero(blocks.max(axis=1) >= bar)
     # Only the entries at their block's bar or above can reach their own.
+    # Once those blocks are copied out, buf's head holds their mask.
     acc = blocks[rows]
-    r, i = np.divmod(np.flatnonzero(acc >= bar[rows, None]), _BLOCK)
+    near = buf[: acc.size].view(bool).reshape(acc.shape)
+    np.greater_equal(acc, bar[rows, None], out=near)
+    r, i = np.divmod(np.flatnonzero(near), _BLOCK)
     n = head[rows[r]] + _BLOCK_STEPS[i]
     return n[acc[r, i] >= _korselt_bar(n)]
 
 
 @functools.lru_cache(maxsize=8)
-def _linf_steps(top: int) -> _ResidueSteps:
-    """The L_inf pass's steps for every hi <= top: each prime p > 13 with
-    p (1 + rad(p - 1)) < top, with m = rad(p - 1).  That holds for every
-    p <= sqrt(top - 1), as rad(p - 1) < p, and a prime P above it can lie
-    in a member n < top only so: n = m P with m = 1 (mod rad(P - 1)) and
-    m > 1 gives n >= P (1 + rad(P - 1)).  A depth-first walk finds them
-    all, over the even M = p - 1 with (M + 1)(rad(M) + 1) < top: it adds
-    each odd prime's powers in ascending order of the primes, stops where
-    the bound fails (it grows with every factor), and tests each M + 1 with
-    is_prime above sqrt(top - 1).  Cached per top, so that repeated runs to
-    one limit build it once; the arrays are read-only.
+def _classify_steps(root: int) -> tuple[tuple[np.ndarray, ...], _ResidueSteps]:
+    """The classify scan's two step tables, exact for every hi <= top =
+    (root + 1)^2 and both from one base_primes(root): the totient walk's
+    and the L_inf pass's.  Cached per root, so that every scan whose last
+    hi - 1 has that root builds them once; the arrays are read-only.
+
+    The walk's are arrays (p^e, p^e // 2, p^-1 mod 2^32, factor of phi) of
+    each odd prime p <= root and its powers below top, from p^2 for
+    _TILED_PRIMES and from p for the rest, with factor p - 1 at p itself
+    and p above; p^e // 2 is the odd index of n = p^e, the step's first hit.
+
+    The L_inf pass's hold each prime p > 13 with p (1 + rad(p - 1)) < top,
+    with m = rad(p - 1).  That holds for every p <= root, as rad(p - 1) <
+    p, and a prime P above it can lie in a member n < top only so: n = m P
+    with m = 1 (mod rad(P - 1)) and m > 1 gives n >= P (1 + rad(P - 1)).
+    A depth-first walk finds them all, over the even M = p - 1 with (M + 1)
+    (rad(M) + 1) < top: it adds each odd prime's powers in ascending order
+    of the primes, stops where the bound fails (it grows with every
+    factor), and tests each M + 1 with is_prime above the root.
     """
-    root = math.isqrt(top - 1)
+    top = (root + 1) ** 2
     odd = base_primes(root)[1:].tolist()
+    pe, inv, factor = [], [], []
+    for p in odd:
+        q, f = (p * p, p) if p in _TILED_PRIMES else (p, p - 1)
+        v = pow(p, -1, 1 << 32)
+        while q < top:
+            pe.append(q)
+            inv.append(v)
+            factor.append(f)
+            q *= p
+            f = p
+    walk = (np.array(pe, dtype=np.int64),)
+    walk += (walk[0] // 2, np.array(inv, dtype=np.uint32), np.array(factor, dtype=np.uint32))
+    # Freed before the L_inf walk builds its own lists.
+    del pe, inv, factor
+
     small = set(odd)
+    # Flat lists of (p, rad(p - 1)) pairs and of (M, rad(M), i) triples: a
+    # tuple per entry would outlive the build in CPython's tuple free list.
     found = []
-    # (M, rad(M), i): the walk extends M by powers of odd[i] and above.  An
-    # odd prime q of M has (2q + 1)^2 < top, so odd holds every one.
-    stack = [(1 << a, 2, 0) for a in range(1, top.bit_length()) if ((1 << a) + 1) * 3 < top]
+    # The walk extends M by powers of odd[i] and above.  An odd prime q of M
+    # has (2q + 1)^2 < top, so odd holds every one.
+    stack = [x for a in range(1, top.bit_length()) if ((1 << a) + 1) * 3 < top
+             for x in (1 << a, 2, 0)]
     while stack:
-        even, r, i = stack.pop()
+        i, r, even = stack.pop(), stack.pop(), stack.pop()
         p = even + 1
         if p > _TILED_PRIMES[-1] and (p in small if p <= root else is_prime(p)):
-            found.append((p, r))
+            found += p, r
         for j in range(i, len(odd)):
             q = odd[j]
             if (even * q + 1) * (r * q + 1) >= top:
                 break
             eq = even * q
             while (eq + 1) * (r * q + 1) < top:
-                stack.append((eq, r * q, j + 1))
+                stack += eq, r * q, j + 1
                 eq *= q
-    p, m = np.array(sorted(found), dtype=np.int64).reshape(-1, 2).T
-    steps = _residue_steps(p, m, _TILED_RAD)
-    for a in steps:
+    pm = np.array(found, dtype=np.int64).reshape(-1, 2)
+    p, m = pm[pm[:, 0].argsort()].T
+    linf = _residue_steps(p, m, _TILED_RAD)
+    for a in (*walk, *linf):
         a.flags.writeable = False
-    return steps
+    return walk, linf
 
 
 class _Classified(NamedTuple):
@@ -572,39 +526,41 @@ def _classify_scan(bounds: list[tuple[int, int]]) -> Iterator[_Classified]:
     """Lehmer indexes over each of the ascending segments ``bounds``; one
     _Classified per segment, whose arrays stay valid until the next one.
 
-    The plan is made once per scan: _walk_steps up to sqrt of the last hi,
-    _linf_steps for it, the rem and phi buffers of totient_sieve and a
-    prime mask, sized to the longest segment, and a _log_buffer.  The
-    totients cover the odd n only: even n above 2 are settled without them
-    (phi even, n-1 odd), and 2 has index 1.  The odd n with phi(n) = n - 1
-    are exactly the odd primes, index 1.  An odd composite n lies in L_inf
+    The plan is made once per scan: both tables of _classify_steps for the
+    last hi, the rem and phi buffers of totient_sieve, sized to the longest
+    segment, and a _log_buffer, which holds each segment's prime mask once
+    the L_inf pass is done with it.  The totients cover the odd n only:
+    even n above 2 are settled without them (phi even, n-1 odd), and 2 has
+    index 1.  The odd n with phi(n) = n - 1 are exactly the odd primes,
+    index 1.  An odd composite n lies in L_inf
     exactly when it is squarefree with rad(p - 1) | n - 1, that is n = p
     (mod p rad(p - 1)), for each of its primes p: then those primes
     multiply to n, and their log sum reaches floor(8 log2 n) - 7, while at
     any other n the primes that pass multiply to at most n / 3 and sum to
     at most floor(8 log2 n) - 12 (_residue_hits).  A member's prime P
-    above sqrt(hi) has P (1 + rad(P - 1)) <= n < hi, and _linf_steps holds
-    every such P, so the pass's hits are exactly the composite members.
-    n = 1 is one more, with index 1; only they go to _lehmer_indexes.
+    above sqrt(hi) has P (1 + rad(P - 1)) <= n < hi, and _classify_steps
+    holds every such P, so the pass's hits are exactly the composite
+    members.  n = 1 is one more, with index 1; only they go to
+    _lehmer_indexes.
     """
     if not bounds:  # limit 1 leaves no segment
         return
-    top = bounds[-1][1]
-    # Built before the buffers, so that the walk's lists are freed first.
-    steps = _linf_steps(top)
+    # Built before the buffers, so that the tables' lists are freed first.
+    walk, steps = _classify_steps(math.isqrt(bounds[-1][1] - 1))
     longest = max(len(range(lo | 1, hi, 2)) for lo, hi in bounds)
-    plan = _sieve_plan(top, longest)
+    plan = _SievePlan(walk, np.empty(longest, dtype=np.uint32),
+                      np.empty(longest, dtype=np.uint32))
     logs = _log_buffer(bounds)
-    prime = np.empty(longest, dtype=bool)
     for lo, hi in bounds:
         # Through the module global, which the benchmark's tracer swaps.
-        seg = totient_sieve(lo, hi, plan=plan)
+        seg = totient_sieve(lo, hi, plan)
         phi, first = seg.phi, seg.first
-        # totient_sieve is done with rem, so it serves as scratch here.
-        work, pr = plan.rem[: phi.size], prime[: phi.size]
+        pos = (_residue_hits(steps, logs, lo, hi).astype(np.int64) - first) // 2
+        # totient_sieve is done with rem and the pass with its log buffer,
+        # so they serve as the prime compare's n - 1 and its mask.
+        work, pr = plan.rem[: phi.size], logs[: phi.size].view(bool)
         _fill_steps(work, first - 1)
         np.equal(phi, work, out=pr)
-        pos = (_residue_hits(steps, logs, lo, hi).astype(np.int64) - first) // 2
         if first == 1:  # phi(1) = 1 divides (1 - 1)^1
             pos = np.concatenate(([0], pos))
         yield _Classified(seg, pr, pos, _lehmer_indexes(phi, first, pos))
@@ -621,13 +577,6 @@ def _dense_index(c: _Classified) -> np.ndarray:
     odd_index[:] = c.prime
     odd_index[c.pos] = c.index
     return index
-
-
-def _classify_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Odd-n totients and per-n Lehmer indexes for [lo, hi); index 0 = not
-    in L_inf.  A scan of the one segment (_classify_scan)."""
-    c = next(_classify_scan([(lo, hi)]))
-    return c.seg.phi, _dense_index(c)
 
 
 def _segment_bounds(
@@ -691,7 +640,10 @@ def classify_range(lo: int, hi: int) -> Iterator[tuple[int, LehmerIndex]]:
     The same algorithm as lehmer_index, on sieved totients in bulk, so it
     agrees with lehmer_index everywhere.
     """
-    lo, hi = _check_range(lo, hi)
+    lo = _as_natural(lo, minimum=1, name="lo")
+    hi = _as_natural(hi, minimum=lo + 1, name="hi")
+    if hi > _INT64_SAFE_HI:
+        raise LimitExceededError(f"hi must not exceed {_INT64_SAFE_HI}")
     for c in _classify_scan(_segment_bounds(lo, hi, buffers=8)):
         index = _dense_index(c)
         for i, ix in enumerate(index.tolist()):

@@ -73,8 +73,13 @@ MUTANTS = (
            "buf[:head] = pattern[r : r + head]", "buf[:head] = pattern[:head]",
            (f"{T_SIEVE}::TestTiledTotientPatterns::test_windows_on_the_pattern_seam",)),
     Mutant("walk-top-power", SIEVE,
-           "while q < (root + 1) ** 2:", "while q * p < (root + 1) ** 2:",
+           "while q < top:", "while q * p < top:",
            (f"{T_SIEVE}::TestTiledTotientPatterns::test_windows_at_tiled_prime_powers",)),
+    # Both step tables of the classify scan stop short of (root + 1)^2, so
+    # a table cached for a root misses the primes of the larger hi it serves.
+    Mutant("classify-steps-top", SIEVE,
+           "top = (root + 1) ** 2", "top = root * root",
+           (f"{T_SIEVE}::TestLinfResiduePass::test_members_with_a_prime_above_the_root",)),
     # The step applier of both scans, _apply_steps.
     Mutant("walk-start", SIEVE,
            "np.maximum(start, start % stride)", "np.maximum(start, -start % stride)",
@@ -114,7 +119,7 @@ MUTANTS = (
             f"{T_SIEVE}::TestSquaringCertificate::test_index_at_the_squaring_cutoff")),
     # Korselt's p - 1 in place of rad(p - 1) above the tiled primes.
     Mutant("linf-modulus", SIEVE,
-           "found.append((p, r))", "found.append((p, even))",
+           "found += p, r", "found += p, even",
            (f"{T_SIEVE}::TestClassifyRange::test_composites_below_100",
             f"{T_SIEVE}::TestLinfResiduePass::test_large_primes_match_rad_sieve")),
     Mutant("linf-tiled-rad", SIEVE,

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from klehmer import cli
-from klehmer.sieve import totient_sieve
+from klehmer.sieve import _classify_scan
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -37,7 +37,8 @@ def test_every_traced_name_resolves(spans):
 
 def test_sieve_figures_read_a_real_segment(spans):
     # _sieve_bytes reads SieveSegment.spf, so the field stays while it does.
-    seg = totient_sieve(1000, 3001)
+    # The segment is the one a classify scan over [1000, 3001) sieves.
+    seg = next(_classify_scan([(1000, 3001)])).seg
     assert seg.spf is None
     assert spans._sieve_values(seg) == 2001
     assert spans._sieve_bytes(seg) == seg.phi.nbytes

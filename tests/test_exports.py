@@ -25,3 +25,7 @@ def test_package_exports_every_submodule_name_once():
     assert len(set(names)) == len(names)
     cli_names = {"ClassificationReport", "classification_report", "emit_bfile"}
     assert set(klehmer.__all__) == set(names) | cli_names
+    # The classify scan's building blocks stay in klehmer.sieve, unexported.
+    internal = {"SieveSegment", "totient_sieve", "base_primes"}
+    assert not internal & set(klehmer.__all__)
+    assert all(callable(getattr(sieve, name)) for name in internal)

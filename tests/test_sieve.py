@@ -28,7 +28,6 @@ from klehmer.sieve import (
     _TILED_RAD,
     _TOTIENT_PERIOD,
     _apply_steps,
-    _classify_arrays,
     _classify_scan,
     _dense_index,
     _LOG_EDGES,
@@ -36,11 +35,10 @@ from klehmer.sieve import (
     _korselt_scan,
     _histogram_scan,
     _lehmer_indexes,
-    _linf_steps,
+    _classify_steps,
     _lk_scan,
     _log8,
     _segment_bounds,
-    _walk_steps,
     alpha_search,
     base_primes,
     classify_range,
@@ -55,6 +53,13 @@ from conftest import (
 )
 
 
+def scan_segment(lo: int, hi: int):
+    """The one segment of a classify scan over [lo, hi) (_classify_scan):
+    ``.seg.phi`` holds the totients of its odd n, _dense_index of it the
+    Lehmer index of every n."""
+    return next(_classify_scan([(lo, hi)]))
+
+
 A173703_BELOW_50000 = [
     561, 1105, 1729, 2465, 6601, 8481, 12801, 15841, 16705, 19345,
     22321, 30889, 41041, 46657,
@@ -63,67 +68,29 @@ A173703_BELOW_50000 = [
 
 class TestTotientSieve:
     def test_first_ten(self):
-        seg = totient_sieve(1, 11)
+        seg = scan_segment(1, 11).seg
         assert seg.first == 1
         assert seg.phi.tolist() == [1, 2, 4, 6, 6]  # n = 1, 3, 5, 7, 9
 
     def test_cross_checks_against_arith(self):
-        seg = totient_sieve(90, 92)
+        seg = scan_segment(90, 92).seg
         assert (seg.first, seg.phi.tolist()) == (91, [72])
-        seg = totient_sieve(561, 562)
+        seg = scan_segment(561, 562).seg
         assert (seg.first, seg.phi.tolist()) == (561, [320])
-        seg = totient_sieve(99_990, 100_010)
+        seg = scan_segment(99_990, 100_010).seg
         for i, n in enumerate(range(seg.first, seg.hi, 2)):
             assert seg.phi[i] == euler_phi(factorize(n)), n
 
     def test_agrees_with_oracle_sieve(self):
         phi = sieve_phi(50_000)
-        assert np.array_equal(totient_sieve(1, 50_001).phi, phi[1::2])
-        assert np.array_equal(totient_sieve(30_000, 40_000).phi, phi[30_001:40_000:2])
-
-    # 512 MiB at 12 bytes per odd value (the former memory budget's
-    # default); hi - lo may be twice it.
-    MAX_ODD = 44_739_242
-
-    @pytest.mark.parametrize("lo", [10**6, 10**6 + 1])
-    def test_refuses_above_the_cap_before_allocating(self, lo):
-        assert (512 << 20) // _BYTES_PER_VALUE == self.MAX_ODD
-        tracemalloc.start()
-        try:
-            with pytest.raises(LimitExceededError) as err:
-                totient_sieve(lo, lo + 2 * self.MAX_ODD + 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert str(2 * self.MAX_ODD) in str(err.value)
-        # One segment of the cap would take about 360 MB.
-        assert peak < 64 << 10
-
-    def test_cap_counts_odd_values(self, monkeypatch):
-        # A range of 2 * cap values holds cap odd ones, whatever lo's parity.
-        cap = 500
-        monkeypatch.setattr("klehmer.sieve._SIEVE_MAX_ODD", cap)
-        for lo in (10**6, 10**6 + 1):
-            assert totient_sieve(lo, lo + 2 * cap).phi.size == cap
-            with pytest.raises(LimitExceededError):
-                totient_sieve(lo, lo + 2 * cap + 2)
-        # One value more adds an odd one only when lo is odd.
-        assert totient_sieve(10**6, 10**6 + 2 * cap + 1).phi.size == cap
-        with pytest.raises(LimitExceededError):
-            totient_sieve(10**6 + 1, 10**6 + 2 * cap + 2)
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            totient_sieve(5, 5)
-        with pytest.raises(ValueError):
-            totient_sieve(0, 10)
+        assert np.array_equal(scan_segment(1, 50_001).seg.phi, phi[1::2])
+        assert np.array_equal(scan_segment(30_000, 40_000).seg.phi, phi[30_001:40_000:2])
 
     @pytest.mark.parametrize("run", [
-        totient_sieve,
         lambda lo, hi: next(classify_range(lo, hi)),
-    ], ids=["totient_sieve", "classify_range"])
+    ], ids=["classify_range"])
     def test_int64_bound_is_inclusive(self, run):
-        # Both share one range check: hi = _INT64_SAFE_HI itself is fine.
+        # hi = _INT64_SAFE_HI itself is fine.
         run(_INT64_SAFE_HI - 1, _INT64_SAFE_HI)
         with pytest.raises(LimitExceededError) as err:
             run(_INT64_SAFE_HI - 1, _INT64_SAFE_HI + 1)
@@ -147,15 +114,15 @@ class TestOddTotientSieve:
     ])
     def test_matches_full_sieve(self, lo, hi, phi_100k):
         phi = phi_100k[lo:hi] if hi <= phi_100k.size else factorized_phi(lo, hi)
-        seg = totient_sieve(lo, hi)
+        seg = scan_segment(lo, hi).seg
         first = lo | 1
         assert (seg.lo, seg.hi, seg.first) == (lo, hi, first)
         assert np.array_equal(seg.phi, phi[first - lo :: 2])
 
     def test_agrees_with_oracle_sieve(self):
         phi = sieve_phi(50_000)
-        assert np.array_equal(totient_sieve(1, 50_001).phi, phi[1::2])
-        assert np.array_equal(totient_sieve(30_000, 40_000).phi, phi[30_001:40_000:2])
+        assert np.array_equal(scan_segment(1, 50_001).seg.phi, phi[1::2])
+        assert np.array_equal(scan_segment(30_000, 40_000).seg.phi, phi[30_001:40_000:2])
 
 
 def totient_sieve_int64(lo: int, hi: int) -> np.ndarray:
@@ -186,7 +153,7 @@ class TestUint32TotientSieve:
     def test_uint32_fits_below_int64_ceiling(self):
         # Every n sieved is below _INT64_SAFE_HI, so uint32 holds n and phi(n).
         assert _INT64_SAFE_HI < 2**32
-        assert totient_sieve(1, 10).phi.dtype == np.uint32
+        assert scan_segment(1, 10).seg.phi.dtype == np.uint32
 
     @pytest.mark.parametrize("lo, hi", [
         (1, 20_001),
@@ -194,12 +161,12 @@ class TestUint32TotientSieve:
         (_INT64_SAFE_HI - 20_000, _INT64_SAFE_HI),
     ])
     def test_matches_int64_reference(self, lo, hi):
-        assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
+        assert np.array_equal(scan_segment(lo, hi).seg.phi, totient_sieve_int64(lo, hi))
 
     def test_matches_factorization_across_2_31(self):
         # TestOddTotientSieve checks the window ending at _INT64_SAFE_HI.
         lo, hi = 2**31 - 10_000, 2**31 + 10_000
-        phi = totient_sieve(lo, hi).phi
+        phi = scan_segment(lo, hi).seg.phi
         assert phi.tolist() == [euler_phi(factorize(n)) for n in range(lo | 1, hi, 2)]
 
 
@@ -233,7 +200,7 @@ class TestWalkScatter:
                        (first - 1, first + 2 * pe * (hits - 1) + 2)):
             assert len(range(first, hi, 2 * pe)) == hits
             assert pe <= math.isqrt(hi - 1)
-            assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
+            assert np.array_equal(scan_segment(lo, hi).seg.phi, totient_sieve_int64(lo, hi))
 
     @pytest.mark.parametrize("lo, hi", [
         (99 * 10**6, 99 * 10**6 + _DEFAULT_SEGMENT // 8),
@@ -243,7 +210,7 @@ class TestWalkScatter:
         # More scattered hits than one run holds, so at least two runs.
         length = len(range(lo | 1, hi, 2))
         assert scattered_hits(lo, hi) > 2 * max(length // _RUN_SHARE, _LOOP_HITS)
-        assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
+        assert np.array_equal(scan_segment(lo, hi).seg.phi, totient_sieve_int64(lo, hi))
 
     @pytest.mark.parametrize("lo, hi", [
         (1, 20_001), (123_456, 180_001), (10**7 + 1, 10**7 + 40_000),
@@ -254,7 +221,7 @@ class TestWalkScatter:
         # so most steps head a run of their own.
         monkeypatch.setattr("klehmer.sieve._RUN_SHARE", hi)
         assert scattered_hits(lo, hi) > 4 * _LOOP_HITS
-        assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
+        assert np.array_equal(scan_segment(lo, hi).seg.phi, totient_sieve_int64(lo, hi))
 
     @pytest.mark.parametrize("n, p, q", [
         (3 * 1009 * 1013, 1009, 1013),
@@ -267,7 +234,7 @@ class TestWalkScatter:
         lo, hi = n - 1000, n + 1000
         assert p <= math.isqrt(hi - 1) and n % p == n % q == 0
         assert len(range(lo | 1, hi, 2)) < p
-        seg = totient_sieve(lo, hi)
+        seg = scan_segment(lo, hi).seg
         assert seg.phi[(n - seg.first) // 2] == euler_phi(factorize(n))
         assert np.array_equal(seg.phi, totient_sieve_int64(lo, hi))
 
@@ -275,7 +242,7 @@ class TestWalkScatter:
     def test_segment_ending_at_the_int64_ceiling(self):
         lo, hi = _INT64_SAFE_HI - 10**6, _INT64_SAFE_HI
         assert scattered_hits(lo, hi) > 2 * (len(range(lo | 1, hi, 2)) // _RUN_SHARE)
-        assert np.array_equal(totient_sieve(lo, hi).phi, totient_sieve_int64(lo, hi))
+        assert np.array_equal(scan_segment(lo, hi).seg.phi, totient_sieve_int64(lo, hi))
 
 
 def apply_steps_by_position(op, bufs, values, first_hit, stride, j0):
@@ -309,7 +276,7 @@ class TestApplySteps:
     Python loop, with _LOOP_HITS patched to a small threshold.  With a
     window shorter than _RUN_SHARE times that threshold the scatter runs
     take the smallest cap, the threshold's hits.  The scans' own windows
-    of length 0, such as totient_sieve(2, 3), are in TestOddTotientSieve."""
+    of length 0, such as the segment [2, 3), are in TestOddTotientSieve."""
 
     def check(self, kind, steps, length, j0=J0, loop_hits=LOOP_HITS):
         op, reference, dtypes = APPLY_OPS[kind]
@@ -372,8 +339,8 @@ class TestTiledTotientPatterns:
         first = 2 * (m * _TOTIENT_PERIOD + r) + 1
         short, long = first + 3000, first + 2 * (4 * _TOTIENT_PERIOD + 100)
         phi = phi_100k[first:short] if short <= phi_100k.size else factorized_phi(first, short)
-        assert np.array_equal(totient_sieve(first, short).phi, phi[::2])
-        assert np.array_equal(totient_sieve(first, long).phi, totient_sieve_int64(first, long))
+        assert np.array_equal(scan_segment(first, short).seg.phi, phi[::2])
+        assert np.array_equal(scan_segment(first, long).seg.phi, totient_sieve_int64(first, long))
 
     def test_windows_at_tiled_prime_powers(self):
         # Windows of 1 and 7 values starting from 3 below to 2 above each
@@ -382,7 +349,7 @@ class TestTiledTotientPatterns:
             for e in range(2, 8):
                 for lo in range(p**e - 3, p**e + 3):
                     for hi in (lo + 1, lo + 7):
-                        assert np.array_equal(totient_sieve(lo, hi).phi,
+                        assert np.array_equal(scan_segment(lo, hi).seg.phi,
                                               totient_sieve_int64(lo, hi)), (lo, hi)
 
     def test_every_window_below_200(self, phi_100k):
@@ -390,13 +357,13 @@ class TestTiledTotientPatterns:
         # never reaches them: their phi comes from the patterns alone.
         for hi in range(2, 201):
             for lo in range(1, hi):
-                seg = totient_sieve(lo, hi)
+                seg = scan_segment(lo, hi).seg
                 first = lo | 1
                 assert np.array_equal(seg.phi, phi_100k[first:hi:2]), (lo, hi)
 
 
 class TestPrimeShortcut:
-    """_classify_arrays gives every odd prime index 1 from phi(n) = n - 1
+    """The classify scan gives every odd prime index 1 from phi(n) = n - 1
     alone; every other n keeps the index lehmer_index gives."""
 
     @pytest.mark.parametrize("lo, hi", [
@@ -405,7 +372,7 @@ class TestPrimeShortcut:
         (_INT64_SAFE_HI - 10_000, _INT64_SAFE_HI),
     ])
     def test_primes_index_one_at_the_edges(self, lo, hi):
-        _, index = _classify_arrays(lo, hi)
+        index = _dense_index(scan_segment(lo, hi))
         for n, ix in zip(range(lo, hi), index.tolist()):
             if n % 2 and is_prime(n):
                 assert ix == 1, n
@@ -448,6 +415,19 @@ class TestClassifyRange:
         for n, idx in classify_range(lo, lo + w):
             assert idx == lehmer_index(n), n
 
+    def test_windows_below_the_ceiling_share_their_tables(self):
+        # Ten windows of 20 000 values ending at _INT64_SAFE_HI: each hi - 1
+        # has one of three roots, and a cold cache builds the step tables
+        # once per root, not once per window.
+        edges = range(_INT64_SAFE_HI - 10 * 20_000, _INT64_SAFE_HI + 1, 20_000)
+        _classify_steps.cache_clear()
+        windows = [list(classify_range(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+        roots = {math.isqrt(hi - 1) for hi in edges[1:]}
+        assert _classify_steps.cache_info().misses == len(roots) == 3
+        for window in windows:
+            for n, idx in window[::1000] + window[-1:]:
+                assert idx == lehmer_index(n), n
+
 
 def linear_index(lo: int, hi: int, phi: np.ndarray) -> np.ndarray:
     """Indexes by the plain iteration acc <- acc * (n-1) mod phi alone,
@@ -479,8 +459,8 @@ class TestSquaringCertificate:
     @pytest.mark.parametrize("lo", [1, 10**7 - 10**4, 10**8 - 10**6, _INT64_SAFE_HI - 20_000])
     def test_matches_linear_iteration(self, lo):
         hi = lo + 20_000
-        _, index = _classify_arrays(lo, hi)
-        assert np.array_equal(index, linear_index(lo, hi, totient_sieve(lo, hi).phi))
+        c = scan_segment(lo, hi)
+        assert np.array_equal(_dense_index(c), linear_index(lo, hi, c.seg.phi))
 
     @pytest.mark.parametrize("n", [1, 15, 255, 65535])
     def test_index_at_the_squaring_cutoff(self, n):
@@ -510,7 +490,7 @@ class TestPowerIndex:
         # powers: the classify scan finds exactly these, and
         # _lehmer_indexes gives each its index.
         lo, hi = 10**7 - 10**4, 10**7
-        phi = totient_sieve(lo, hi).phi.astype(np.int64).tolist()
+        phi = scan_segment(lo, hi).seg.phi.astype(np.int64).tolist()
         first = lo | 1
         expected = {}
         for i, ph in enumerate(phi):
@@ -528,6 +508,13 @@ class TestPowerIndex:
             ph = phi[i]
             assert _power_index((first + 2 * i - 1) % ph, ph) == k
 
+    def test_no_index_reads_zero(self):
+        # No power of 2 is a multiple of 9 or of 15: the loop stops at
+        # bitlength(phi) with 0, as a wrong totient in the bulk path would.
+        for base, phi in ((2, 9), (2, 15), (10, 15)):
+            assert _power_index(base, phi) == least_power_index(base, phi) == 0
+        assert _power_index(3, 9) == least_power_index(3, 9) == 2
+
     def test_phi_one(self):
         # n = 1 and n = 2: phi = 1 divides base^1 = 0.
         assert _power_index(0, 1) == least_power_index(0, 1) == 1
@@ -542,9 +529,9 @@ def assert_window_matches_linear(q: int, r: int, lo: int, w: int, lo_even: bool)
     first += 2 * ((r - first) * pow(2, -1, q) % q)
     lo = max(1, first - lo_even)
     hi = first + w
-    _, index = _classify_arrays(lo, hi)
+    c = scan_segment(lo, hi)
     assert (lo | 1) % q == r
-    assert np.array_equal(index, linear_index(lo, hi, totient_sieve(lo, hi).phi))
+    assert np.array_equal(_dense_index(c), linear_index(lo, hi, c.seg.phi))
 
 
 class TestExclusionFilter:
@@ -576,7 +563,8 @@ class TestExclusionFilter:
 def linf_primes_by_rad_sieve(top: int) -> list[tuple[int, int]]:
     """(p, rad(p - 1)) for every prime p > 13 with p (1 + rad(p - 1)) < top,
     ascending, from a radical sieve over 0..top // 3 and the conftest prime
-    mask: the reference for _linf_steps, sharing no code with it."""
+    mask: the reference for _classify_steps's L_inf table, sharing no code
+    with it."""
     limit = top // 3
     mask = sieve_prime_mask(limit)
     rad = np.ones(limit + 1, dtype=np.int64)
@@ -610,7 +598,7 @@ class TestLinfResiduePass:
 
     @pytest.mark.parametrize("top", [10**6, 10**7 + 1])
     def test_large_primes_match_rad_sieve(self, top):
-        steps = _linf_steps(top)
+        _, steps = _classify_steps(math.isqrt(top - 1))
         # first_hit = p (1 + m) // 2 and stride = p m / 2 give p and m back.
         p = 2 * (steps.first_hit - steps.stride) + 1
         m = 2 * steps.stride // p
@@ -647,8 +635,8 @@ class TestLinfResiduePass:
         first = 2 * (m * _TOTIENT_PERIOD + r) + 1
         short, long = first + 3000, first + 2 * (4 * _TOTIENT_PERIOD + 100)
         assert_window_matches_lehmer_index(first, short)
-        _, index = _classify_arrays(first, long)
-        assert np.array_equal(index, linear_index(first, long, totient_sieve(first, long).phi))
+        c = scan_segment(first, long)
+        assert np.array_equal(_dense_index(c), linear_index(first, long, c.seg.phi))
 
 
 class TestCountTable:
@@ -688,7 +676,7 @@ class TestCountTable:
 
     @pytest.mark.parametrize("lo, hi", [(1, 10_001), (10**7 - 10**4, 10**7)])
     def test_segment_histogram_counts_every_value(self, lo, hi):
-        _, index = _classify_arrays(lo, hi)
+        index = _dense_index(scan_segment(lo, hi))
         expected = np.bincount(index, minlength=K_CAP + 1)
         assert np.array_equal(next(_histogram_scan([(lo, hi)])), expected)
 
@@ -1121,17 +1109,6 @@ class TestBasePrimes:
         with pytest.raises(ValueError):
             base_primes(-1)
 
-    def test_cap_raises_before_allocating(self, monkeypatch):
-        # The cap is totient_sieve's largest hi - lo; with a small one
-        # patched in, a 2**100 limit must raise, never reach np.ones.
-        cap = 500
-        monkeypatch.setattr("klehmer.sieve._SIEVE_MAX_ODD", cap)
-        assert base_primes(2 * cap).size == 168
-        for limit in (2 * cap + 1, 2**100):
-            with pytest.raises(LimitExceededError) as err:
-                base_primes(limit)
-            assert str(2 * cap) in str(err.value)
-
 
 class TestSegmentMemory:
     """Measured peaks stay under _BYTES_PER_VALUE per value."""
@@ -1141,11 +1118,12 @@ class TestSegmentMemory:
     # (run, bytes per value, step of the values counted): the totient sieve
     # is bounded per odd value it sieves, a bulk segment per value of the range.
     # totient_sieve_odd starts the window on an odd lo, which holds as many
-    # odd values as the even-started window.
+    # odd values as the even-started window.  The totients come from a
+    # classify scan's segment, and classify_arrays adds its dense index.
     @pytest.mark.parametrize("run, per_value, step", [
-        (lambda lo, hi: totient_sieve(lo, hi), _BYTES_PER_VALUE, 2),
-        (lambda lo, hi: totient_sieve(lo + 1, hi), _BYTES_PER_VALUE, 2),
-        (lambda lo, hi: _classify_arrays(lo, hi), _BYTES_PER_VALUE, 1),
+        (lambda lo, hi: scan_segment(lo, hi).seg, _BYTES_PER_VALUE, 2),
+        (lambda lo, hi: scan_segment(lo + 1, hi).seg, _BYTES_PER_VALUE, 2),
+        (lambda lo, hi: _dense_index(scan_segment(lo, hi)), _BYTES_PER_VALUE, 1),
         (lambda lo, hi: next(_lk_scan([(lo, hi)], 3)), _BYTES_PER_VALUE, 1),
         (lambda lo, hi: next(_korselt_scan([(lo, hi)])), _BYTES_PER_VALUE, 1),
     ], ids=["totient_sieve", "totient_sieve_odd", "classify_arrays", "lk_members", "carmichael"])
@@ -1191,13 +1169,14 @@ class TestSegmentMemory:
 
     @pytest.mark.slow
     def test_direct_sieve_below_the_int64_ceiling(self):
-        # The densest scatter: 10^6 values over the 5571 base primes below
-        # sqrt(_INT64_SAFE_HI), with the step table built inside the call.
+        # The densest scatter: a scan segment of 10^6 values over the 5571
+        # base primes below sqrt(_INT64_SAFE_HI), with both step tables
+        # built inside the call.
         lo, hi = _INT64_SAFE_HI - 10**6, _INT64_SAFE_HI
-        _walk_steps.cache_clear()
+        _classify_steps.cache_clear()
         tracemalloc.start()
         try:
-            totient_sieve(lo, hi)
+            scan_segment(lo, hi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1230,17 +1209,6 @@ class TestSegmentMemory:
             tracemalloc.stop()
         assert table.count(math.inf, 10**6) == 80058
         assert peak <= _BYTES_PER_VALUE * size
-
-    def test_direct_sieve_owns_its_totients(self):
-        # A scan's segments share its buffers; a direct call's do not.
-        lo, hi = 10**6, 10**6 + 2_000
-        seg = totient_sieve(lo, hi)
-        kept = seg.phi.copy()
-        again = totient_sieve(lo, hi)
-        count_table(10**4)
-        assert not np.shares_memory(seg.phi, again.phi)
-        assert np.array_equal(seg.phi, kept)
-        assert np.array_equal(again.phi, kept)
 
     def test_count_merges_histograms_as_they_arrive(self):
         # 1000 segments of 1 value: holding every segment's histogram of

@@ -6,7 +6,7 @@ sequence (smallest Carmichael number outside L_k).  Checking one claimed
 alpha entry is per-number work, in carmichael.verify_alpha_entry; this is
 the one module that imports numpy.
 
-The bulk route never factors anything and sieves odd n only (even n > 2
+The bulk route never calls factorize and sieves odd n only (even n > 2
 lie outside every L_k, and no even n is a Carmichael number).  Both of the
 paper's criteria are residue tests with one modulus per prime p: n is a
 Carmichael number when it is a squarefree composite with p - 1 | n - 1 for
@@ -28,30 +28,27 @@ below sqrt(n)); the L_inf pass's holds those with m = rad(p - 1), plus
 every prime P above sqrt(hi) with P (1 + rad(P - 1)) < hi, as a member
 n = m P has m = 1 (mod rad(P - 1)) and m > 1 (_classify_steps).
 
-The count, the L_k lists and classify_range consume one classify scan.  A
-segmented uint32 totient sieve over the odd n supplies phi(n): it copies
-the first level of 3, 5, 7, 11 and 13 from two tiled patterns (the product
-of their inverses mod 2^32, which divides them out of the remainder
-exactly, and the product of their p - 1); then a walk over the odd base
-primes multiplies in p - 1 at the multiples of every other p and p at the
-multiples of each higher power, dividing p out of the remainder by a
-multiply with p^-1 mod 2^32.  The walk and both residue passes apply their
-steps through one _apply_steps: a step that hits a segment more than
-_LOOP_HITS times takes a strided op, and the rest share a few op.at
-scatters, so a scan pays numpy's call overhead on few steps.  An odd n > 1
-is prime exactly when phi(n) = n - 1, so the primes get index 1 from that
-compare alone; the L_inf pass finds the composite members (and n = 1 is
-one), and only those take lehmer_index's own iteration acc <- acc * (n-1)
-mod phi(n) to its first zero.  Every other odd n is outside L_inf.  Each
-scan plans once (its step tables, cached per root for the classify scan,
-and buffers that every segment reuses, in segments an eighth as long for
-the classify scan as for the Korselt scan, so that both fill 2 MB), and
-each classify segment yields its prime mask and its few composite
-members, so only classify_range builds a per-n index.  Carmichael numbers
-come from one ascending Korselt scan, which enumerate_carmichael lists
-and alpha_search walks.  With a worker pool each worker scans one
-contiguous run of segments; results are merged in ascending order as
-they arrive, so they are identical for any worker count or segmentation.
+The count, the L_k lists and classify_range consume one classify scan.
+Every odd prime has index 1, and a segmented odd-only sieve of
+Eratosthenes marks them (_prime_mask): 3, 5, 7, 11 and 13 clear their
+multiples from a tile of period 15015, and every other odd p <= sqrt(hi)
+clears every p-th entry from n = p^2.  The L_inf pass finds the composite
+members, and n = 1 is one more; only these settled members take a
+totient (totient_sieve), by trial division over the same odd primes, and
+then lehmer_index's own iteration acc <- acc * (n-1) mod phi(n) to its
+first zero.  Every other odd n is outside L_inf.  The prime sieve and
+both residue passes apply their steps through one _apply_steps: a step
+that hits a segment more than _LOOP_HITS times takes a strided op, and
+the rest share a few op.at scatters, so a scan pays numpy's call
+overhead on few steps.  Each scan plans once (its step tables, cached
+per root for the classify scan, and one uint8 buffer that every segment
+reuses), and each classify segment yields its prime mask and its few
+composite members, so only classify_range builds a per-n index.
+Carmichael numbers come from one ascending Korselt scan, which
+enumerate_carmichael lists and alpha_search walks.  With a worker pool
+each worker scans one contiguous run of segments; results are merged in
+ascending order as they arrive, so they are identical for any worker
+count or segmentation.
 """
 
 from __future__ import annotations
@@ -91,21 +88,21 @@ _DEFAULT_SEGMENT = 4_000_000
 _INT64_SAFE_HI = 3_000_000_000
 
 # A classify segment's traced peak per value of hi - lo, on the first call
-# of a process: rem, phi, the log buffer (which then holds the prime
-# mask), one scatter run of _apply_steps or the hit search's copy of its
-# blocks, and the step tables when the call builds them.  TestSegmentMemory
-# pins it, per odd value for the segment's totients, and a Korselt scan
-# below one byte per value.  A scan of many segments allocates its
-# buffers once, for its longest.
+# of a process: the log buffer (which then holds the prime mask), one
+# scatter run of _apply_steps or the hit search's copy of its blocks, and
+# the step tables when the call builds them.  TestSegmentMemory pins it,
+# per odd value for a classify segment, and a Korselt scan below one byte
+# per value.  A scan of many segments allocates its buffer once, for its
+# longest.
 _BYTES_PER_VALUE = 12
 
 
 class SieveSegment(_Record):
-    """Totients of the odd n in [lo, hi), one segment of a classify scan.
-
-    Entry i belongs to n = first + 2i, first being the first odd n >= lo.
-    ``phi`` is uint32 (every n is below _INT64_SAFE_HI < 2^32), a view of
-    the scan's buffer, overwritten by the next segment.
+    """Totients of the settled members of [lo, hi), one segment of a
+    classify scan: ``phi[i]`` is phi(n) of its i-th settled member n, in
+    ascending order (n = 1, where the segment holds it, and the composite
+    members of L_inf, _classify_scan).  uint32, as every n is below
+    _INT64_SAFE_HI < 2^32.  ``first`` is the first odd n >= lo.
     """
 
     lo: int
@@ -150,10 +147,10 @@ def base_primes(limit: int) -> np.ndarray:
 # odd-index space: 30030 (30 KB of uint8) for Korselt's m = p - 1, 15015
 # for L_inf's m = rad(p - 1).  A copy beats the five strided adds, and 17
 # stays out, as its period would be 2 042 040 (ROADMAP, "Measured and set
-# aside": "Larger Korselt tiles").  Their first level in the totient sieve
-# (which of them divide n) repeats with period 3*5*7*11*13 = 15015.
+# aside": "Larger Korselt tiles").  Their multiples, which the prime sieve
+# clears, repeat with period 3*5*7*11*13 = 15015.
 _TILED_PRIMES = (3, 5, 7, 11, 13)
-_TOTIENT_PERIOD = math.prod(_TILED_PRIMES)
+_TILE_PERIOD = math.prod(_TILED_PRIMES)
 # rad(t - 1) for each t of _TILED_PRIMES, their m in the L_inf pass.
 _TILED_RAD = (2, 2, 6, 10, 6)
 
@@ -173,19 +170,15 @@ def _tiled_pattern(moduli: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.cache
-def _totient_patterns() -> tuple[np.ndarray, np.ndarray]:
-    """The products of p^-1 mod 2^32 and of p - 1 over the p in
-    _TILED_PRIMES that divide the odd n = 2j + 1, by j mod _TOTIENT_PERIOD;
-    the second is at most 2 * 4 * 6 * 10 * 12 = 5760, so uint16."""
-    inverse = np.ones(_TOTIENT_PERIOD, dtype=np.uint32)
-    totient = np.ones(_TOTIENT_PERIOD, dtype=np.uint16)
+def _prime_tile() -> np.ndarray:
+    """1 where no p of _TILED_PRIMES divides the odd n = 2j + 1 and 0 where
+    one does (p itself too), by j mod _TILE_PERIOD, as uint8."""
+    tile = np.ones(_TILE_PERIOD, dtype=np.uint8)
     for p in _TILED_PRIMES:
         # p | 2j + 1 is j = (p-1)/2 (mod p).
-        inverse[(p - 1) // 2 :: p] *= np.uint32(pow(p, -1, 1 << 32))
-        totient[(p - 1) // 2 :: p] *= p - 1
-    inverse.flags.writeable = False
-    totient.flags.writeable = False
-    return inverse, totient
+        tile[(p - 1) // 2 :: p] = 0
+    tile.flags.writeable = False
+    return tile
 
 
 def _fill_tiled(buf: np.ndarray, j0: int, length: int, pattern: np.ndarray) -> None:
@@ -205,27 +198,16 @@ def _fill_tiled(buf: np.ndarray, j0: int, length: int, pattern: np.ndarray) -> N
         filled += step
 
 
-def _fill_steps(buf: np.ndarray, start: int) -> None:
-    """Set buf[i] = start + 2i without a temporary: one value, then copies
-    that double the filled part, each shifted past it."""
-    if buf.size:
-        buf[0] = start
-    filled = 1
-    while filled < buf.size:
-        step = min(filled, buf.size - filled)
-        np.add(buf[:step], 2 * filled, out=buf[filled : filled + step])
-        filled += step
-
-
 class _SievePlan(_Record):
-    """What totient_sieve reuses across the segments of one scan: the
-    walk's step table of _classify_steps and the uint32 rem and phi
-    buffers, sized to the longest segment.  Each segment overwrites both
-    buffers."""
+    """The classify scan's odd primes p <= root (_classify_steps), which
+    the prime sieve takes as steps and totient_sieve as trial divisors:
+    p (int64), the odd index p^2 // 2 of its first composite multiple,
+    p^-1 mod 2^32 and (2^32 - 1) // p (both uint32).  Read-only."""
 
-    steps: tuple[np.ndarray, ...]
-    rem: np.ndarray
-    phi: np.ndarray
+    p: np.ndarray
+    first_hit: np.ndarray
+    inverse: np.ndarray
+    bound: np.ndarray
 
 
 # A step with more than _LOOP_HITS hits in a segment takes a strided op in
@@ -238,34 +220,31 @@ _LOOP_HITS = 250
 _RUN_SHARE = 16
 
 
-def _apply_steps(op: np.ufunc, bufs: tuple[np.ndarray, ...], values: tuple[np.ndarray, ...],
+def _apply_steps(op: np.ufunc, buf: np.ndarray, values: np.ndarray,
                  first_hit: np.ndarray, stride: np.ndarray, j0: int) -> None:
-    """buf[i] = op(buf[i], vals[s]) for each step s and each buffer ``buf``
-    of ``bufs`` with its ``vals`` of ``values``, at every i >= 0 below
-    bufs[0].size with j0 + i = first_hit[s] + m * stride[s] for some m >= 0.
+    """buf[i] = op(buf[i], values[s]) for each step s, at every i >= 0
+    below buf.size with j0 + i = first_hit[s] + m * stride[s] for some
+    m >= 0.
 
-    A step with more than _LOOP_HITS hits takes one strided op per buffer;
-    below that an op costs numpy's call overhead more than its arithmetic,
-    so the others share op.at over runs of consecutive steps with at most
+    A step with more than _LOOP_HITS hits takes one strided op; below that
+    an op costs numpy's call overhead more than its arithmetic, so the
+    others share op.at over runs of consecutive steps with at most
     max(length // _RUN_SHARE, _LOOP_HITS) hits.  op.at is unbuffered, so
     an entry that two of the steps hit gets both values.
     """
-    length = bufs[0].size
+    length = buf.size
     start = first_hit - j0
     # A step that began below j0 first hits at start mod stride.
     start = np.maximum(start, start % stride)
     count = (length - 1 - start) // stride + 1
     looped = count > _LOOP_HITS
     # Python int positions slice fastest; numpy scalar values keep the dtype.
-    at, step = start[looped].tolist(), stride[looped].tolist()
-    for buf, vals in zip(bufs, values):
-        for i, h, x in zip(at, step, vals[looped]):
-            view = buf[i::h]
-            op(view, x, view)
+    for i, h, x in zip(start[looped].tolist(), stride[looped].tolist(), values[looped]):
+        view = buf[i::h]
+        op(view, x, view)
 
     few = np.flatnonzero((count > 0) & ~looped)
-    start, stride, count = start[few], stride[few], count[few]
-    few_values = [vals[few] for vals in values]
+    start, stride, count, values = start[few], stride[few], count[few], values[few]
     cap = max(length // _RUN_SHARE, _LOOP_HITS)
     ends = np.cumsum(count)
     # Each run takes the most steps whose hits fit in cap, at least one.
@@ -282,51 +261,51 @@ def _apply_steps(op: np.ufunc, bufs: tuple[np.ndarray, ...], values: tuple[np.nd
         jump[1:] -= s[:-1] + h[:-1] * (c[:-1] - 1)
         where[np.cumsum(c) - c] = jump
         np.cumsum(where, out=where)
-        for buf, vals in zip(bufs, few_values):
-            op.at(buf, where, np.repeat(vals[a:b], c))
+        op.at(buf, where, np.repeat(values[a:b], c))
         # Freed before the next run's positions are built, not after.
         del where
 
 
-def totient_sieve(lo: int, hi: int, plan: _SievePlan) -> SieveSegment:
-    """Exact totients of the odd n in [lo, hi), one segment of a classify
-    scan, whose ``plan`` holds a step table exact for hi and buffers of at
-    least the segment's odd values; ``phi`` is a view of the plan's buffer.
+# totient_sieve divides every member by the first _FIRST_STAGE odd primes
+# (3 to 167), and then only the members whose cofactor still holds two
+# primes or more by the rest, _CELLS trial divisions at a time, so that a
+# stage's matrix stays far below a segment's charge.  Other stages and
+# sizes tied or lost (ROADMAP, "Measured and set aside": "Member totient
+# stages").
+_FIRST_STAGE = 38
+_CELLS = 1 << 13
 
-    ``phi[i]`` is phi(first + 2i), first being the first odd n >= lo.
-    The first level of _TILED_PRIMES comes from two tiled patterns: their
-    inverses mod 2^32 divide them out of rem, and their p - 1 start phi.
-    The walk then takes the odd base primes p <= sqrt(hi - 1) and their
-    powers p^e < hi, from p^2 for _TILED_PRIMES and from p for the rest
-    (_classify_steps): at the multiples of p^e, phi picks up one factor of
-    p (p - 1 at the first level) and rem loses one, by a multiply with p^-1
-    mod 2^32, all through one _apply_steps call.  Whatever remains in rem
-    is 1 or a single prime above sqrt(hi), contributing rem - 1.
+
+def totient_sieve(lo: int, hi: int, plan: _SievePlan, members: np.ndarray) -> SieveSegment:
+    """Totients of ``members``, the settled members of the segment [lo, hi)
+    of a classify scan, whose ``plan`` is exact for hi: squarefree odd n
+    below 2^32, each with at most one prime above the plan's primes (a
+    squarefree n < (root + 1)^2 has no two primes above root).
+
+    Trial division by the plan's primes: for odd p and n < 2^32, p | n
+    exactly when n p^-1 mod 2^32 <= (2^32 - 1) // p, and then that multiply
+    divides p out of n's cofactor while phi picks up p - 1.  After each
+    stage only the members whose cofactor reaches the next prime's square
+    go on.  Every cofactor is then 1 or a single prime P, which gives
+    P - 1.
     """
-    first = lo | 1
-    length = len(range(first, hi, 2))
+    rem = members.astype(np.uint32)
+    phi = np.ones(rem.size, dtype=np.uint32)
+    live = np.arange(rem.size)
+    a, b = 0, _FIRST_STAGE
+    while live.size and a < plan.p.size:
+        i, j = np.nonzero(rem[live, None] * plan.inverse[a:b] <= plan.bound[a:b])
+        j += a
+        # Unbuffered, so a member that two primes divide gets both.
+        np.multiply.at(rem, live[i], plan.inverse[j])
+        np.multiply.at(phi, live[i], (plan.p[j] - 1).astype(np.uint32))
+        a = b
+        if a < plan.p.size:
+            # A cofactor below the next prime's square is 1 or a prime.
+            live = live[rem[live] >= plan.p[a] ** 2]
+        b = a + max(_CELLS // max(live.size, 1), 1)
 
-    # n < hi <= _INT64_SAFE_HI < 2^32, and every partial product of phi
-    # divides phi(n) < n, so uint32 cannot overflow.  For odd p, a multiply
-    # by p^-1 mod 2^32 divides a multiple of p exactly.
-    rem, phi = plan.rem[:length], plan.phi[:length]
-    _fill_steps(rem, first)
-    # phi holds the inverse pattern first, so no third array is needed.
-    inverse, totient = _totient_patterns()
-    _fill_tiled(phi, first // 2, length, inverse)
-    rem *= phi
-    _fill_tiled(phi, first // 2, length, totient)
-
-    # The odd multiples of pe are 2 pe apart, so the stride in index space
-    # is pe, from n = pe itself.  A plan made for a larger hi also holds
-    # p^e >= hi, which never reach i < length, and primes above
-    # sqrt(hi - 1), which leave rem at 1 where they divide n and so give
-    # the same phi.
-    pe, first_hit, inv, factor = plan.steps
-    _apply_steps(np.multiply, (rem, phi), (inv, factor), first_hit, pe, first // 2)
-
-    # rem is 1 or the one prime above sqrt(hi), so rem - 1 clamped at 1
-    # is exactly that prime's factor of phi.
+    # rem - 1 clamped at 1 is the factor of phi of the cofactor 1 or P.
     rem -= 1
     np.maximum(rem, 1, out=rem)
     phi *= rem
@@ -411,7 +390,7 @@ def _residue_hits(steps: _ResidueSteps, buf: np.ndarray, lo: int, hi: int) -> np
         if first <= t < hi:  # n = t itself is prime
             buf[(t - first) // 2] -= _log8(t)
 
-    _apply_steps(np.add, (buf[:length],), (steps.weight,), steps.first_hit, steps.stride, j0)
+    _apply_steps(np.add, buf[:length], steps.weight, steps.first_hit, steps.stride, j0)
 
     size = -(-length // _BLOCK) * _BLOCK
     # The last block's pad may hold np.empty garbage or stale sums.
@@ -432,16 +411,12 @@ def _residue_hits(steps: _ResidueSteps, buf: np.ndarray, lo: int, hi: int) -> np
 
 
 @functools.lru_cache(maxsize=8)
-def _classify_steps(root: int) -> tuple[tuple[np.ndarray, ...], _ResidueSteps]:
-    """The classify scan's two step tables, exact for every hi <= top =
-    (root + 1)^2 and both from one base_primes(root): the totient walk's
-    and the L_inf pass's.  Cached per root, so that every scan whose last
-    hi - 1 has that root builds them once; the arrays are read-only.
-
-    The walk's are arrays (p^e, p^e // 2, p^-1 mod 2^32, factor of phi) of
-    each odd prime p <= root and its powers below top, from p^2 for
-    _TILED_PRIMES and from p for the rest, with factor p - 1 at p itself
-    and p above; p^e // 2 is the odd index of n = p^e, the step's first hit.
+def _classify_steps(root: int) -> tuple[_SievePlan, _ResidueSteps]:
+    """The classify scan's two tables, exact for every hi <= top = (root +
+    1)^2 and both from one base_primes(root): the _SievePlan of its odd
+    primes and the L_inf pass's steps.  Cached per root, so that every
+    scan whose last hi - 1 has that root builds them once; the arrays are
+    read-only.
 
     The L_inf pass's hold each prime p > 13 with p (1 + rad(p - 1)) < top,
     with m = rad(p - 1).  That holds for every p <= root, as rad(p - 1) <
@@ -453,21 +428,11 @@ def _classify_steps(root: int) -> tuple[tuple[np.ndarray, ...], _ResidueSteps]:
     factor), and tests each M + 1 with is_prime above the root.
     """
     top = (root + 1) ** 2
-    odd = base_primes(root)[1:].tolist()
-    pe, inv, factor = [], [], []
-    for p in odd:
-        q, f = (p * p, p) if p in _TILED_PRIMES else (p, p - 1)
-        v = pow(p, -1, 1 << 32)
-        while q < top:
-            pe.append(q)
-            inv.append(v)
-            factor.append(f)
-            q *= p
-            f = p
-    walk = (np.array(pe, dtype=np.int64),)
-    walk += (walk[0] // 2, np.array(inv, dtype=np.uint32), np.array(factor, dtype=np.uint32))
-    # Freed before the L_inf walk builds its own lists.
-    del pe, inv, factor
+    primes = base_primes(root)[1:]
+    odd = primes.tolist()
+    inverse = np.array([pow(q, -1, 1 << 32) for q in odd], dtype=np.uint32)
+    plan = _SievePlan(primes, primes * primes // 2, inverse,
+                      ((1 << 32) - 1) // primes.astype(np.uint32))
 
     small = set(odd)
     # Flat lists of (p, rad(p - 1)) pairs and of (M, rad(M), i) triples: a
@@ -493,16 +458,17 @@ def _classify_steps(root: int) -> tuple[tuple[np.ndarray, ...], _ResidueSteps]:
     pm = np.array(found, dtype=np.int64).reshape(-1, 2)
     p, m = pm[pm[:, 0].argsort()].T
     linf = _residue_steps(p, m, _TILED_RAD)
-    for a in (*walk, *linf):
+    for a in (*plan._astuple(), *linf):
         a.flags.writeable = False
-    return walk, linf
+    return plan, linf
 
 
 class _Classified(NamedTuple):
     """One segment of a classify scan, over its odd n = seg.first + 2i: the
-    totients, the mask of primes (index 1), and the positions ``pos`` and
-    indexes ``index`` of the other odd n in L_inf (n = 1 among them).
-    Every other odd n, and every even n but 2, is outside L_inf."""
+    mask of primes (index 1), and the positions ``pos``, totients
+    ``seg.phi`` and indexes ``index`` of the other odd n in L_inf (n = 1
+    among them).  Every other odd n, and every even n but 2, is outside
+    L_inf."""
 
     seg: SieveSegment
     prime: np.ndarray
@@ -510,11 +476,33 @@ class _Classified(NamedTuple):
     index: np.ndarray
 
 
+def _prime_mask(plan: _SievePlan, buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Which odd n in [lo, hi) are prime, as a bool view of the _log_buffer
+    ``buf``, by an odd-only sieve of Eratosthenes with a ``plan`` exact for
+    hi.  _TILED_PRIMES clear their multiples by the tile, which clears
+    each of them too, so they are set back (and n = 1 cleared); every other
+    p clears every p-th entry from n = p^2 on, through one _apply_steps
+    call.  A plan made for a larger hi also holds p with p^2 >= hi, which
+    never reach the segment."""
+    first = lo | 1
+    length = len(range(first, hi, 2))
+    mask = buf[:length]
+    _fill_tiled(mask, first // 2, length, _prime_tile())
+    for t in _TILED_PRIMES:
+        if first <= t < hi:
+            mask[(t - first) // 2] = 1
+    if first == 1:
+        mask[0] = 0
+    p, first_hit = plan.p[len(_TILED_PRIMES):], plan.first_hit[len(_TILED_PRIMES):]
+    _apply_steps(np.multiply, mask, np.zeros(p.size, dtype=np.uint8), first_hit, p, first // 2)
+    return mask.view(bool)
+
+
 def _lehmer_indexes(phi: np.ndarray, first: int, pos: np.ndarray) -> np.ndarray:
     """The Lehmer indexes of the odd n = first + 2 pos, all of them in
-    L_inf, as uint8: lehmer_index's own loop (_power_index) on (n - 1) mod
-    phi(n), to its first zero."""
-    ph = phi[pos].astype(np.int64)
+    L_inf, with their totients ``phi``, as uint8: lehmer_index's own loop
+    (_power_index) on (n - 1) mod phi(n), to its first zero."""
+    ph = phi.astype(np.int64)
     # Every operand is >= 0 and phi >= 1, so the truncating fmod equals %.
     base = 2 * pos + (first - 1)
     np.fmod(base, ph, out=base)
@@ -527,43 +515,35 @@ def _classify_scan(bounds: list[tuple[int, int]]) -> Iterator[_Classified]:
     _Classified per segment, whose arrays stay valid until the next one.
 
     The plan is made once per scan: both tables of _classify_steps for the
-    last hi, the rem and phi buffers of totient_sieve, sized to the longest
-    segment, and a _log_buffer, which holds each segment's prime mask once
-    the L_inf pass is done with it.  The totients cover the odd n only:
-    even n above 2 are settled without them (phi even, n-1 odd), and 2 has
-    index 1.  The odd n with phi(n) = n - 1 are exactly the odd primes,
-    index 1.  An odd composite n lies in L_inf
-    exactly when it is squarefree with rad(p - 1) | n - 1, that is n = p
-    (mod p rad(p - 1)), for each of its primes p: then those primes
-    multiply to n, and their log sum reaches floor(8 log2 n) - 7, while at
-    any other n the primes that pass multiply to at most n / 3 and sum to
-    at most floor(8 log2 n) - 12 (_residue_hits).  A member's prime P
-    above sqrt(hi) has P (1 + rad(P - 1)) <= n < hi, and _classify_steps
-    holds every such P, so the pass's hits are exactly the composite
-    members.  n = 1 is one more, with index 1; only they go to
+    last hi and a _log_buffer, sized to the longest segment, which holds
+    each segment's prime mask once the L_inf pass is done with it.  Only
+    odd n are sieved: even n above 2 are settled without a totient (phi
+    even, n-1 odd), and 2 has index 1.  The odd primes have index 1.  An
+    odd composite n lies in L_inf exactly when it is squarefree with
+    rad(p - 1) | n - 1, that is n = p (mod p rad(p - 1)), for each of its
+    primes p: then those primes multiply to n, and their log sum reaches
+    floor(8 log2 n) - 7, while at any other n the primes that pass
+    multiply to at most n / 3 and sum to at most floor(8 log2 n) - 12
+    (_residue_hits).  A member's prime P above sqrt(hi) has
+    P (1 + rad(P - 1)) <= n < hi, and _classify_steps holds every such P,
+    so the pass's hits are exactly the composite members.  n = 1 is one
+    more, with index 1; only they take a totient and go to
     _lehmer_indexes.
     """
     if not bounds:  # limit 1 leaves no segment
         return
-    # Built before the buffers, so that the tables' lists are freed first.
-    walk, steps = _classify_steps(math.isqrt(bounds[-1][1] - 1))
-    longest = max(len(range(lo | 1, hi, 2)) for lo, hi in bounds)
-    plan = _SievePlan(walk, np.empty(longest, dtype=np.uint32),
-                      np.empty(longest, dtype=np.uint32))
+    plan, steps = _classify_steps(math.isqrt(bounds[-1][1] - 1))
     logs = _log_buffer(bounds)
     for lo, hi in bounds:
-        # Through the module global, which the benchmark's tracer swaps.
-        seg = totient_sieve(lo, hi, plan)
-        phi, first = seg.phi, seg.first
-        pos = (_residue_hits(steps, logs, lo, hi).astype(np.int64) - first) // 2
-        # totient_sieve is done with rem and the pass with its log buffer,
-        # so they serve as the prime compare's n - 1 and its mask.
-        work, pr = plan.rem[: phi.size], logs[: phi.size].view(bool)
-        _fill_steps(work, first - 1)
-        np.equal(phi, work, out=pr)
+        first = lo | 1
+        members = _residue_hits(steps, logs, lo, hi)
         if first == 1:  # phi(1) = 1 divides (1 - 1)^1
-            pos = np.concatenate(([0], pos))
-        yield _Classified(seg, pr, pos, _lehmer_indexes(phi, first, pos))
+            members = np.concatenate(([1], members))
+        # Through the module global, which the benchmark's tracer swaps.
+        seg = totient_sieve(lo, hi, plan, members)
+        pos = (members.astype(np.int64) - first) // 2
+        yield _Classified(seg, _prime_mask(plan, logs, lo, hi), pos,
+                          _lehmer_indexes(seg.phi, first, pos))
 
 
 def _dense_index(c: _Classified) -> np.ndarray:
@@ -585,11 +565,12 @@ def _segment_bounds(
     """The segments every bulk path runs on, between consecutive edges of
     [lo, hi): lo + i * size, each of ``cuts`` inside the range, and hi.
     The one place that picks the size: a scan whose buffers take
-    ``buffers`` bytes per odd n of a segment (1 for the Korselt scan's
-    uint8 log sums, 8 for a classify scan's uint32 rem and phi) takes
-    _DEFAULT_SEGMENT // buffers values, read at call time, so that its
-    buffers fill 2 MB together.  Results never depend on the size, only
-    speed and peak memory do.
+    ``buffers`` bytes per odd n of a segment takes _DEFAULT_SEGMENT //
+    buffers values, read at call time, so that its buffers fill 2 MB
+    together: 1 for the Korselt scan's log sums, and 2 for a classify
+    scan, whose log buffer and scatter runs peak near two bytes per odd n
+    (ROADMAP, "Measured and set aside": "Classify segment length").
+    Results never depend on the size, only speed and peak memory do.
     """
     size = max(_DEFAULT_SEGMENT // buffers, 1)
     edges = sorted({*range(lo, hi, size),
@@ -607,7 +588,9 @@ def _map_scans(scan, bounds: list[tuple[int, int]], workers: int) -> Iterator:
 
     With a pool, each worker runs one scan over a contiguous run of
     segments, about an equal share of the values, and returns its run's
-    results as a list.
+    results as a list.  Only classify scans take a pool, and their tables
+    are built before the fork, so that every worker inherits them from
+    _classify_steps's cache instead of building them cold.
     """
     # A fork-based pool starts all of its workers up front, so never ask
     # for more than there are segments or CPUs this process may run on.
@@ -622,6 +605,7 @@ def _map_scans(scan, bounds: list[tuple[int, int]], workers: int) -> Iterator:
     runs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     for a, b in bounds:
         runs[(a + b - 2 * lo) * size // (2 * total)].append((a, b))
+    _classify_steps(math.isqrt(bounds[-1][1] - 1))
     with ProcessPoolExecutor(max_workers=size) as pool:
         for results in pool.map(functools.partial(_listed, scan), filter(None, runs)):
             yield from results
@@ -644,7 +628,7 @@ def classify_range(lo: int, hi: int) -> Iterator[tuple[int, LehmerIndex]]:
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
     if hi > _INT64_SAFE_HI:
         raise LimitExceededError(f"hi must not exceed {_INT64_SAFE_HI}")
-    for c in _classify_scan(_segment_bounds(lo, hi, buffers=8)):
+    for c in _classify_scan(_segment_bounds(lo, hi, buffers=2)):
         index = _dense_index(c)
         for i, ix in enumerate(index.tolist()):
             yield c.seg.lo + i, _INDEXES[ix]
@@ -687,7 +671,7 @@ def count_table(limit, ks=(2, 3, 4, 5, math.inf), *, workers: int = 1) -> CountT
     requested = _normalize_ks(ks)
     powers = tuple(10**i for i in range(1, j + 1))
 
-    bounds = _segment_bounds(1, limit + 1, cuts=tuple(p + 1 for p in powers), buffers=8)
+    bounds = _segment_bounds(1, limit + 1, cuts=tuple(p + 1 for p in powers), buffers=2)
     hists = _map_scans(_histogram_scan, bounds, workers)
 
     running = np.zeros(K_CAP + 1, dtype=np.int64)
@@ -717,7 +701,7 @@ def enumerate_Lk_composites(limit, k: int, *, workers: int = 1) -> list[int]:
     limit = _check_limit(limit)
     k = _as_natural(k, minimum=1, name="k")
     workers = _as_natural(workers, minimum=1, name="workers")
-    bounds = _segment_bounds(1, limit + 1, buffers=8)
+    bounds = _segment_bounds(1, limit + 1, buffers=2)
     chunks = _map_scans(functools.partial(_lk_scan, k=k), bounds, workers)
     out: list[int] = []
     for chunk in chunks:

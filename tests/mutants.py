@@ -65,22 +65,37 @@ MUTANTS = (
            "runs[(a + b - 2 * lo) * size // (2 * total)]",
            "runs[size - 1 - (a + b - 2 * lo) * size // (2 * total)]",
            (f"{T_SIEVE}::TestCountTable::test_deterministic_across_segments_and_workers",)),
-    # The totient sieve.
-    Mutant("fill-steps-stride", SIEVE,
-           "np.add(buf[:step], 2 * filled,", "np.add(buf[:step], filled,",
-           (f"{T_SIEVE}::TestTotientSieve::test_first_ten",)),
+    # The prime sieve and the tiles of every scan.
     Mutant("tiled-rotation", SIEVE,
            "buf[:head] = pattern[r : r + head]", "buf[:head] = pattern[:head]",
            (f"{T_SIEVE}::TestTiledTotientPatterns::test_windows_on_the_pattern_seam",)),
-    Mutant("walk-top-power", SIEVE,
-           "while q < top:", "while q * p < top:",
-           (f"{T_SIEVE}::TestTiledTotientPatterns::test_windows_at_tiled_prime_powers",)),
+    # Each prime's step starts at n = p itself, so it clears p.
+    Mutant("sieve-first-hit", SIEVE,
+           "primes * primes // 2", "primes // 2",
+           (f"{T_SIEVE}::TestPrimeMask::test_matches_conftest_mask",)),
+    Mutant("tiled-primes-prime", SIEVE,
+           "mask[(t - first) // 2] = 1", "mask[(t - first) // 2] = 0",
+           (f"{T_SIEVE}::TestPrimeMask::test_matches_conftest_mask",)),
+    # The member totients' trial division.
+    Mutant("divides-edge", SIEVE,
+           "<= plan.bound[a:b]", "< plan.bound[a:b]",
+           (f"{T_SIEVE}::TestMemberTotients::test_squarefree_n_with_the_largest_plan",)),
+    Mutant("stage-bound", SIEVE,
+           "rem[live] >= plan.p[a] ** 2", "rem[live] >= plan.p[a + 1] ** 2",
+           (f"{T_SIEVE}::TestMemberTotients::test_squarefree_n_with_the_largest_plan",)),
+    Mutant("cofactor-fold", SIEVE,
+           "    phi *= rem\n", "",
+           (f"{T_SIEVE}::TestMemberTotients::test_members_with_a_prime_above_the_root",)),
+    # A cofactor of 1 gives phi 0.
+    Mutant("large-prime-fold", SIEVE,
+           "    np.maximum(rem, 1, out=rem)\n", "",
+           (f"{T_SIEVE}::TestTotientSieve::test_first_ten",)),
     # Both step tables of the classify scan stop short of (root + 1)^2, so
     # a table cached for a root misses the primes of the larger hi it serves.
     Mutant("classify-steps-top", SIEVE,
            "top = (root + 1) ** 2", "top = root * root",
            (f"{T_SIEVE}::TestLinfResiduePass::test_members_with_a_prime_above_the_root",)),
-    # The step applier of both scans, _apply_steps.
+    # The step applier of every scan, _apply_steps.
     Mutant("walk-start", SIEVE,
            "np.maximum(start, start % stride)", "np.maximum(start, -start % stride)",
            (f"{T_SIEVE}::TestApplySteps::test_matches_per_position_loop",
@@ -108,9 +123,6 @@ MUTANTS = (
            "view = buf[i::h]", "view = buf[i + h::h]",
            (f"{T_SIEVE}::TestWalkScatter::test_step_at_the_loop_threshold",
             f"{T_SIEVE}::TestKorseltResidueOracle::test_windows_around_each_stride")),
-    Mutant("large-prime-fold", SIEVE,
-           "    np.maximum(rem, 1, out=rem)\n", "",
-           (f"{T_SIEVE}::TestTotientSieve::test_first_ten",)),
     # The classify scan's residue pass with modulus p rad(p - 1).
     # The primes above sqrt(hi) are dropped.
     Mutant("linf-large-primes", SIEVE,
@@ -132,7 +144,7 @@ MUTANTS = (
             f"{T_SIEVE}::TestEnumerate::test_carmichael_lists")),
     Mutant("linf-one", SIEVE,
            "        if first == 1:  # phi(1) = 1 divides (1 - 1)^1\n"
-           "            pos = np.concatenate(([0], pos))\n", "",
+           "            members = np.concatenate(([1], members))\n", "",
            (f"{T_SIEVE}::TestClassifyRange::test_singletons",
             f"{T_SIEVE}::TestCountTable::test_inf_always_present")),
     # The hit search that both residue passes share, guarded through the

@@ -209,8 +209,9 @@ _RECORDS = [
      "SieveSegment(lo=1, hi=5, phi=(1, 2), spf=None)"),
     (CountTable, {"limit": 10, "ks": (2,), "powers": (10,), "counts": ((2, (5,)),)},
      "CountTable(limit=10, ks=(2,), powers=(10,), counts=((2, (5,)),))"),
-    (_SievePlan, {"steps": ((9,),), "rem": (1,), "phi": (1,)},
-     "_SievePlan(steps=((9,),), rem=(1,), phi=(1,))"),
+    (_SievePlan, {"p": (3,), "first_hit": (4,), "inverse": (2863311531,),
+                  "bound": (1431655765,)},
+     "_SievePlan(p=(3,), first_hit=(4,), inverse=(2863311531,), bound=(1431655765,))"),
 ]
 
 

@@ -37,9 +37,12 @@ def test_every_traced_name_resolves(spans):
 
 def test_sieve_figures_read_a_real_segment(spans):
     # _sieve_bytes reads SieveSegment.spf, so the field stays while it does.
-    # The segment is the one a classify scan over [1000, 3001) sieves.
-    seg = next(_classify_scan([(1000, 3001)])).seg
+    # The segment is the one a classify scan over [1000, 3001) sieves, and
+    # its phi holds the totients of that window's settled members alone.
+    c = next(_classify_scan([(1000, 3001)]))
+    seg = c.seg
     assert seg.spf is None
+    assert seg.phi.size == c.pos.size > 0
     assert spans._sieve_values(seg) == 2001
     assert spans._sieve_bytes(seg) == seg.phi.nbytes
     measure = {name: m for name, _, _, m in spans.TRACED}["sieve.totient_sieve"]

@@ -189,13 +189,14 @@ class TestCount:
     @pytest.mark.parametrize("value", ["1", "zero"])
     def test_memory_variable_is_ignored(self, capsys, monkeypatch, value):
         # Korselt segments are always 4 * 10^6 values and classify segments
-        # 5 * 10^5; no environment variable, however malformed, changes
-        # them or stops a command.
+        # 2 * 10^6; no environment variable, however malformed, changes
+        # them or stops a command.  The limit is 10^7, so that a classify
+        # segment of either length would show.
         from klehmer import sieve
         from klehmer.sieve import _segment_bounds
 
-        commands = (("count", "--limit", "1e6", "--format", "csv"),
-                    ("list", "--set", "lk-composites:3", "--limit", "1e6"))
+        commands = (("count", "--limit", "1e7", "--format", "csv"),
+                    ("list", "--set", "lk-composites:3", "--limit", "1e7"))
         default = [run_cli(capsys, *command) for command in commands]
         monkeypatch.setenv("KLEHMER_MEMORY_MIB", value)
         assert _segment_bounds(1, 10**6 + 1) == [(1, 10**6 + 1)]
@@ -205,11 +206,13 @@ class TestCount:
                             lambda bounds: scanned.append(bounds) or scan(bounds))
         assert [run_cli(capsys, *command) for command in commands] == default
         assert all(rc == 0 for rc, _, _ in default)
-        # The count's segments end at each 10^j + 1 and at 5 * 10^5 + 1.
+        # The count's segments end at each 10^j + 1 and at each 2k * 10^6 + 1.
+        edges = [2 * k * 10**6 + 1 for k in range(1, 5)]
         assert scanned == [
             [(1, 11), (11, 101), (101, 1001), (1001, 10_001), (10_001, 100_001),
-             (100_001, 500_001), (500_001, 10**6 + 1)],
-            [(1, 500_001), (500_001, 10**6 + 1)],
+             (100_001, 10**6 + 1), (10**6 + 1, edges[0]),
+             *zip(edges, edges[1:]), (edges[-1], 10**7 + 1)],
+            [(1, edges[0]), *zip(edges, edges[1:]), (edges[-1], 10**7 + 1)],
         ]
 
 

@@ -26,7 +26,8 @@ from klehmer.sieve import (
     _RUN_SHARE,
     _TILED_PRIMES,
     _TILED_RAD,
-    _TOTIENT_PERIOD,
+    _TILE_PERIOD,
+    _FIRST_STAGE,
     _apply_steps,
     _classify_scan,
     _dense_index,
@@ -55,9 +56,41 @@ from conftest import (
 
 def scan_segment(lo: int, hi: int):
     """The one segment of a classify scan over [lo, hi) (_classify_scan):
-    ``.seg.phi`` holds the totients of its odd n, _dense_index of it the
+    ``.prime`` holds the prime mask of its odd n, ``.seg.phi`` the
+    totients of its settled members at ``.pos``, _dense_index of it the
     Lehmer index of every n."""
     return next(_classify_scan([(lo, hi)]))
+
+
+def odd_prime_mask(lo: int, hi: int) -> np.ndarray:
+    """Which odd n in [lo, hi) are prime: the conftest prime mask itself up
+    to 2 * 10^6, and above it a plain segmented sieve by that mask's
+    primes up to sqrt(hi - 1); the reference for the scan's prime mask,
+    sharing no code with it."""
+    first = lo | 1
+    if hi <= 2 * 10**6:
+        return sieve_prime_mask(hi)[first:hi:2]
+    mask = np.ones(len(range(first, hi, 2)), dtype=bool)
+    for p in np.flatnonzero(sieve_prime_mask(math.isqrt(hi - 1)))[1:].tolist():
+        # The first odd multiple of p at or above max(first, p^2).
+        m = max(p * p, -(-first // p) * p)
+        m += p * (m % 2 == 0)
+        mask[(m - first) // 2 :: p] = False
+    return mask
+
+
+def assert_segment(lo: int, hi: int, phi=None):
+    """The classify scan's segment over [lo, hi) against references that
+    share no code with it: its prime mask against odd_prime_mask, its
+    members' totients against ``phi``, the totients of the window's odd n
+    (totient_sieve_int64 when None), and every index against linear_index
+    on those totients, which also finds every member."""
+    c = scan_segment(lo, hi)
+    phi = totient_sieve_int64(lo, hi) if phi is None else np.asarray(phi)
+    assert np.array_equal(c.prime, odd_prime_mask(lo, hi))
+    assert np.array_equal(c.seg.phi, phi[c.pos])
+    assert np.array_equal(_dense_index(c), linear_index(lo, hi, phi))
+    return c
 
 
 A173703_BELOW_50000 = [
@@ -68,23 +101,25 @@ A173703_BELOW_50000 = [
 
 class TestTotientSieve:
     def test_first_ten(self):
-        seg = scan_segment(1, 11).seg
-        assert seg.first == 1
-        assert seg.phi.tolist() == [1, 2, 4, 6, 6]  # n = 1, 3, 5, 7, 9
+        # n = 1, 3, 5, 7, 9: the primes 3, 5 and 7, and n = 1 the one member.
+        c = scan_segment(1, 11)
+        assert c.seg.first == 1
+        assert c.prime.tolist() == [False, True, True, True, False]
+        assert (c.pos.tolist(), c.seg.phi.tolist()) == ([0], [1])
 
     def test_cross_checks_against_arith(self):
-        seg = scan_segment(90, 92).seg
-        assert (seg.first, seg.phi.tolist()) == (91, [72])
-        seg = scan_segment(561, 562).seg
-        assert (seg.first, seg.phi.tolist()) == (561, [320])
-        seg = scan_segment(99_990, 100_010).seg
-        for i, n in enumerate(range(seg.first, seg.hi, 2)):
-            assert seg.phi[i] == euler_phi(factorize(n)), n
+        c = scan_segment(90, 92)
+        assert (c.seg.first, c.pos.tolist(), c.seg.phi.tolist()) == (91, [0], [72])
+        c = scan_segment(561, 562)
+        assert (c.seg.first, c.pos.tolist(), c.seg.phi.tolist()) == (561, [0], [320])
+        c = assert_segment(99_990, 100_010, factorized_phi(99_991, 100_010)[::2])
+        for i, n in enumerate(range(c.seg.first, c.seg.hi, 2)):
+            assert c.prime[i] == is_prime(n), n
 
     def test_agrees_with_oracle_sieve(self):
         phi = sieve_phi(50_000)
-        assert np.array_equal(scan_segment(1, 50_001).seg.phi, phi[1::2])
-        assert np.array_equal(scan_segment(30_000, 40_000).seg.phi, phi[30_001:40_000:2])
+        assert_segment(1, 50_001, phi[1::2])
+        assert_segment(30_000, 40_000, phi[30_001:40_000:2])
 
     @pytest.mark.parametrize("run", [
         lambda lo, hi: next(classify_range(lo, hi)),
@@ -103,8 +138,9 @@ def factorized_phi(lo: int, hi: int) -> np.ndarray:
 
 
 class TestOddTotientSieve:
-    """totient_sieve equals the odd entries of full-range oracle totients:
-    the conftest sieves below 10^5, factorization above."""
+    """The classify scan against the odd entries of full-range oracle
+    totients (assert_segment): the conftest sieves below 10^5,
+    factorization above."""
 
     @pytest.mark.parametrize("lo, hi", [
         (1000, 3000), (1001, 3000), (1000, 3001), (1001, 3001),
@@ -114,21 +150,21 @@ class TestOddTotientSieve:
     ])
     def test_matches_full_sieve(self, lo, hi, phi_100k):
         phi = phi_100k[lo:hi] if hi <= phi_100k.size else factorized_phi(lo, hi)
-        seg = scan_segment(lo, hi).seg
         first = lo | 1
+        seg = assert_segment(lo, hi, phi[first - lo :: 2]).seg
         assert (seg.lo, seg.hi, seg.first) == (lo, hi, first)
-        assert np.array_equal(seg.phi, phi[first - lo :: 2])
 
     def test_agrees_with_oracle_sieve(self):
         phi = sieve_phi(50_000)
-        assert np.array_equal(scan_segment(1, 50_001).seg.phi, phi[1::2])
-        assert np.array_equal(scan_segment(30_000, 40_000).seg.phi, phi[30_001:40_000:2])
+        assert_segment(1, 50_001, phi[1::2])
+        assert_segment(30_000, 40_000, phi[30_001:40_000:2])
 
 
 def totient_sieve_int64(lo: int, hi: int) -> np.ndarray:
     """Totients of the odd n in [lo, hi) by a plain int64 prime-power sieve
-    over the conftest prime mask, dividing with //: the reference for
-    totient_sieve's uint32 rem and phi, sharing no code with it."""
+    over the conftest prime mask, dividing with //: the reference for the
+    classify scan's member totients and for linear_index, sharing no code
+    with it."""
     first = lo | 1
     rem = np.arange(first, hi, 2, dtype=np.int64)
     phi = np.ones(rem.size, dtype=np.int64)
@@ -147,8 +183,8 @@ def totient_sieve_int64(lo: int, hi: int) -> np.ndarray:
 
 
 class TestUint32TotientSieve:
-    """totient_sieve's uint32 arrays against the int64 reference and
-    against factorization."""
+    """totient_sieve's uint32 member totients against the int64 reference
+    and against factorization."""
 
     def test_uint32_fits_below_int64_ceiling(self):
         # Every n sieved is below _INT64_SAFE_HI, so uint32 holds n and phi(n).
@@ -161,35 +197,34 @@ class TestUint32TotientSieve:
         (_INT64_SAFE_HI - 20_000, _INT64_SAFE_HI),
     ])
     def test_matches_int64_reference(self, lo, hi):
-        assert np.array_equal(scan_segment(lo, hi).seg.phi, totient_sieve_int64(lo, hi))
+        assert_segment(lo, hi)
 
     def test_matches_factorization_across_2_31(self):
         # TestOddTotientSieve checks the window ending at _INT64_SAFE_HI.
         lo, hi = 2**31 - 10_000, 2**31 + 10_000
-        phi = scan_segment(lo, hi).seg.phi
-        assert phi.tolist() == [euler_phi(factorize(n)) for n in range(lo | 1, hi, 2)]
+        assert_segment(lo, hi, [euler_phi(factorize(n)) for n in range(lo | 1, hi, 2)])
 
 
 def scattered_hits(lo: int, hi: int) -> int:
-    """How many hits the walk's steps of at most _LOOP_HITS hits make
-    on the odd n in [lo, hi), counted from the conftest prime mask."""
+    """How many hits the prime sieve's steps of at most _LOOP_HITS hits
+    make on the odd n in [lo, hi): each odd prime p above _TILED_PRIMES
+    clears its odd multiples from p^2 on, counted from the conftest prime
+    mask."""
     first, total = lo | 1, 0
-    for p in np.flatnonzero(sieve_prime_mask(math.isqrt(hi - 1)))[1:].tolist():
-        pe = p * p if p in _TILED_PRIMES else p
-        while pe < hi:
-            # The first odd multiple of pe at or above first.
-            m = -(-first // pe) * pe
-            m += pe * (m % 2 == 0)
-            hits = len(range(m, hi, 2 * pe))
-            total += hits if hits <= _LOOP_HITS else 0
-            pe *= p
+    for p in np.flatnonzero(sieve_prime_mask(math.isqrt(hi - 1)))[6:].tolist():
+        # The first odd multiple of p at or above max(first, p^2).
+        m = max(p * p, -(-first // p) * p)
+        m += p * (m % 2 == 0)
+        hits = len(range(m, hi, 2 * p))
+        total += hits if hits <= _LOOP_HITS else 0
     return total
 
 
 class TestWalkScatter:
-    """The walk's strided steps and its np.multiply.at runs, against the
-    int64 reference: at the loop threshold, across runs, and where two
-    scattered steps hit one n."""
+    """The prime sieve's strided steps and its np.multiply.at runs: at the
+    loop threshold, across runs, and where two scattered steps hit one n.
+    Each window's prime mask, member totients and indexes
+    (assert_segment)."""
 
     @pytest.mark.parametrize("pe", [1009, 31**2])
     @pytest.mark.parametrize("hits", [_LOOP_HITS, _LOOP_HITS + 1])
@@ -200,7 +235,7 @@ class TestWalkScatter:
                        (first - 1, first + 2 * pe * (hits - 1) + 2)):
             assert len(range(first, hi, 2 * pe)) == hits
             assert pe <= math.isqrt(hi - 1)
-            assert np.array_equal(scan_segment(lo, hi).seg.phi, totient_sieve_int64(lo, hi))
+            assert_segment(lo, hi)
 
     @pytest.mark.parametrize("lo, hi", [
         (99 * 10**6, 99 * 10**6 + _DEFAULT_SEGMENT // 8),
@@ -210,7 +245,7 @@ class TestWalkScatter:
         # More scattered hits than one run holds, so at least two runs.
         length = len(range(lo | 1, hi, 2))
         assert scattered_hits(lo, hi) > 2 * max(length // _RUN_SHARE, _LOOP_HITS)
-        assert np.array_equal(scan_segment(lo, hi).seg.phi, totient_sieve_int64(lo, hi))
+        assert_segment(lo, hi)
 
     @pytest.mark.parametrize("lo, hi", [
         (1, 20_001), (123_456, 180_001), (10**7 + 1, 10**7 + 40_000),
@@ -221,7 +256,7 @@ class TestWalkScatter:
         # so most steps head a run of their own.
         monkeypatch.setattr("klehmer.sieve._RUN_SHARE", hi)
         assert scattered_hits(lo, hi) > 4 * _LOOP_HITS
-        assert np.array_equal(scan_segment(lo, hi).seg.phi, totient_sieve_int64(lo, hi))
+        assert_segment(lo, hi)
 
     @pytest.mark.parametrize("n, p, q", [
         (3 * 1009 * 1013, 1009, 1013),
@@ -230,40 +265,38 @@ class TestWalkScatter:
     ])
     def test_two_scattered_steps_hit_one_n(self, n, p, q):
         # p and q divide n, each hits the window once and lies below
-        # sqrt(hi), so both steps are scattered onto n's entry.
+        # sqrt(hi), so both steps are scattered onto n's entry (where q is
+        # a prime; 1009^2 is no step of the sieve).
         lo, hi = n - 1000, n + 1000
         assert p <= math.isqrt(hi - 1) and n % p == n % q == 0
         assert len(range(lo | 1, hi, 2)) < p
-        seg = scan_segment(lo, hi).seg
-        assert seg.phi[(n - seg.first) // 2] == euler_phi(factorize(n))
-        assert np.array_equal(seg.phi, totient_sieve_int64(lo, hi))
+        c = assert_segment(lo, hi)
+        assert not c.prime[(n - c.seg.first) // 2]
 
     @pytest.mark.slow
     def test_segment_ending_at_the_int64_ceiling(self):
         lo, hi = _INT64_SAFE_HI - 10**6, _INT64_SAFE_HI
         assert scattered_hits(lo, hi) > 2 * (len(range(lo | 1, hi, 2)) // _RUN_SHARE)
-        assert np.array_equal(scan_segment(lo, hi).seg.phi, totient_sieve_int64(lo, hi))
+        assert_segment(lo, hi)
 
 
-def apply_steps_by_position(op, bufs, values, first_hit, stride, j0):
+def apply_steps_by_position(op, buf, values, first_hit, stride, j0):
     """_apply_steps one position at a time in Python ints: for each step,
     every index first_hit + m * stride inside [j0, j0 + length) takes the
-    step's value into each buffer by ``op``."""
-    out = [buf.tolist() for buf in bufs]
-    length = len(out[0])
+    step's value into the buffer by ``op``."""
+    out = buf.tolist()
     for s, (f, h) in enumerate(zip(first_hit, stride)):
-        for j in range(f, j0 + length, h):
+        for j in range(f, j0 + len(out), h):
             if j >= j0:
-                for o, vals in zip(out, values):
-                    o[j - j0] = op(o[j - j0], vals[s])
+                out[j - j0] = op(out[j - j0], values[s])
     return out
 
 
-# (numpy op, its reference op in Python ints, buffer dtypes): the totient
-# walk's multiply on rem and phi, and the Korselt scan's add on one byte.
+# (numpy op, its reference op in Python ints, buffer dtype): the prime
+# sieve's multiply on its mask, and the residue passes' add on one byte.
 APPLY_OPS = {
-    "multiply": (np.multiply, lambda a, b: a * b % 2**32, (np.uint32, np.uint32)),
-    "add": (np.add, lambda a, b: (a + b) % 2**8, (np.uint8,)),
+    "multiply": (np.multiply, lambda a, b: a * b % 2**8, np.uint8),
+    "add": (np.add, lambda a, b: (a + b) % 2**8, np.uint8),
 }
 
 
@@ -279,19 +312,19 @@ class TestApplySteps:
     of length 0, such as the segment [2, 3), are in TestOddTotientSieve."""
 
     def check(self, kind, steps, length, j0=J0, loop_hits=LOOP_HITS):
-        op, reference, dtypes = APPLY_OPS[kind]
+        op, reference, dtype = APPLY_OPS[kind]
         rng = np.random.default_rng(len(steps) * 1000 + length)
         first_hit = np.array([f for f, _ in steps], dtype=np.int64)
         stride = np.array([h for _, h in steps], dtype=np.int64)
-        bufs = [rng.integers(0, np.iinfo(t).max, length, dtype=t, endpoint=True) for t in dtypes]
-        values = [rng.integers(1, np.iinfo(t).max, len(steps), dtype=t, endpoint=True)
-                  for t in dtypes]
-        expected = apply_steps_by_position(reference, bufs, [v.tolist() for v in values],
+        top = np.iinfo(dtype).max
+        buf = rng.integers(0, top, length, dtype=dtype, endpoint=True)
+        values = rng.integers(1, top, len(steps), dtype=dtype, endpoint=True)
+        expected = apply_steps_by_position(reference, buf, values.tolist(),
                                            first_hit.tolist(), stride.tolist(), j0)
         # Patched in the body, as hypothesis takes no function-scoped fixture.
         with mock.patch("klehmer.sieve._LOOP_HITS", loop_hits):
-            _apply_steps(op, bufs, values, first_hit, stride, j0)
-        assert [buf.tolist() for buf in bufs] == expected
+            _apply_steps(op, buf, values, first_hit, stride, j0)
+        assert buf.tolist() == expected
 
     @pytest.mark.parametrize("kind", APPLY_OPS)
     @pytest.mark.parametrize("steps, length", [
@@ -325,45 +358,50 @@ class TestApplySteps:
 
 
 class TestTiledTotientPatterns:
-    """3, 5, 7, 11 and 13 enter totient_sieve from patterns of period
-    _TOTIENT_PERIOD in odd-index space, and only their powers through the
-    prime-power loop, which starts them at p^2."""
+    """3, 5, 7, 11 and 13 enter the prime sieve from a tile of period
+    _TILE_PERIOD in odd-index space, which clears each of them too, so
+    the sieve sets them back; each window checked whole
+    (assert_segment)."""
 
     @pytest.mark.parametrize("m", [0, 1, 33])
-    @pytest.mark.parametrize("r", [0, 1, _TOTIENT_PERIOD - 1])
+    @pytest.mark.parametrize("r", [0, 1, _TILE_PERIOD - 1])
     def test_windows_on_the_pattern_seam(self, m, r, phi_100k):
         # The first odd index (n - 1) / 2 of the window is r mod the period:
         # a short window against the conftest sieves (factorization above
         # them), and one of four periods, which the sieve fills by doubling
         # copies, against the int64 reference.
-        first = 2 * (m * _TOTIENT_PERIOD + r) + 1
-        short, long = first + 3000, first + 2 * (4 * _TOTIENT_PERIOD + 100)
+        first = 2 * (m * _TILE_PERIOD + r) + 1
+        short, long = first + 3000, first + 2 * (4 * _TILE_PERIOD + 100)
         phi = phi_100k[first:short] if short <= phi_100k.size else factorized_phi(first, short)
-        assert np.array_equal(scan_segment(first, short).seg.phi, phi[::2])
-        assert np.array_equal(scan_segment(first, long).seg.phi, totient_sieve_int64(first, long))
+        assert_segment(first, short, phi[::2])
+        assert_segment(first, long)
 
     def test_windows_at_tiled_prime_powers(self):
         # Windows of 1 and 7 values starting from 3 below to 2 above each
-        # power p^2 .. p^7 of a tiled prime, where the loop takes over.
+        # power p^2 .. p^7 of a tiled prime.
         for p in (3, 5, 7, 11, 13):
             for e in range(2, 8):
                 for lo in range(p**e - 3, p**e + 3):
                     for hi in (lo + 1, lo + 7):
-                        assert np.array_equal(scan_segment(lo, hi).seg.phi,
-                                              totient_sieve_int64(lo, hi)), (lo, hi)
+                        assert_segment(lo, hi)
 
     def test_every_window_below_200(self, phi_100k):
-        # Here the tiled primes can lie above isqrt(hi - 1), where the loop
-        # never reaches them: their phi comes from the patterns alone.
+        # Here the tiled primes can lie above isqrt(hi - 1), where no other
+        # prime of the sieve reaches: they are prime by the tile alone.
+        # Each window against one linear_index and one mask over [1, 200).
+        prime = sieve_prime_mask(199)
+        index = linear_index(1, 200, phi_100k[1:200:2])
         for hi in range(2, 201):
             for lo in range(1, hi):
-                seg = scan_segment(lo, hi).seg
+                c = scan_segment(lo, hi)
                 first = lo | 1
-                assert np.array_equal(seg.phi, phi_100k[first:hi:2]), (lo, hi)
+                assert np.array_equal(c.prime, prime[first:hi:2]), (lo, hi)
+                assert np.array_equal(c.seg.phi, phi_100k[first + 2 * c.pos]), (lo, hi)
+                assert np.array_equal(_dense_index(c), index[lo - 1 : hi - 1]), (lo, hi)
 
 
 class TestPrimeShortcut:
-    """The classify scan gives every odd prime index 1 from phi(n) = n - 1
+    """The classify scan gives every odd prime index 1 from its prime sieve
     alone; every other n keeps the index lehmer_index gives."""
 
     @pytest.mark.parametrize("lo, hi", [
@@ -379,6 +417,67 @@ class TestPrimeShortcut:
             else:
                 idx = lehmer_index(n)
                 assert ix == (idx.k if idx.is_finite else 0), n
+
+
+class TestPrimeMask:
+    """The classify scan's odd-only sieve of Eratosthenes against the
+    conftest prime mask (odd_prime_mask)."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1, 2), (1, 3), (1, 40_000), (2, 40_000),
+        # Odd index _TILE_PERIOD, n = 30031, is where the tile repeats.
+        (2 * _TILE_PERIOD + 1 - 6000, 2 * _TILE_PERIOD + 1 + 6000),
+        (10**7 - 10**4, 10**7 + 10**4),
+        (_INT64_SAFE_HI - 20_000, _INT64_SAFE_HI),
+    ])
+    def test_matches_conftest_mask(self, lo, hi):
+        assert np.array_equal(scan_segment(lo, hi).prime, odd_prime_mask(lo, hi))
+
+
+# The odd primes in the order of a _SievePlan's.
+ODD_PRIMES = np.flatnonzero(sieve_prime_mask(1000))[1:].tolist()
+
+
+class TestMemberTotients:
+    """totient_sieve's trial division against euler_phi(factorize(n)): at
+    members whose largest prime lies above the window's root, across the
+    edge of its first stage and at the uint32 edge of its divisibility
+    test, and under any cut of the trial divisions into stages."""
+
+    @pytest.mark.parametrize("n", [3 * 65537, 5 * 65537, 3 * 257, 2_999_699_977])
+    def test_members_with_a_prime_above_the_root(self, n):
+        lo, hi = n - 600, n + 600
+        assert max(trial_factorize(n)) > math.isqrt(hi - 1)
+        c = scan_segment(lo, hi)
+        members = (c.seg.first + 2 * c.pos).tolist()
+        assert n in members
+        assert c.seg.phi.tolist() == [euler_phi(factorize(m)) for m in members]
+
+    @pytest.mark.parametrize("n", [
+        1, 3, 257 * 65537,
+        # 2^32 - 1 = 3 * 5 * 17 * 257 * 65537: n p^-1 mod 2^32 is exactly
+        # (2^32 - 1) // p at each of its primes p below 65537.
+        2**32 - 1,
+        # The first two primes past the first stage: its cofactor n reaches
+        # the square of the first and goes on.
+        ODD_PRIMES[_FIRST_STAGE] * ODD_PRIMES[_FIRST_STAGE + 1],
+        ODD_PRIMES[_FIRST_STAGE - 1] * ODD_PRIMES[_FIRST_STAGE],
+        3 * 5 * 7 * 11 * 13 * 17 * 19 * 23,
+    ])
+    def test_squarefree_n_with_the_largest_plan(self, n):
+        # Every n has at most one prime above the plan's root, 54772.
+        plan, _ = _classify_steps(math.isqrt(_INT64_SAFE_HI - 1))
+        seg = totient_sieve(1, 2**32, plan, np.array([n], dtype=np.uint32))
+        assert seg.phi.dtype == np.uint32
+        assert seg.phi.tolist() == [euler_phi(factorize(n))]
+
+    @pytest.mark.parametrize("cells", [1, 7, 1000])
+    def test_any_cut_into_stages(self, monkeypatch, cells, phi_100k):
+        # Each stage after the first takes max(cells // rows, 1) primes.
+        monkeypatch.setattr("klehmer.sieve._CELLS", cells)
+        c = scan_segment(1, 100_001)
+        assert c.pos.size > 400
+        assert np.array_equal(c.seg.phi, phi_100k[1 + 2 * c.pos])
 
 
 class TestClassifyRange:
@@ -440,7 +539,7 @@ def linear_index(lo: int, hi: int, phi: np.ndarray) -> np.ndarray:
     base = (n - 1) % phi
     acc = base.copy()
     odd_index = np.zeros(n.size, dtype=np.uint8)
-    for k in range(1, int(cut.max()) + 1):
+    for k in range(1, int(cut.max(initial=0)) + 1):
         odd_index[(acc == 0) & (odd_index == 0) & (k <= cut)] = k
         acc = acc * base % phi
     odd_index[n == 1] = 1
@@ -458,9 +557,7 @@ class TestSquaringCertificate:
 
     @pytest.mark.parametrize("lo", [1, 10**7 - 10**4, 10**8 - 10**6, _INT64_SAFE_HI - 20_000])
     def test_matches_linear_iteration(self, lo):
-        hi = lo + 20_000
-        c = scan_segment(lo, hi)
-        assert np.array_equal(_dense_index(c), linear_index(lo, hi, c.seg.phi))
+        assert_segment(lo, lo + 20_000)
 
     @pytest.mark.parametrize("n", [1, 15, 255, 65535])
     def test_index_at_the_squaring_cutoff(self, n):
@@ -490,7 +587,7 @@ class TestPowerIndex:
         # powers: the classify scan finds exactly these, and
         # _lehmer_indexes gives each its index.
         lo, hi = 10**7 - 10**4, 10**7
-        phi = scan_segment(lo, hi).seg.phi.astype(np.int64).tolist()
+        phi = totient_sieve_int64(lo, hi).tolist()
         first = lo | 1
         expected = {}
         for i, ph in enumerate(phi):
@@ -499,8 +596,9 @@ class TestPowerIndex:
                 expected[i] = k
         c = next(_classify_scan([(lo, hi)]))
         assert set(np.flatnonzero(c.prime).tolist()) | set(c.pos.tolist()) == set(expected)
+        assert c.seg.phi.tolist() == [phi[i] for i in c.pos.tolist()]
         pos = np.array(sorted(expected))
-        index = _lehmer_indexes(np.array(phi, dtype=np.uint32), first, pos)
+        index = _lehmer_indexes(np.array(phi, dtype=np.uint32)[pos], first, pos)
         assert dict(zip(pos.tolist(), index.tolist())) == expected
         composites = [i for i in expected if not is_prime(first + 2 * i)]
         assert len(composites) > 1 and max(expected.values()) > 2
@@ -529,9 +627,8 @@ def assert_window_matches_linear(q: int, r: int, lo: int, w: int, lo_even: bool)
     first += 2 * ((r - first) * pow(2, -1, q) % q)
     lo = max(1, first - lo_even)
     hi = first + w
-    c = scan_segment(lo, hi)
     assert (lo | 1) % q == r
-    assert np.array_equal(_dense_index(c), linear_index(lo, hi, c.seg.phi))
+    assert_segment(lo, hi)
 
 
 class TestExclusionFilter:
@@ -626,17 +723,16 @@ class TestLinfResiduePass:
         assert_window_matches_lehmer_index(n - 1500, n + 1500, _INT64_SAFE_HI)
 
     @pytest.mark.parametrize("m", [0, 1, 33])
-    @pytest.mark.parametrize("r", [0, 1, _TOTIENT_PERIOD - 1])
+    @pytest.mark.parametrize("r", [0, 1, _TILE_PERIOD - 1])
     def test_windows_on_the_tile_seam(self, m, r):
         # The pattern of 3, 5, 7, 11 and 13 repeats with period 15015 in
         # odd-index space, and the window's first odd index is r mod it: a
         # short window against lehmer_index, one of four periods against
         # the linear iteration alone.
-        first = 2 * (m * _TOTIENT_PERIOD + r) + 1
-        short, long = first + 3000, first + 2 * (4 * _TOTIENT_PERIOD + 100)
+        first = 2 * (m * _TILE_PERIOD + r) + 1
+        short, long = first + 3000, first + 2 * (4 * _TILE_PERIOD + 100)
         assert_window_matches_lehmer_index(first, short)
-        c = scan_segment(first, long)
-        assert np.array_equal(_dense_index(c), linear_index(first, long, c.seg.phi))
+        assert_segment(first, long)
 
 
 class TestCountTable:
@@ -1115,11 +1211,15 @@ class TestSegmentMemory:
 
     LO, HI = 10**7, 10**7 + 200_000
 
-    # (run, bytes per value, step of the values counted): the totient sieve
-    # is bounded per odd value it sieves, a bulk segment per value of the range.
-    # totient_sieve_odd starts the window on an odd lo, which holds as many
-    # odd values as the even-started window.  The totients come from a
-    # classify scan's segment, and classify_arrays adds its dense index.
+    # (run, bytes per value, step of the values counted): a classify
+    # segment is bounded per odd value it sieves, a bulk segment per value
+    # of the range.  totient_sieve_odd starts the window on an odd lo, which
+    # holds as many odd values as the even-started window.  The member
+    # totients come from a classify scan's segment, and classify_arrays
+    # adds its dense index.  On the first call of a process a classify
+    # segment here took 2.58 per odd value, and 2.05 over 10^6 values (its
+    # log buffer, which then holds the prime mask, a scatter run and the
+    # tables built in the call).
     @pytest.mark.parametrize("run, per_value, step", [
         (lambda lo, hi: scan_segment(lo, hi).seg, _BYTES_PER_VALUE, 2),
         (lambda lo, hi: scan_segment(lo + 1, hi).seg, _BYTES_PER_VALUE, 2),
@@ -1171,7 +1271,9 @@ class TestSegmentMemory:
     def test_direct_sieve_below_the_int64_ceiling(self):
         # The densest scatter: a scan segment of 10^6 values over the 5571
         # base primes below sqrt(_INT64_SAFE_HI), with both step tables
-        # built inside the call.
+        # built inside the call.  5.63 per odd value was measured, on the
+        # first call of a process, most of the 2.8 MB the tables' build;
+        # 1.92 at 9.9 * 10^7.
         lo, hi = _INT64_SAFE_HI - 10**6, _INT64_SAFE_HI
         _classify_steps.cache_clear()
         tracemalloc.start()
@@ -1183,8 +1285,10 @@ class TestSegmentMemory:
         assert peak <= _BYTES_PER_VALUE * len(range(lo | 1, hi, 2))
 
     def test_count_scan_in_classify_segments(self):
-        # A classify scan takes segments of _DEFAULT_SEGMENT // 8 values,
-        # so its plan, charged for that length, is all the count holds.
+        # A classify scan takes segments of _DEFAULT_SEGMENT // 2 values, a
+        # byte for each odd n of which is its log buffer; the count holds
+        # that plan and no more, 2.14 MB measured, within the 6 MB charge
+        # of a segment of _DEFAULT_SEGMENT // 8 values.
         tracemalloc.start()
         try:
             table = count_table(10**7)
@@ -1195,14 +1299,14 @@ class TestSegmentMemory:
         assert peak <= _BYTES_PER_VALUE * _DEFAULT_SEGMENT // 8
 
     def test_count_scan_charged_once(self):
-        # A count of 5 segments holds one plan: the rem and phi buffers, the
-        # prime mask and the log buffer, sized by the segment and not by the
-        # range.  A classify scan takes an eighth of the Korselt scan's
-        # segment.
+        # A count in segments of at most ``size`` values holds one plan:
+        # the tables and the log buffer, which then holds the prime mask,
+        # sized by the segment and not by the range; 1.50 per value was
+        # measured.  A classify scan takes half the Korselt scan's segment.
         size = 200_000
         tracemalloc.start()
         try:
-            with segments_of(8 * size):
+            with segments_of(2 * size):
                 table = count_table(10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1274,6 +1378,16 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         count_table(10**4, workers=64)
         assert pool_sizes == [3]
+
+    def test_pool_workers_inherit_the_tables(self, monkeypatch):
+        # A real pool of 2: the parent builds the classify tables before
+        # the fork, so the workers find them in the cache they inherit.
+        allow_cpus(monkeypatch, 2)
+        _classify_steps.cache_clear()
+        two = count_table(10**5, workers=2)
+        info = _classify_steps.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert two == count_table(10**5)
 
     def test_korselt_sieve_starts_no_pool(self, pool_sizes):
         reference = enumerate_carmichael(10**5)

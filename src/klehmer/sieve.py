@@ -29,21 +29,24 @@ every prime P above sqrt(hi) with P (1 + rad(P - 1)) < hi, as a member
 n = m P has m = 1 (mod rad(P - 1)) and m > 1 (_classify_steps).
 
 The count, the L_k lists and classify_range consume one classify scan.
-Every odd prime has index 1, and a segmented odd-only sieve of
-Eratosthenes marks them (_prime_mask): 3, 5, 7, 11 and 13 clear their
-multiples from a tile of period 15015, and every other odd p <= sqrt(hi)
-clears every p-th entry from n = p^2.  The L_inf pass finds the composite
-members, and n = 1 is one more; only these settled members take a
-totient (totient_sieve), by trial division over the same odd primes, and
-then lehmer_index's own iteration acc <- acc * (n-1) mod phi(n) to its
-first zero.  Every other odd n is outside L_inf.  The prime sieve and
-both residue passes apply their steps through one _apply_steps: a step
-that hits a segment more than _LOOP_HITS times takes a strided op, and
-the rest share a few op.at scatters, so a scan pays numpy's call
-overhead on few steps.  Each scan plans once (its step tables, cached
-per root for the classify scan, and one uint8 buffer that every segment
-reuses), and each classify segment yields its prime mask and its few
-composite members, so only classify_range builds a per-n index.
+Every prime has index 1, and no list or count needs them one by one:
+count_table takes pi(10^j) from a prime count (_prime_counts, Lucy's
+form of the Legendre-Meissel recurrence), and only classify_range marks
+them, by a segmented odd-only sieve of Eratosthenes (_prime_mask): 3, 5,
+7, 11 and 13 clear their multiples from a tile of period 15015, and
+every other odd p <= sqrt(hi) clears every p-th entry from n = p^2.  The
+L_inf pass finds the composite members, and n = 1 is one more; only
+these settled members take a totient (totient_sieve), by trial division
+over the same odd primes, and then the iteration acc <- acc * (n-1) mod
+phi(n) to its first zero, in one uint64 loop over all of a segment's
+members.  Every other odd n is outside L_inf.  The prime sieve and both
+residue passes apply their steps through one _apply_steps: a step that
+hits a segment more than _LOOP_HITS times takes a strided op, and the
+rest share a few op.at scatters, so a scan pays numpy's call overhead on
+few steps.  Each scan plans once (its step tables, cached per root for
+the classify scan, and one uint8 buffer that every segment reuses), and
+each classify segment yields its few members alone, so only
+classify_range builds a per-n index.
 Carmichael numbers come from one ascending Korselt scan, which
 enumerate_carmichael lists and alpha_search walks.  With a worker pool
 each worker scans one contiguous run of segments; results are merged in
@@ -64,7 +67,7 @@ import numpy as np
 from .arith import LimitExceededError, _Record, _as_natural, factorize, is_prime
 from .carmichael import AlphaNotFound, AlphaRecord, _alpha_record
 from .carmichael import verify_alpha_entry
-from .lehmer import _INDEXES, K_CAP, LehmerIndex, _power_index
+from .lehmer import _INDEXES, K_CAP, LehmerIndex
 
 # SieveSegment, totient_sieve and base_primes keep these names, unexported,
 # and verify_alpha_entry stays imported: bench/spans.py traces and reads
@@ -88,12 +91,11 @@ _DEFAULT_SEGMENT = 4_000_000
 _INT64_SAFE_HI = 3_000_000_000
 
 # A classify segment's traced peak per value of hi - lo, on the first call
-# of a process: the log buffer (which then holds the prime mask), one
-# scatter run of _apply_steps or the hit search's copy of its blocks, and
-# the step tables when the call builds them.  TestSegmentMemory pins it,
-# per odd value for a classify segment, and a Korselt scan below one byte
-# per value.  A scan of many segments allocates its buffer once, for its
-# longest.
+# of a process: the log buffer, one scatter run of _apply_steps or the hit
+# search's copy of its blocks, and the step tables when the call builds
+# them.  TestSegmentMemory pins it, per odd value for a classify segment,
+# and a Korselt scan below one byte per value.  A scan of many segments
+# allocates its buffer once, for its longest.
 _BYTES_PER_VALUE = 12
 
 
@@ -200,7 +202,8 @@ def _fill_tiled(buf: np.ndarray, j0: int, length: int, pattern: np.ndarray) -> N
 
 class _SievePlan(_Record):
     """The classify scan's odd primes p <= root (_classify_steps), which
-    the prime sieve takes as steps and totient_sieve as trial divisors:
+    the prime sieve takes as steps, totient_sieve as trial divisors and
+    the prime count as its primes:
     p (int64), the odd index p^2 // 2 of its first composite multiple,
     p^-1 mod 2^32 and (2^32 - 1) // p (both uint32).  Read-only."""
 
@@ -360,8 +363,7 @@ def _residue_steps(p: np.ndarray, m: np.ndarray, tiled: tuple[int, ...]) -> _Res
 
 def _log_buffer(bounds: list[tuple[int, int]]) -> np.ndarray:
     """_residue_hits's uint8 buffer for the longest of ``bounds``, a byte
-    for each odd n (so n = 1 too, for the classify scan's prime mask),
-    padded to whole blocks of _BLOCK entries."""
+    for each odd n, padded to whole blocks of _BLOCK entries."""
     longest = max(len(range(lo | 1, hi, 2)) for lo, hi in bounds)
     return np.empty(-(-longest // _BLOCK) * _BLOCK, dtype=np.uint8)
 
@@ -464,24 +466,25 @@ def _classify_steps(root: int) -> tuple[_SievePlan, _ResidueSteps]:
 
 
 class _Classified(NamedTuple):
-    """One segment of a classify scan, over its odd n = seg.first + 2i: the
-    mask of primes (index 1), and the positions ``pos``, totients
-    ``seg.phi`` and indexes ``index`` of the other odd n in L_inf (n = 1
-    among them).  Every other odd n, and every even n but 2, is outside
+    """One segment of a classify scan, over its odd n = seg.first + 2i:
+    the positions ``pos``, totients ``seg.phi`` and indexes ``index`` of
+    its odd n in L_inf other than the primes (n = 1 among them).  Every
+    odd prime has index 1 (_prime_mask marks them, _prime_counts counts
+    them), and every other odd n, and every even n but 2, is outside
     L_inf."""
 
     seg: SieveSegment
-    prime: np.ndarray
     pos: np.ndarray
     index: np.ndarray
 
 
 def _prime_mask(plan: _SievePlan, buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Which odd n in [lo, hi) are prime, as a bool view of the _log_buffer
-    ``buf``, by an odd-only sieve of Eratosthenes with a ``plan`` exact for
-    hi.  _TILED_PRIMES clear their multiples by the tile, which clears
-    each of them too, so they are set back (and n = 1 cleared); every other
-    p clears every p-th entry from n = p^2 on, through one _apply_steps
+    """Which odd n in [lo, hi) are prime, as a bool view of ``buf`` (uint8,
+    one entry per odd n; left holding 1 at the primes and 0 elsewhere), by
+    an odd-only sieve of Eratosthenes with a ``plan`` exact for hi.
+    _TILED_PRIMES clear their multiples by the tile, which clears each of
+    them too, so they are set back (and n = 1 cleared); every other p
+    clears every p-th entry from n = p^2 on, through one _apply_steps
     call.  A plan made for a larger hi also holds p with p^2 >= hi, which
     never reach the segment."""
     first = lo | 1
@@ -498,28 +501,44 @@ def _prime_mask(plan: _SievePlan, buf: np.ndarray, lo: int, hi: int) -> np.ndarr
     return mask.view(bool)
 
 
+# A finite index of n below 2^32 is below bitlength(phi(n)) <= 32.
+_INDEX_STEPS = 32
+
+
 def _lehmer_indexes(phi: np.ndarray, first: int, pos: np.ndarray) -> np.ndarray:
     """The Lehmer indexes of the odd n = first + 2 pos, all of them in
     L_inf, with their totients ``phi``, as uint8: lehmer_index's own loop
-    (_power_index) on (n - 1) mod phi(n), to its first zero."""
-    ph = phi.astype(np.int64)
-    # Every operand is >= 0 and phi >= 1, so the truncating fmod equals %.
-    base = 2 * pos + (first - 1)
-    np.fmod(base, ph, out=base)
-    index = map(_power_index, base.tolist(), ph.tolist())
-    return np.fromiter(index, dtype=np.uint8, count=pos.size)
+    (_power_index) on base = (n - 1) mod phi(n), acc <- acc * base mod
+    phi to the first zero, for all of them at once.  In uint64 this is
+    exact, as acc and base are below phi < 2^32.  A zero stays zero, so
+    the index is 1 plus the number of nonzero powers.  After
+    _INDEX_STEPS powers an n whose acc is still nonzero, which only a
+    wrong totient gives, reads 0, as in _power_index."""
+    ph = phi.astype(np.uint64)
+    base = (2 * pos + (first - 1)).astype(np.uint64) % ph
+    acc = base.copy()
+    index = np.ones(pos.size, dtype=np.uint8)
+    for _ in range(_INDEX_STEPS - 1):
+        nonzero = acc != 0
+        if not nonzero.any():
+            break
+        index += nonzero
+        acc *= base
+        acc %= ph
+    index[acc != 0] = 0
+    return index
 
 
 def _classify_scan(bounds: list[tuple[int, int]]) -> Iterator[_Classified]:
-    """Lehmer indexes over each of the ascending segments ``bounds``; one
+    """The members of L_inf other than the primes, with their Lehmer
+    indexes, over each of the ascending segments ``bounds``; one
     _Classified per segment, whose arrays stay valid until the next one.
 
     The plan is made once per scan: both tables of _classify_steps for the
-    last hi and a _log_buffer, sized to the longest segment, which holds
-    each segment's prime mask once the L_inf pass is done with it.  Only
-    odd n are sieved: even n above 2 are settled without a totient (phi
-    even, n-1 odd), and 2 has index 1.  The odd primes have index 1.  An
-    odd composite n lies in L_inf exactly when it is squarefree with
+    last hi and a _log_buffer, sized to the longest segment.  Only odd n
+    are sieved: even n above 2 are settled without a totient (phi even,
+    n-1 odd), and 2 has index 1.  The odd primes have index 1.  An odd
+    composite n lies in L_inf exactly when it is squarefree with
     rad(p - 1) | n - 1, that is n = p (mod p rad(p - 1)), for each of its
     primes p: then those primes multiply to n, and their log sum reaches
     floor(8 log2 n) - 7, while at any other n the primes that pass
@@ -542,39 +561,45 @@ def _classify_scan(bounds: list[tuple[int, int]]) -> Iterator[_Classified]:
         # Through the module global, which the benchmark's tracer swaps.
         seg = totient_sieve(lo, hi, plan, members)
         pos = (members.astype(np.int64) - first) // 2
-        yield _Classified(seg, _prime_mask(plan, logs, lo, hi), pos,
-                          _lehmer_indexes(seg.phi, first, pos))
+        yield _Classified(seg, pos, _lehmer_indexes(seg.phi, first, pos))
 
 
-def _dense_index(c: _Classified) -> np.ndarray:
-    """The Lehmer index of every n in the segment (0 = not in L_inf)."""
+def _member_scan(bounds: list[tuple[int, int]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per segment of one classify scan, its members of L_inf other than
+    the primes, ascending (int64), and their Lehmer indexes (uint8)."""
+    for c in _classify_scan(bounds):
+        yield c.seg.first + 2 * c.pos, c.index
+
+
+def _dense_index(c: _Classified, plan: _SievePlan) -> np.ndarray:
+    """The Lehmer index of every n in the segment (0 = not in L_inf), with
+    the primes marked by _prime_mask under ``plan``, one exact for the
+    segment's hi."""
     lo, hi = c.seg.lo, c.seg.hi
     index = np.zeros(hi - lo, dtype=np.uint8)
     if lo <= 2 < hi:
         index[2 - lo] = 1
-    # A view: writing odd_index[i] sets the index of first + 2i.
+    # A view: writing odd_index[i] sets the index of first + 2i.  The
+    # prime mask leaves 1, the primes' index, in place.
     odd_index = index[c.seg.first - lo :: 2]
-    odd_index[:] = c.prime
+    _prime_mask(plan, odd_index, lo, hi)
     odd_index[c.pos] = c.index
     return index
 
 
-def _segment_bounds(
-    lo: int, hi: int, cuts: tuple[int, ...] = (), buffers: int = 1
-) -> list[tuple[int, int]]:
-    """The segments every bulk path runs on, between consecutive edges of
-    [lo, hi): lo + i * size, each of ``cuts`` inside the range, and hi.
-    The one place that picks the size: a scan whose buffers take
-    ``buffers`` bytes per odd n of a segment takes _DEFAULT_SEGMENT //
-    buffers values, read at call time, so that its buffers fill 2 MB
-    together: 1 for the Korselt scan's log sums, and 2 for a classify
-    scan, whose log buffer and scatter runs peak near two bytes per odd n
-    (ROADMAP, "Measured and set aside": "Classify segment length").
-    Results never depend on the size, only speed and peak memory do.
+def _segment_bounds(lo: int, hi: int, buffers: int = 1) -> list[tuple[int, int]]:
+    """The segments every bulk path runs on, between consecutive edges
+    lo + i * size of [lo, hi), and hi.  The one place that picks the
+    size: a scan whose buffers take ``buffers`` bytes per odd n of a
+    segment takes _DEFAULT_SEGMENT // buffers values, read at call time,
+    so that its buffers fill 2 MB together: 1 for the Korselt scan's log
+    sums, and 2 for a classify scan, whose log buffer and scatter runs
+    peak near two bytes per odd n (ROADMAP, "Measured and set aside":
+    "Classify segment length").  Results never depend on the size, only
+    speed and peak memory do.
     """
     size = max(_DEFAULT_SEGMENT // buffers, 1)
-    edges = sorted({*range(lo, hi, size),
-                    *(c for c in cuts if lo < c < hi), hi})
+    edges = [*range(lo, hi, size), hi]
     return list(zip(edges, edges[1:]))
 
 
@@ -628,21 +653,74 @@ def classify_range(lo: int, hi: int) -> Iterator[tuple[int, LehmerIndex]]:
     hi = _as_natural(hi, minimum=lo + 1, name="hi")
     if hi > _INT64_SAFE_HI:
         raise LimitExceededError(f"hi must not exceed {_INT64_SAFE_HI}")
+    # The scan's own plan, cached for the root of its last hi.
+    plan, _ = _classify_steps(math.isqrt(hi - 1))
     for c in _classify_scan(_segment_bounds(lo, hi, buffers=2)):
-        index = _dense_index(c)
+        index = _dense_index(c, plan)
         for i, ix in enumerate(index.tolist()):
             yield c.seg.lo + i, _INDEXES[ix]
 
 
-def _histogram_scan(bounds: list[tuple[int, int]]) -> Iterator[np.ndarray]:
-    """Per segment of one classify scan, how many n have each Lehmer index
-    (0 = not in L_inf), as K_CAP + 1 int64 counts."""
-    for c in _classify_scan(bounds):
-        lo, hi = c.seg.lo, c.seg.hi
-        hist = np.bincount(c.index, minlength=K_CAP + 1).astype(np.int64)
-        hist[1] += np.count_nonzero(c.prime) + (lo <= 2 < hi)
-        hist[0] = hi - lo - hist.sum()
-        yield hist
+def _icbrt(x: int) -> int:
+    """floor(x^(1/3)) for x >= 0."""
+    c = round(x ** (1 / 3))
+    while c**3 > x:
+        c -= 1
+    while (c + 1) ** 3 <= x:
+        c += 1
+    return c
+
+
+def _prime_counts(x: int) -> list[int]:
+    """pi(10^j) for j = 1..J, where x = 10^J, by Lucy's form of the
+    Legendre-Meissel recurrence, over the odd primes <= sqrt(x) of the
+    classify plan for that root, and 2.
+
+    S(v) counts the n in 2..v that are prime or have no prime factor
+    among the primes taken so far.  It starts at v - 1, and a prime p
+    takes S(v) -= S(v // p) - S(p - 1) at every v >= p^2, from
+    the S of the primes below p (at v < p^2 it changes nothing).  Once
+    every p <= sqrt(v) is taken, S(v) = pi(v).  Only the values x // d
+    are ever read: small[v] holds S(v) for v <= r = isqrt(x), large[d]
+    holds S(x // d) for d <= r, and x // d // p = x // (d p).
+
+    The primes p <= cbrt(x) are taken one by one over every value: a
+    strided slice of large where d p <= r, and a gather from small
+    otherwise.  Each prime p above cbrt(x) reads S(v // p) at v <= x,
+    and v // p <= x / p < x^(2/3) < q^2 for every prime q > cbrt(x), so
+    no later prime changes what it reads: after the first phase
+    S(v // p) is already as p needs it, and S(p - 1) = pi(p - 1) is p's
+    rank among the primes.  So each 10^j takes these primes in one
+    vectorised sum, pi(v) = S(v) - sum over cbrt(x) < p <= sqrt(v) of
+    (S(v // p) - rank(p)), exactly.
+    """
+    r = math.isqrt(x)
+    primes = np.concatenate(([2], _classify_steps(r)[0].p))
+    values = np.arange(r + 1, dtype=np.int64)
+    small = values - 1
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = x // values[1:] - 1
+    first = int(np.searchsorted(primes, _icbrt(x), side="right"))
+    for p in primes[:first].tolist():
+        below = small[p - 1]
+        # The d with x // d >= p^2, and among them those with d p <= r.
+        top = min(x // (p * p), r)
+        strided = min(r // p, top)
+        large[1 : strided + 1] -= large[p : strided * p + 1 : p] - below
+        large[strided + 1 : top + 1] -= small[x // (values[strided + 1 : top + 1] * p)] - below
+        small[p * p :] -= small[values[p * p :] // p] - below
+    batch = primes[first:]
+    rank = np.arange(first, primes.size)
+    counts = []
+    for j in range(1, round(math.log10(x)) + 1):
+        v, d = 10**j, x // 10**j
+        m = int(np.searchsorted(batch, math.isqrt(v), side="right"))
+        p = batch[:m]
+        q = v // p
+        # S(q) is large[d p] above r, where d p <= r, and small[q] below.
+        read = np.where(q > r, large[np.minimum(d * p, r)], small[np.minimum(q, r)])
+        counts.append(int((large[d] if d <= r else small[v]) - (read - rank[:m]).sum()))
+    return counts
 
 
 def _normalize_ks(ks) -> tuple:
@@ -660,8 +738,11 @@ def count_table(limit, ks=(2, 3, 4, 5, math.inf), *, workers: int = 1) -> CountT
     L_inf) is always computed alongside the requested ks; requested k
     beyond 127 count as inf.  Deterministic for any worker count.
     Raises LimitExceededError for a limit of _INT64_SAFE_HI or more.
-    Each p + 1 is a segment edge, where the running histogram's cumulative
-    sum over indexes 1..K_CAP holds C_k(p) at entry min(k, K_CAP) - 1.
+    Every prime has index 1, so C_k(10^j) is pi(10^j) (_prime_counts)
+    plus the scan's other members up to 10^j of index at most k: each
+    member goes to the bucket of the least 10^j at or above it, and the
+    sums over buckets and over indexes 1..K_CAP hold C_k(10^j) at entry
+    min(k, K_CAP) - 1 of row j.
     """
     limit = _check_limit(limit)
     workers = _as_natural(workers, minimum=1, name="workers")
@@ -671,16 +752,14 @@ def count_table(limit, ks=(2, 3, 4, 5, math.inf), *, workers: int = 1) -> CountT
     requested = _normalize_ks(ks)
     powers = tuple(10**i for i in range(1, j + 1))
 
-    bounds = _segment_bounds(1, limit + 1, cuts=tuple(p + 1 for p in powers), buffers=2)
-    hists = _map_scans(_histogram_scan, bounds, workers)
-
-    running = np.zeros(K_CAP + 1, dtype=np.int64)
-    cumulative = []
-    for (_, hi), hist in zip(bounds, hists):
-        running += hist
-        if hi - 1 in powers:
-            cumulative.append(np.cumsum(running[1:]).tolist())
-    counts = {k: tuple(row[min(k, K_CAP) - 1] for row in cumulative)
+    bounds = _segment_bounds(1, limit + 1, buffers=2)
+    hist = np.zeros((j, K_CAP + 1), dtype=np.int64)
+    for n, index in _map_scans(_member_scan, bounds, workers):
+        np.add.at(hist, (np.searchsorted(powers, n), index), 1)
+    cumulative = np.cumsum(np.cumsum(hist[:, 1:], axis=0), axis=1)
+    cumulative += np.array(_prime_counts(limit))[:, None]
+    rows = cumulative.tolist()
+    counts = {k: tuple(row[min(k, K_CAP) - 1] for row in rows)
               for k in (*requested, math.inf)}
     return CountTable(limit=limit, ks=requested, powers=powers, counts=counts)
 
@@ -689,10 +768,10 @@ def _lk_scan(bounds: list[tuple[int, int]], k: int) -> Iterator[np.ndarray]:
     """Per segment of one classify scan, its composite members of L_k.
 
     Even n are never composite members: 2 is prime, and even n > 2 lie
-    outside L_inf.  The odd primes are not among the settled n, so only
-    n = 1 is left to drop."""
-    for c in _classify_scan(bounds):
-        n = c.seg.first + 2 * c.pos[c.index <= min(k, K_CAP)]
+    outside L_inf.  The odd primes are not among the scan's members, so
+    only n = 1 is left to drop."""
+    for n, index in _member_scan(bounds):
+        n = n[index <= min(k, K_CAP)]
         yield n[n > 1]
 
 

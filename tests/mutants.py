@@ -47,9 +47,15 @@ T_SIEVE, T_ARITH = "tests/test_sieve.py", "tests/test_arith.py"
 
 MUTANTS = (
     # Segmentation and the count's bookkeeping.
-    Mutant("count-cuts", SIEVE,
-           "*(c for c in cuts if lo < c < hi), hi}", "hi}",
-           (f"{T_SIEVE}::TestCountTable::test_reference_columns_to_1e2",)),
+    # Each power's row counts only the members above the power before it.
+    Mutant("bucket-sum", SIEVE,
+           "np.cumsum(np.cumsum(hist[:, 1:], axis=0), axis=1)", "np.cumsum(hist[:, 1:], axis=1)",
+           (f"{T_SIEVE}::TestCountTable::test_inf_always_present",)),
+    Mutant("bucket-side", SIEVE,
+           "np.searchsorted(powers, n)", 'np.searchsorted(powers, n, side="right")',
+           (f"{T_SIEVE}::TestCountTable::test_reference_columns_to_1e2",),
+           survives="the two sides differ only at a member equal to a power of ten, "
+                    "and every member is 1 or odd while every power is even"),
     Mutant("cumulative-entry", SIEVE,
            "row[min(k, K_CAP) - 1]", "row[min(k, K_CAP - 1)]",
            (f"{T_SIEVE}::TestCountTable::test_reference_columns_to_1e2",)),
@@ -64,7 +70,7 @@ MUTANTS = (
     Mutant("pool-run-order", SIEVE,
            "runs[(a + b - 2 * lo) * size // (2 * total)]",
            "runs[size - 1 - (a + b - 2 * lo) * size // (2 * total)]",
-           (f"{T_SIEVE}::TestCountTable::test_deterministic_across_segments_and_workers",)),
+           (f"{T_SIEVE}::TestBufferReuse::test_same_under_any_segmentation[7777-2]",)),
     # The prime sieve and the tiles of every scan.
     Mutant("tiled-rotation", SIEVE,
            "buf[:head] = pattern[r : r + head]", "buf[:head] = pattern[:head]",
@@ -76,6 +82,21 @@ MUTANTS = (
     Mutant("tiled-primes-prime", SIEVE,
            "mask[(t - first) // 2] = 1", "mask[(t - first) // 2] = 0",
            (f"{T_SIEVE}::TestPrimeMask::test_matches_conftest_mask",)),
+    # The count's pi(10^j): the largest prime <= cbrt(x) moves into the
+    # batch of the second phase, and a batch prime's rank pi(p - 1) is
+    # one too high.
+    Mutant("lucy-first-phase", SIEVE,
+           'int(np.searchsorted(primes, _icbrt(x), side="right"))',
+           'int(np.searchsorted(primes, _icbrt(x), side="right")) - 1',
+           (f"{T_SIEVE}::TestPrimeCounts::test_matches_conftest_mask_to_1e7",)),
+    Mutant("lucy-rank", SIEVE,
+           "rank = np.arange(first, primes.size)", "rank = np.arange(first + 1, primes.size + 1)",
+           (f"{T_SIEVE}::TestPrimeCounts::test_matches_conftest_mask_to_1e7",)),
+    # The bulk index loop: an n with no index within 32 steps keeps the
+    # count of its nonzero powers.
+    Mutant("bulk-index-none", SIEVE,
+           "    index[acc != 0] = 0\n", "",
+           (f"{T_SIEVE}::TestBulkIndexes::test_no_index_reads_zero",)),
     # The member totients' trial division.
     Mutant("divides-edge", SIEVE,
            "<= plan.bound[a:b]", "< plan.bound[a:b]",

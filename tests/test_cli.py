@@ -206,14 +206,10 @@ class TestCount:
                             lambda bounds: scanned.append(bounds) or scan(bounds))
         assert [run_cli(capsys, *command) for command in commands] == default
         assert all(rc == 0 for rc, _, _ in default)
-        # The count's segments end at each 10^j + 1 and at each 2k * 10^6 + 1.
+        # Both commands' segments end at each 2k * 10^6 + 1.
         edges = [2 * k * 10**6 + 1 for k in range(1, 5)]
-        assert scanned == [
-            [(1, 11), (11, 101), (101, 1001), (1001, 10_001), (10_001, 100_001),
-             (100_001, 10**6 + 1), (10**6 + 1, edges[0]),
-             *zip(edges, edges[1:]), (edges[-1], 10**7 + 1)],
-            [(1, edges[0]), *zip(edges, edges[1:]), (edges[-1], 10**7 + 1)],
-        ]
+        bounds = [(1, edges[0]), *zip(edges, edges[1:]), (edges[-1], 10**7 + 1)]
+        assert scanned == [bounds, bounds]
 
 
 class TestList:

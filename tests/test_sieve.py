@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import tracemalloc
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -34,11 +35,13 @@ from klehmer.sieve import (
     _LOG_EDGES,
     _korselt_bar,
     _korselt_scan,
-    _histogram_scan,
+    _INDEX_STEPS,
     _lehmer_indexes,
     _classify_steps,
     _lk_scan,
     _log8,
+    _prime_counts,
+    _prime_mask,
     _segment_bounds,
     alpha_search,
     base_primes,
@@ -54,12 +57,39 @@ from conftest import (
 )
 
 
-def scan_segment(lo: int, hi: int):
-    """The one segment of a classify scan over [lo, hi) (_classify_scan):
-    ``.prime`` holds the prime mask of its odd n, ``.seg.phi`` the
-    totients of its settled members at ``.pos``, _dense_index of it the
-    Lehmer index of every n."""
-    return next(_classify_scan([(lo, hi)]))
+class Scanned(NamedTuple):
+    seg: object
+    prime: np.ndarray
+    pos: np.ndarray
+    index: np.ndarray
+
+
+def scan_plan(hi: int):
+    """The _SievePlan of a classify scan whose last segment ends at hi."""
+    return _classify_steps(math.isqrt(hi - 1))[0]
+
+
+def prime_mask(lo: int, hi: int) -> np.ndarray:
+    """_prime_mask over the odd n of [lo, hi), in a buffer of its own,
+    with the plan of a classify scan that ends at hi."""
+    buf = np.empty(len(range(lo | 1, hi, 2)), dtype=np.uint8)
+    return _prime_mask(scan_plan(hi), buf, lo, hi)
+
+
+def scan_segment(lo: int, hi: int) -> Scanned:
+    """The one segment of a classify scan over [lo, hi) (_classify_scan),
+    with the prime mask that classify_range takes for it: ``.prime``
+    holds the mask of its odd n (_prime_mask), ``.seg.phi`` the totients
+    of its settled members at ``.pos``, dense_index of it the Lehmer
+    index of every n."""
+    c = next(_classify_scan([(lo, hi)]))
+    return Scanned(c.seg, prime_mask(lo, hi), c.pos, c.index)
+
+
+def dense_index(c) -> np.ndarray:
+    """_dense_index of a scanned segment, with the plan of a scan that
+    ends at its hi."""
+    return _dense_index(c, scan_plan(c.seg.hi))
 
 
 def odd_prime_mask(lo: int, hi: int) -> np.ndarray:
@@ -89,7 +119,7 @@ def assert_segment(lo: int, hi: int, phi=None):
     phi = totient_sieve_int64(lo, hi) if phi is None else np.asarray(phi)
     assert np.array_equal(c.prime, odd_prime_mask(lo, hi))
     assert np.array_equal(c.seg.phi, phi[c.pos])
-    assert np.array_equal(_dense_index(c), linear_index(lo, hi, phi))
+    assert np.array_equal(dense_index(c), linear_index(lo, hi, phi))
     return c
 
 
@@ -397,12 +427,12 @@ class TestTiledTotientPatterns:
                 first = lo | 1
                 assert np.array_equal(c.prime, prime[first:hi:2]), (lo, hi)
                 assert np.array_equal(c.seg.phi, phi_100k[first + 2 * c.pos]), (lo, hi)
-                assert np.array_equal(_dense_index(c), index[lo - 1 : hi - 1]), (lo, hi)
+                assert np.array_equal(dense_index(c), index[lo - 1 : hi - 1]), (lo, hi)
 
 
 class TestPrimeShortcut:
-    """The classify scan gives every odd prime index 1 from its prime sieve
-    alone; every other n keeps the index lehmer_index gives."""
+    """classify_range's index gives every odd prime index 1 from the prime
+    sieve alone; every other n keeps the index lehmer_index gives."""
 
     @pytest.mark.parametrize("lo, hi", [
         (1, 5_001),  # holds the tiled primes 3, 5, 7, 11 and 13 themselves
@@ -410,7 +440,7 @@ class TestPrimeShortcut:
         (_INT64_SAFE_HI - 10_000, _INT64_SAFE_HI),
     ])
     def test_primes_index_one_at_the_edges(self, lo, hi):
-        index = _dense_index(scan_segment(lo, hi))
+        index = dense_index(scan_segment(lo, hi))
         for n, ix in zip(range(lo, hi), index.tolist()):
             if n % 2 and is_prime(n):
                 assert ix == 1, n
@@ -594,7 +624,7 @@ class TestPowerIndex:
             k = least_power_index((first + 2 * i - 1) % ph, ph)
             if k:
                 expected[i] = k
-        c = next(_classify_scan([(lo, hi)]))
+        c = scan_segment(lo, hi)
         assert set(np.flatnonzero(c.prime).tolist()) | set(c.pos.tolist()) == set(expected)
         assert c.seg.phi.tolist() == [phi[i] for i in c.pos.tolist()]
         pos = np.array(sorted(expected))
@@ -619,6 +649,57 @@ class TestPowerIndex:
         assert lehmer_index(1) == lehmer_index(2) == LehmerIndex.finite(1)
         index = _lehmer_indexes(np.array([1], dtype=np.uint32), 1, np.arange(1))
         assert index.tolist() == [1]
+
+
+def bulk_indexes(n: list[int], phi: list[int]) -> list[int]:
+    """_lehmer_indexes over the odd n with the totients ``phi`` given
+    for them, right or wrong, from first = 1."""
+    pos = (np.array(n, dtype=np.int64) - 1) // 2
+    return _lehmer_indexes(np.array(phi, dtype=np.uint32), 1, pos).tolist()
+
+
+class TestBulkIndexes:
+    """_lehmer_indexes, the classify scan's one uint64 loop over all of a
+    segment's members, against _power_index and exact powers."""
+
+    def test_no_index_reads_zero(self):
+        # The bases and totients of TestPowerIndex, from n - 1 = base mod
+        # phi: no power of 2 is a multiple of 9 or of 15, so the loop
+        # reads 0 within _INDEX_STEPS steps, as a wrong totient would.
+        n, phi = [3, 3, 11, 13], [9, 15, 15, 9]
+        expected = [least_power_index((m - 1) % ph, ph) for m, ph in zip(n, phi)]
+        assert bulk_indexes(n, phi) == expected == [0, 0, 0, 2]
+        assert _INDEX_STEPS == 32
+
+    def test_largest_index_below_2_32(self):
+        # Base 2 takes 31 steps to 2^31, the largest power of 2 below 2^32,
+        # and base 3 takes 20 to 3^20; base 2 never reaches 3^20 or
+        # 2^31 + 1.
+        n, phi = [3, 3, 3**20 + 4, 3], [2**31, 3**20, 3**20, 2**31 + 1]
+        expected = [least_power_index((m - 1) % ph, ph) for m, ph in zip(n, phi)]
+        assert bulk_indexes(n, phi) == expected == [31, 0, 20, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 2**31 - 2), st.integers(1, 2**32 - 1)),
+                          min_size=1, max_size=20))
+    def test_any_totient_matches_power_index(self, pairs):
+        # Odd n and any phi below 2^32, members or not, read as
+        # _power_index reads them.
+        n = [2 * i + 1 for i, _ in pairs]
+        phi = [ph for _, ph in pairs]
+        expected = [_power_index((m - 1) % ph, ph) for m, ph in zip(n, phi)]
+        assert bulk_indexes(n, phi) == expected
+
+    @pytest.mark.parametrize("lo", [10**7 - 5 * 10**5, _INT64_SAFE_HI - 10**6])
+    def test_every_member_of_a_window(self, lo):
+        # Every member of a 10^6-value window, near 10^7 (316 of them) and
+        # ending at _INT64_SAFE_HI (15), with the scan's totients.
+        c = next(_classify_scan([(lo, lo + 10**6)]))
+        n = (c.seg.first + 2 * c.pos).tolist()
+        phi = c.seg.phi.tolist()
+        assert len(n) >= 15
+        assert c.index.tolist() == [_power_index((m - 1) % ph, ph) for m, ph in zip(n, phi)]
+        assert 0 not in c.index.tolist()
 
 
 def assert_window_matches_linear(q: int, r: int, lo: int, w: int, lo_even: bool):
@@ -679,7 +760,7 @@ def assert_window_matches_lehmer_index(lo: int, hi: int, top: int | None = None)
     whose last segment ends at ``top`` (hi when None), equal lehmer_index."""
     bounds = [(lo, hi)] if top is None else [(lo, hi), (hi, top)]
     c = next(_classify_scan(bounds))
-    index = _dense_index(c).tolist()
+    index = _dense_index(c, scan_plan(bounds[-1][1])).tolist()
     for n, ix in zip(range(lo, hi), index):
         idx = lehmer_index(n)
         assert ix == (idx.k if idx.is_finite else 0), n
@@ -772,9 +853,16 @@ class TestCountTable:
 
     @pytest.mark.parametrize("lo, hi", [(1, 10_001), (10**7 - 10**4, 10**7)])
     def test_segment_histogram_counts_every_value(self, lo, hi):
-        index = _dense_index(scan_segment(lo, hi))
+        # The count's two parts over one segment, the scan's members by
+        # index and every prime at index 1 (here from the prime mask),
+        # against the index classify_range gives every n.
+        index = np.array([ix.k if ix.is_finite else 0 for _, ix in classify_range(lo, hi)])
         expected = np.bincount(index, minlength=K_CAP + 1)
-        assert np.array_equal(next(_histogram_scan([(lo, hi)])), expected)
+        c = scan_segment(lo, hi)
+        hist = np.bincount(c.index, minlength=K_CAP + 1)
+        hist[1] += np.count_nonzero(c.prime) + (lo <= 2 < hi)
+        hist[0] = hi - lo - hist.sum()
+        assert np.array_equal(hist, expected)
 
     def test_ks_ascend_once_each_with_inf_last(self):
         assert count_table(1000, (math.inf, 200, 5, 2, 2)).ks == (2, 5, 200, math.inf)
@@ -788,7 +876,7 @@ class TestCountTable:
         for seg in (7_777, 33_333):
             with segments_of(seg):
                 assert count_table(100_000, (2, 5)).counts == reference.counts
-        assert count_table(100_000, (2, 5), workers=2).counts == reference.counts
+                assert count_table(100_000, (2, 5), workers=2).counts == reference.counts
 
     @settings(max_examples=8, deadline=None)
     @given(segment_size=st.integers(1, 20_000))
@@ -813,6 +901,27 @@ class TestCountTable:
     def test_empty_k_list_rejected(self):
         with pytest.raises(ValueError):
             count_table(100, ())
+
+
+# pi(10^j) for j = 1..9, OEIS A006880.
+PI_POWERS_OF_TEN = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534)
+
+
+class TestPrimeCounts:
+    """_prime_counts, the count's pi(10^j), against published values and
+    against the conftest prime mask, which shares no code with it."""
+
+    @pytest.mark.parametrize("j", range(1, 10))
+    def test_published_values(self, j):
+        assert _prime_counts(10**j) == list(PI_POWERS_OF_TEN[:j])
+
+    def test_matches_conftest_mask_to_1e7(self):
+        # 10^3 and 10^6 are exact cubes, the edge of the first phase
+        # (p^3 <= x); the third, 10^9, is in test_published_values.
+        mask = sieve_prime_mask(10**7)
+        expected = [int(np.count_nonzero(mask[: 10**j + 1])) for j in range(1, 8)]
+        for j in range(1, 8):
+            assert _prime_counts(10**j) == expected[:j]
 
 
 class TestLimitBounds:
@@ -1216,14 +1325,15 @@ class TestSegmentMemory:
     # of the range.  totient_sieve_odd starts the window on an odd lo, which
     # holds as many odd values as the even-started window.  The member
     # totients come from a classify scan's segment, and classify_arrays
-    # adds its dense index.  On the first call of a process a classify
-    # segment here took 2.58 per odd value, and 2.05 over 10^6 values (its
-    # log buffer, which then holds the prime mask, a scatter run and the
-    # tables built in the call).
+    # adds its dense index, whose odd entries take the prime mask.  On the
+    # first call of a process a classify segment here took 2.58 per odd
+    # value, and 2.05 over 10^6 values (its log buffer, a scatter run and
+    # the tables built in the call).
     @pytest.mark.parametrize("run, per_value, step", [
-        (lambda lo, hi: scan_segment(lo, hi).seg, _BYTES_PER_VALUE, 2),
-        (lambda lo, hi: scan_segment(lo + 1, hi).seg, _BYTES_PER_VALUE, 2),
-        (lambda lo, hi: _dense_index(scan_segment(lo, hi)), _BYTES_PER_VALUE, 1),
+        (lambda lo, hi: next(_classify_scan([(lo, hi)])).seg, _BYTES_PER_VALUE, 2),
+        (lambda lo, hi: next(_classify_scan([(lo + 1, hi)])).seg, _BYTES_PER_VALUE, 2),
+        (lambda lo, hi: _dense_index(next(_classify_scan([(lo, hi)])), scan_plan(hi)),
+         _BYTES_PER_VALUE, 1),
         (lambda lo, hi: next(_lk_scan([(lo, hi)], 3)), _BYTES_PER_VALUE, 1),
         (lambda lo, hi: next(_korselt_scan([(lo, hi)])), _BYTES_PER_VALUE, 1),
     ], ids=["totient_sieve", "totient_sieve_odd", "classify_arrays", "lk_members", "carmichael"])
@@ -1278,7 +1388,7 @@ class TestSegmentMemory:
         _classify_steps.cache_clear()
         tracemalloc.start()
         try:
-            scan_segment(lo, hi)
+            next(_classify_scan([(lo, hi)]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1287,7 +1397,7 @@ class TestSegmentMemory:
     def test_count_scan_in_classify_segments(self):
         # A classify scan takes segments of _DEFAULT_SEGMENT // 2 values, a
         # byte for each odd n of which is its log buffer; the count holds
-        # that plan and no more, 2.14 MB measured, within the 6 MB charge
+        # that plan and no more, 2.21 MB measured, within the 6 MB charge
         # of a segment of _DEFAULT_SEGMENT // 8 values.
         tracemalloc.start()
         try:
@@ -1300,9 +1410,9 @@ class TestSegmentMemory:
 
     def test_count_scan_charged_once(self):
         # A count in segments of at most ``size`` values holds one plan:
-        # the tables and the log buffer, which then holds the prime mask,
-        # sized by the segment and not by the range; 1.50 per value was
-        # measured.  A classify scan takes half the Korselt scan's segment.
+        # the tables and the log buffer, sized by the segment and not by
+        # the range; 1.69 per value was measured.  A classify scan takes
+        # half the Korselt scan's segment.
         size = 200_000
         tracemalloc.start()
         try:
@@ -1357,7 +1467,13 @@ def allow_cpus(monkeypatch, cores: int) -> None:
 
 
 class TestWorkerPool:
-    SEGMENTS_TO_1E4 = 4  # count_table splits at 10, 100 and 1000
+    SEGMENTS_TO_1E4 = 4  # classify segments of 2500 values
+
+    @pytest.fixture(autouse=True)
+    def segments(self):
+        # A classify scan takes half the segment that segments_of sets.
+        with segments_of(2 * 10**4 // self.SEGMENTS_TO_1E4):
+            yield
 
     def test_pool_capped_by_cores_and_segments(self, pool_sizes):
         table = count_table(10**4, workers=64)
@@ -1431,11 +1547,11 @@ class TestWorkerValidation:
 
 
 class TestBufferReuse:
-    """A scan reuses its buffers from segment to segment.  A count's
-    segments grow from the cuts at 11, 101, ... and the last one shrinks, so
-    a stale value from an earlier or longer segment would show up as a
-    difference between segmentations, in process or in a pool worker's run
-    of segments.  The classify windows start at an even and an odd lo."""
+    """A scan reuses its buffers from segment to segment, and a scan's last
+    segment may be shorter than the others, so a stale value from an
+    earlier or longer segment would show up as a difference between
+    segmentations, in process or in a pool worker's run of segments.  The
+    classify windows start at an even and an odd lo."""
 
     @staticmethod
     def outputs(workers: int):
@@ -1460,8 +1576,9 @@ class TestBufferReuse:
             with segments_of(size):
                 got = self.outputs(workers)
         assert got == reference
-        # Every run that has two segments or more takes a pool of 2.
-        assert set(pool_sizes) == ({2} if workers == 2 else set())
+        # Every run that has two segments or more takes a pool of 2; with
+        # the default segments each run has one.
+        assert set(pool_sizes) == ({2} if workers == 2 and size else set())
 
 
 @pytest.mark.slow
@@ -1507,6 +1624,19 @@ class TestLargeRange:
             5: (5, 30, 184, 1303, 9861, 79346, 667282, 5769413),
             math.inf: (5, 30, 188, 1333, 10015, 80058, 670225, 5780785),
         }
+
+    def test_count_table_1e9(self):
+        table = count_table(10**9)
+        assert table.counts == {
+            2: (5, 26, 170, 1236, 9613, 78535, 664667, 5761621, 50847862),
+            3: (5, 29, 179, 1266, 9714, 78841, 665538, 5763967, 50854054),
+            4: (5, 29, 182, 1281, 9784, 79077, 666390, 5766571, 50861805),
+            5: (5, 30, 184, 1303, 9861, 79346, 667282, 5769413, 50870431),
+            math.inf: (5, 30, 188, 1333, 10015, 80058, 670225, 5780785, 50911575),
+        }
+
+    def test_count_table_1e8_two_workers(self):
+        assert count_table(10**8, workers=2) == count_table(10**8)
 
     def test_alpha4_below_5e7(self):
         r = alpha_search(4, 50_000_000)
